@@ -6,7 +6,7 @@ successive errors approaches 4, i.e. the empirical order r approaches 2.
 
 The dense Gauss-Jordan solver carries the first six levels; the
 structured solver (forward substitution plus a small load solve, with
-row weights streamed for the biggest grids) extends the ladder to
+row weights recomputed one row at a time) extends the ladder to
 h = 1/16384, where the error reaches the 1e-10 range.
 """
 

@@ -10,9 +10,11 @@ against the piecewise-linear trial function gives, for row i,
     J_p^i = (lam / 2) (tau_p - tau_{p-1}) K(tau_i, (tau_{p-1}+tau_p)/2).
 
 Apart from the load columns v_j the matrix is lower triangular; row 0
-has no integral term.  Systems small enough are materialized densely;
-beyond ``DENSE_NODE_LIMIT`` unknowns the matrix stays implicit and
-row weights are recomputed on demand (O(N) memory).
+has no integral term.  By default the matrix stays implicit: the node
+values of the coefficients are stored and the weights of any row are
+recomputed on demand (O(N) memory), which is all the structured solver
+needs.  ``mode="dense"`` also materializes the matrix, for the
+Gauss-Jordan reference path.
 """
 
 from __future__ import annotations
@@ -29,18 +31,13 @@ from .problems import Problem, ScalarFunction
 __all__ = [
     "CollocationSystem",
     "AssemblyError",
-    "DENSE_NODE_LIMIT",
     "quad_weight",
     "assemble",
     "residual",
 ]
 
-# Largest unknown count for which "auto" mode materializes the dense matrix.
-DENSE_NODE_LIMIT = 4097
-
-
 class AssemblyError(RuntimeError):
-    """A coefficient function failed to evaluate during assembly."""
+    """A coefficient or kernel evaluation failed; the message names the row and t."""
 
 
 def quad_weight(p_idx: int, i: int, g: Grid, kernel: ScalarFunction, lam: float) -> float:
@@ -61,11 +58,10 @@ def quad_weight(p_idx: int, i: int, g: Grid, kernel: ScalarFunction, lam: float)
 class CollocationSystem:
     """The assembled linear system plus its structural decomposition.
 
-    ``matrix`` is the full dense matrix (or None in streaming mode).
-    ``load_entries`` holds a_j(tau_i) per node and load; subtracting
-    them from the load columns of ``matrix`` leaves the purely lower
-    triangular part.  ``row_weights`` reproduces the quadrature weights
-    of any row without materializing anything.
+    ``matrix`` is the full dense matrix (None unless assembled in dense
+    mode).  ``load_entries`` holds a_j(tau_i) per node and load.
+    ``row_weights`` reproduces the quadrature weights of any row without
+    materializing anything.
     """
 
     problem: Problem
@@ -92,25 +88,17 @@ class CollocationSystem:
         if i == 0:
             return np.empty(0)
         tau_i = self.grid.nodes[i]
-        kvals = self.problem.kernel(tau_i, self._mids[:i])
+        try:
+            kvals = self.problem.kernel(tau_i, self._mids[:i])
+        except EvalError as err:
+            raise AssemblyError(f"kernel failed at row {i}, t={tau_i:.6g}: {err}") from err
         return 0.5 * self.problem.lam * self._dtau[:i] * np.atleast_1d(kvals)
-
-    def triangular_matrix(self) -> np.ndarray:
-        """Dense matrix with the load entries removed (dense mode only)."""
-        if self.matrix is None:
-            raise ValueError("system was assembled in streaming mode")
-        tri = self.matrix.copy()
-        for j, v in enumerate(self.load_columns):
-            tri[:, v] -= self.load_entries[:, j]
-        return tri
 
     def residual(self, x) -> float:
         """Max-abs collocation residual of nodal values ``x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):
             raise ValueError(f"expected {self.size} nodal values, got shape {x.shape}")
-        if self.matrix is not None:
-            return float(np.abs(self.matrix @ x - self.rhs).max())
         load_part = self.load_entries @ x[list(self.load_columns)]
         worst = 0.0
         for i in range(self.size):
@@ -134,19 +122,17 @@ def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
         raise
 
 
-def assemble(p: Problem, g: Grid, mode: str = "auto") -> CollocationSystem:
+def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
     """Assemble the collocation system for problem ``p`` on grid ``g``.
 
-    ``mode`` is ``"dense"``, ``"streaming"``, or ``"auto"`` (dense up to
-    ``DENSE_NODE_LIMIT`` unknowns).  Evaluation failures of coefficient
+    ``mode`` is ``"streaming"`` (row weights on demand) or ``"dense"``
+    (also materialize ``matrix``).  Evaluation failures of coefficient
     functions are reported with the row index and abscissa.
     """
-    if mode not in ("auto", "dense", "streaming"):
+    if mode not in ("dense", "streaming"):
         raise ValueError(f"unknown assembly mode {mode!r}")
     tau = g.nodes
     n = tau.shape[0]
-    if mode == "auto":
-        mode = "dense" if n <= DENSE_NODE_LIMIT else "streaming"
 
     a0_values = _eval_nodes(p.a0, tau, "a0")
     rhs = _eval_nodes(p.rhs, tau, "f")
@@ -176,12 +162,7 @@ def assemble(p: Problem, g: Grid, mode: str = "auto") -> CollocationSystem:
         # row by row so only the Volterra triangle is touched.
         weights = np.zeros((n - 1, n - 1))
         for i in range(1, n):
-            try:
-                weights[i - 1, :i] = system.row_weights(i)
-            except EvalError as err:
-                raise AssemblyError(
-                    f"kernel failed at row {i}, t={tau[i]:.6g}: {err}"
-                ) from err
+            weights[i - 1, :i] = system.row_weights(i)
 
     matrix = np.zeros((n, n))
     matrix[1:, : n - 1] -= weights
@@ -195,4 +176,4 @@ def assemble(p: Problem, g: Grid, mode: str = "auto") -> CollocationSystem:
 
 def residual(p: Problem, g: Grid, x) -> float:
     """Max-abs discrete collocation residual of nodal values ``x``."""
-    return assemble(p, g, mode="streaming").residual(x)
+    return assemble(p, g).residual(x)

@@ -10,7 +10,6 @@ runtime error, always with a message on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -94,14 +93,12 @@ def _cmd_study(ns) -> int:
     h0 = _positive_step(ns.h0, "h0")
     if ns.levels < 1:
         raise CliError("levels must be at least 1")
-    threads = int(os.environ.get("LVIE_THREADS", "1") or "1")
     rows = run_study(
         problem,
         h0,
         ns.levels,
         solver=ns.solver,
         samples_per_interval=ns.samples_per_interval,
-        threads=threads,
     )
     _write_output(emit(rows, ns.format, include_timing=not ns.no_timing), ns.out)
     return 0
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--h0", required=True, help="coarsest step, e.g. 1/8")
     p_study.add_argument("--levels", type=int, required=True)
     p_study.add_argument(
-        "--solver", choices=["dense", "structured"], default="dense"
+        "--solver", choices=["dense", "structured"], default="structured"
     )
     p_study.add_argument(
         "--format", choices=["csv", "md", "plotdata"], default="csv"

@@ -5,9 +5,10 @@ selection of the maximum element over the whole remaining submatrix
 (full pivoting).  ``structured_solve`` exploits the collocation shape
 (lower triangular plus a handful of load columns) by superposition:
 one forward substitution for the right-hand side, one per load column,
-and a small consistency solve for the load values.  That path costs
-O(m N^2) time and O(m N) extra memory, so it also works in streaming
-mode where the matrix is never materialized.
+and a small consistency solve for the load values.  The substitution
+recomputes each row's quadrature weights from the system as it goes,
+so it costs O(m N^2) time and O(m N) memory and never needs the
+materialized matrix.
 
 ``rank_and_det`` provides the rank / determinant diagnostics used by
 the solvability classifier.
@@ -176,58 +177,35 @@ def rank_and_det(a, tol: float = 1e-10) -> RankReport:
     )
 
 
-def _dense_forward(tri: np.ndarray, B: np.ndarray, tol: float, scale: float) -> np.ndarray:
-    X = np.empty_like(B)
-    for i in range(tri.shape[0]):
-        d = tri[i, i]
-        if abs(d) < tol * scale:
-            raise SolvabilityError(
-                f"zero diagonal entry in the triangular part at row {i}"
-            )
-        X[i] = (B[i] - tri[i, :i] @ X[:i]) / d
-    return X
-
-
-def _streaming_forward(system, B: np.ndarray, tol: float, scale: float) -> np.ndarray:
-    a0 = system.a0_values
-    X = np.empty_like(B)
-    for i in range(system.size):
-        w = system.row_weights(i)
-        if i == 0:
-            acc = 0.0
-            d = a0[0]
-        else:
-            acc = w[:-1] @ (X[: i - 1] + X[1:i]) if i > 1 else 0.0
-            acc = acc + w[-1] * X[i - 1]
-            d = a0[i] - w[-1]
-        if abs(d) < tol * scale:
-            raise SolvabilityError(
-                f"zero diagonal entry in the triangular part at row {i}"
-            )
-        X[i] = (B[i] + acc) / d
-    return X
-
-
 def structured_solve(system, tol_singular: float = 1e-12) -> np.ndarray:
     """Solve a collocation system via its triangular-plus-load-columns shape.
 
     Forward-substitutes the triangular part once against the right-hand
-    side and once against the negated entries of each load column, then
-    solves the small load consistency system and superposes.  Agrees
-    with :func:`gauss_jordan` on the materialized matrix to rounding.
+    side and once against the negated entries of each load column, one
+    row of weights at a time (``system.row_weights``), then solves the
+    small load consistency system and superposes.  Agrees with
+    :func:`gauss_jordan` on the materialized matrix to rounding.
     """
     n = system.size
     m1 = len(system.load_columns)
     B = np.empty((n, 1 + m1))
     B[:, 0] = system.rhs
-    if m1:
-        B[:, 1:] = -system.load_entries
+    B[:, 1:] = -system.load_entries
 
-    scale = float(np.abs(system.a0_values).max()) or 1.0
-    if system.matrix is not None:
-        X = _dense_forward(system.triangular_matrix(), B, tol_singular, scale)
-    else:
-        X = _streaming_forward(system, B, tol_singular, scale)
+    a0 = system.a0_values
+    scale = float(np.abs(a0).max()) or 1.0
+    X = np.empty_like(B)
+    for i in range(n):
+        w = system.row_weights(i)
+        acc, d = 0.0, a0[i]
+        if i:
+            acc = w[:-1] @ (X[: i - 1] + X[1:i]) + w[-1] * X[i - 1]
+            d = a0[i] - w[-1]
+        if abs(d) < tol_singular * scale:
+            raise SolvabilityError(
+                f"zero diagonal entry in the triangular part at row {i}"
+            )
+        X[i] = (B[i] + acc) / d
 
     if m1 == 0:
         return X[:, 0]

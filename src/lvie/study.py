@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -84,9 +83,10 @@ def solve_collocation(
     """Build the grid, assemble, and solve at step ``h``.
 
     ``solver``: ``"dense"`` runs Gauss-Jordan on the materialized
-    matrix (the reference path); ``"structured"`` and ``"auto"`` use the
-    triangular-plus-load-columns path, which streams row weights when
-    the system is too large to materialize.
+    matrix (the reference path, O(N^2) memory and O(N^3) time);
+    ``"structured"`` and its alias ``"auto"`` run the
+    triangular-plus-load-columns path on a streaming system, which
+    recomputes row weights as it goes and never builds the matrix.
     """
     if solver not in SOLVER_CHOICES:
         raise ValueError(f"solver must be one of {SOLVER_CHOICES}")
@@ -95,8 +95,7 @@ def solve_collocation(
         system = assemble(p, g, mode="dense")
         x = gauss_jordan(system.matrix, system.rhs, tol_singular)
     else:
-        system = assemble(p, g, mode="auto")
-        x = structured_solve(system, tol_singular)
+        x = structured_solve(assemble(p, g), tol_singular)
     return PiecewiseLinearSolution(grid=g, values=x)
 
 
@@ -149,13 +148,11 @@ def run_study(
     levels: int,
     solver: str = "dense",
     samples_per_interval: int = 1,
-    threads: int = 1,
 ) -> list[StudyRow]:
     """Solve at h0, h0/2, ..., h0/2^(levels-1) and tabulate errors.
 
     The problem must carry an exact solution.  Rows come back ordered by
-    decreasing step regardless of completion order; ``threads > 1`` runs
-    levels concurrently.
+    decreasing step.
     """
     if p.exact is None:
         raise ValueError("a convergence study requires a problem with an exact solution")
@@ -172,11 +169,7 @@ def run_study(
             raise StudyError(f"study level {k} (h={steps[k]}) failed: {err}") from err
         return sol.grid.last_index, eps, time.perf_counter() - start
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_level, range(levels)))
-    else:
-        results = [run_level(k) for k in range(levels)]
+    results = [run_level(k) for k in range(levels)]
 
     rows: list[StudyRow] = []
     for k, (n_idx, eps, wall) in enumerate(results):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from lvie.assembly import AssemblyError, assemble, quad_weight, residual
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
-from lvie.solvers import gauss_jordan
+from lvie.solvers import gauss_jordan, structured_solve
 
 ONE = ScalarFunction.constant(1.0)
 ONE2 = ScalarFunction.constant(1.0, arity=2)
@@ -109,14 +110,11 @@ class TestAssemble:
 
     def test_matrix_affine_in_lambda(self):
         base = builtin_problem("model1")
-        p2 = Problem(t0=base.t0, T=base.T, lam=2 * base.lam, loads=base.loads,
-                     a0=base.a0, kernel=base.kernel, rhs=base.rhs)
+        p2 = dataclasses.replace(base, lam=2 * base.lam)
         g = build_grid(base, Fraction(1, 8))
-        m1 = assemble(base, g, mode="dense").triangular_matrix()
-        m2 = assemble(p2, g, mode="dense").triangular_matrix()
-        off1 = m1 - np.diag(np.diagonal(m1))
-        off2 = m2 - np.diag(np.diagonal(m2))
-        np.testing.assert_allclose(off2, 2 * off1, atol=1e-15)
+        s1, s2 = assemble(base, g), assemble(p2, g)
+        for i in range(g.n_nodes):
+            np.testing.assert_allclose(s2.row_weights(i), 2 * s1.row_weights(i), rtol=1e-15)
 
     def test_eval_failure_reports_row_and_abscissa(self):
         p = make_problem(rhs=ScalarFunction.from_expression("1/(t-0.5)", 1))
@@ -124,6 +122,21 @@ class TestAssemble:
         assert 0.5 in g.nodes
         with pytest.raises(AssemblyError, match=r"f failed at row \d+, t=0.5"):
             assemble(p, g)
+
+    @pytest.mark.parametrize("h", [Fraction(1, 8), Fraction(1, 8192)], ids=["h=1/8", "h=1/8192"])
+    def test_kernel_failure_reports_row_and_abscissa(self, h):
+        # sqrt(0.7-t) is undefined at every node past t = 0.7.
+        base = builtin_problem("model1")
+        p = dataclasses.replace(base, kernel=ScalarFunction.from_expression("sqrt(0.7-t)+s", 2))
+        g = build_grid(p, h)
+        row = int(np.argmax(g.nodes > 0.7))
+        expected = rf"kernel failed at row {row}, t={g.nodes[row]:.6g}:"
+        with pytest.raises(AssemblyError, match=expected):
+            structured_solve(assemble(p, g))
+        if h == Fraction(1, 8):
+            assert (row, g.nodes[row]) == (8, 0.8)
+            with pytest.raises(AssemblyError, match=expected):
+                assemble(p, g, mode="dense")
 
     def test_kernel_defined_only_on_triangle(self):
         p = make_problem(lam=1.0, kernel=ScalarFunction.from_expression("sqrt(t-s)", 2))
@@ -200,8 +213,8 @@ class TestResidual:
         system = assemble(p, g, mode="dense")
         rng = np.random.default_rng(3)
         x = rng.normal(size=system.size)
-        stream = assemble(p, g, mode="streaming")
-        assert stream.residual(x) == pytest.approx(system.residual(x), rel=1e-12)
+        dense = np.abs(system.matrix @ x - system.rhs).max()
+        assert assemble(p, g).residual(x) == pytest.approx(dense, rel=1e-12)
 
     def test_length_mismatch(self):
         p = builtin_problem("model1")

@@ -102,13 +102,13 @@ def test_study_deterministic_without_timing(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_study_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("LVIE_THREADS", "3")
-    code = main(["study", "--builtin", "model1", "--h0", "1/8", "--levels", "3",
-                 "--no-timing"])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 4
+@pytest.mark.parametrize("builtin", ["model1", "model2"])
+def test_study_default_solver_is_structured(builtin, capsys):
+    args = ["study", "--builtin", builtin, "--h0", "1/8", "--levels", "3", "--no-timing"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main(args + ["--solver", "structured"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_analyze_single_lambda(capsys):

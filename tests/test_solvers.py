@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lvie.assembly import assemble
+from lvie.config import parse_problem_config
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.solvers import (
@@ -13,6 +14,19 @@ from lvie.solvers import (
     rank_and_det,
     structured_solve,
 )
+
+SQRT_LADDER_CONFIG = """
+t0 = 0.0
+T = 1.0
+lambda = 0.5
+a0 = "1+t"
+kernel = "sqrt(t-s)"
+exact = "1+t^2"
+f = "(1+t)*(1+t^2) + 1.0625*t + 1.25*(1-t) + 1.5625*t^2/2 - 0.5*(2/3*t*sqrt(t) + 16/105*t^3*sqrt(t))"
+load = { point = 0.25, coeff = "t" }
+load = { point = 0.5, coeff = "1-t" }
+load = { point = 0.75, coeff = "t^2/2" }
+"""
 
 
 def random_structured_problem(rng, max_nodes=200):
@@ -180,14 +194,13 @@ class TestStructuredSolve:
         x_structured = structured_solve(system)
         assert np.abs(x_dense - x_structured).max() <= 1e-12
 
-    def test_streaming_matches_dense_mode(self):
-        p = builtin_problem("model2")
-        g = build_grid(p, Fraction(1, 64))
-        dense_sys = assemble(p, g, mode="dense")
-        stream_sys = assemble(p, g, mode="streaming")
-        np.testing.assert_allclose(
-            structured_solve(dense_sys), structured_solve(stream_sys), atol=1e-12
-        )
+    @pytest.mark.parametrize("h", [Fraction(1, 32), Fraction(1, 256)], ids=["h=1/32", "h=1/256"])
+    def test_sqrt_kernel_matches_gauss_jordan(self, h):
+        # Three loads and a kernel undefined above the diagonal (s > t).
+        p = parse_problem_config(SQRT_LADDER_CONFIG)
+        system = assemble(p, build_grid(p, h), mode="dense")
+        x_dense = gauss_jordan(system.matrix, system.rhs)
+        assert np.abs(structured_solve(system) - x_dense).max() <= 1e-10
 
     def test_singular_load_subsystem(self):
         # One load whose consistency equation degenerates: with lam = 0,

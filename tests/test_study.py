@@ -172,13 +172,6 @@ class TestRunStudy:
         for row_d, row_s in zip(dense, structured):
             assert row_s.eps == pytest.approx(row_d.eps, rel=1e-6)
 
-    def test_threaded_run_matches_sequential(self):
-        p = builtin_problem("model2")
-        seq = run_study(p, Fraction(1, 8), 4)
-        par = run_study(p, Fraction(1, 8), 4, threads=4)
-        for row_a, row_b in zip(seq, par):
-            assert (row_a.h, row_a.N, row_a.eps) == (row_b.h, row_b.N, row_b.eps)
-
     def test_failure_carries_level(self):
         # h0 = 2/5 gives nodes k/3 (no zero of a0); the halved level has
         # nodes k/6 and the diagonal vanishes at 0.5.
