@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_source(p_solve)
     p_solve.add_argument("--h", required=True, help="sampling step, e.g. 1/32")
     p_solve.add_argument(
-        "--solver", choices=["dense", "structured", "auto"], default="auto"
+        "--solver", choices=["dense", "structured"], default="structured"
     )
     p_solve.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     p_solve.set_defaults(func=_cmd_solve)

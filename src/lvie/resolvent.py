@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import Problem
-from .solvers import SolvabilityError, gauss_jordan, rank_and_det
+from .solvers import SolvabilityError, gauss_jordan, nullspace, rank_and_det
 
 __all__ = [
     "ResolventApprox",
@@ -224,20 +224,15 @@ def iterated_kernel(
     if n < 1:
         raise ValueError("iterated-kernel order must be at least 1")
     _check_order(problem, t, s)
-    norm = lambda tt, ss: problem.kernel(tt, ss) / problem.a0(tt)
     if n == 1:
-        return float(norm(t, s))
+        return float(problem.kernel(t, s) / problem.a0(t))
     if t == s:
         return 0.0
     q = max(1, math.ceil(quad_density * (t - s)))
-    z = np.linspace(s, t, q + 1)
-    dz = (t - s) / q
-    rows, cols = np.tril_indices(q + 1)
-    first = np.zeros((q + 1, q + 1))
-    first[rows, cols] = norm(z[rows], z[cols])
+    first = _first_table(problem, np.linspace(s, t, q + 1))
     table = first
     for _ in range(n - 1):
-        table = _compose(first, table, dz)
+        table = _compose(first, table, (t - s) / q)
     return float(table[-1, 0])
 
 
@@ -322,45 +317,6 @@ def load_matrix(
     return A, d
 
 
-def _nullspace(a: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal-ish null-space basis via Gauss-Jordan with full pivoting.
-
-    Returns an array of shape (dim, n); rows are unit-norm basis vectors.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    scale = np.abs(a).max() if a.size else 0.0
-    if scale == 0.0:
-        return np.eye(n)
-    cols = np.arange(n)
-    rank = 0
-    for k in range(n):
-        sub = np.abs(a[k:, k:])
-        pi, pj = np.unravel_index(np.argmax(sub), sub.shape)
-        pi += k
-        pj += k
-        if abs(a[pi, pj]) < tol * scale:
-            break
-        if pi != k:
-            a[[k, pi]] = a[[pi, k]]
-        if pj != k:
-            a[:, [k, pj]] = a[:, [pj, k]]
-            cols[[k, pj]] = cols[[pj, k]]
-        a[k] /= a[k, k]
-        fac = a[:, k].copy()
-        fac[k] = 0.0
-        a -= np.outer(fac, a[k])
-        rank += 1
-
-    basis = np.zeros((n - rank, n))
-    for idx, free in enumerate(range(rank, n)):
-        vec = np.zeros(n)
-        vec[cols[free]] = 1.0
-        vec[cols[:rank]] = -a[:rank, free]
-        basis[idx] = vec / np.linalg.norm(vec)
-    return basis
-
-
 @dataclass(frozen=True)
 class SolvabilityReport:
     """Classification of the load system at one lam.
@@ -423,7 +379,7 @@ def classify(
             load_values=c,
         )
 
-    basis = _nullspace(A.T, tol)
+    basis = nullspace(A.T, tol)
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         defect = 0.0

@@ -1,17 +1,17 @@
 """Dense and structure-exploiting linear solvers.
 
-``gauss_jordan`` is the reference solver: Gauss-Jordan elimination with
-selection of the maximum element over the whole remaining submatrix
-(full pivoting).  ``structured_solve`` exploits the collocation shape
-(lower triangular plus a handful of load columns) by superposition:
-one forward substitution for the right-hand side, one per load column,
-and a small consistency solve for the load values.  The substitution
-recomputes each row's quadrature weights from the system as it goes,
-so it costs O(m N^2) time and O(m N) memory and never needs the
-materialized matrix.
+One full-pivot Gauss-Jordan core, ``_eliminate``, serves three callers:
+``gauss_jordan``, the reference solver, eliminates ``[a | b]``;
+``rank_and_det``, the solvability diagnostics, reads rank and
+determinant off the pivots and the swap parity; ``nullspace`` reads a
+basis off the reduced matrix.
 
-``rank_and_det`` provides the rank / determinant diagnostics used by
-the solvability classifier.
+``structured_solve`` exploits the collocation shape (lower triangular
+plus a handful of load columns) by superposition: one forward
+substitution for the right-hand side, one per load column, and a small
+consistency solve for the load values.  The substitution recomputes
+each row's quadrature weights from the system as it goes, so it costs
+O(m N^2) time and O(m N) memory and never needs the materialized matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "SolvabilityError",
     "RankReport",
     "gauss_jordan",
+    "nullspace",
     "rank_and_det",
     "structured_solve",
 ]
@@ -52,6 +53,43 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
+def _eliminate(aug: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int]:
+    """Full-pivot Gauss-Jordan elimination of ``aug = [A | R]`` in place.
+
+    ``A`` is the leading n x n block; pivots are searched only there and
+    elimination stops at the first pivot below ``tol * max|A|``.  Each
+    accepted pivot row is divided by its pivot and eliminated from every
+    other row, so the first ``len(pivots)`` rows end up reduced.  Returns
+    the raw pivots, the column order of ``A`` and the number of swaps.
+    """
+    n = aug.shape[0]
+    scale = np.abs(aug[:, :n]).max(initial=0.0)
+    cols = np.arange(n)
+    pivots: list[float] = []
+    swaps = 0
+    for k in range(n):
+        sub = np.abs(aug[k:, k:n])
+        pi, pj = np.unravel_index(np.argmax(sub), sub.shape)
+        pi += k
+        pj += k
+        piv = aug[pi, pj]
+        if piv == 0.0 or abs(piv) < tol * scale:  # piv == 0 stops a zero A
+            break
+        if pi != k:
+            aug[[k, pi]] = aug[[pi, k]]
+            swaps += 1
+        if pj != k:
+            aug[:, [k, pj]] = aug[:, [pj, k]]
+            cols[[k, pj]] = cols[[pj, k]]
+            swaps += 1
+        pivots.append(float(piv))
+        aug[k] /= piv
+        fac = aug[:, k].copy()
+        fac[k] = 0.0
+        aug -= np.outer(fac, aug[k])
+    return pivots, cols, swaps
+
+
 def gauss_jordan(a, b, tol_singular: float = 1e-12) -> np.ndarray:
     """Solve a x = b by Gauss-Jordan elimination with full pivoting.
 
@@ -64,41 +102,38 @@ def gauss_jordan(a, b, tol_singular: float = 1e-12) -> np.ndarray:
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
-    if n == 0:
-        return np.empty(0)
-
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise SingularMatrixError("matrix is zero", step=0)
-    cols = np.arange(n)
-
-    for k in range(n):
-        sub = np.abs(a[k:, k:])
-        pi, pj = np.unravel_index(np.argmax(sub), sub.shape)
-        pi += k
-        pj += k
-        if abs(a[pi, pj]) < tol_singular * scale:
-            raise SingularMatrixError(
-                f"matrix is singular (pivot {a[pi, pj]:.3e} at elimination step {k})",
-                step=k,
-            )
-        if pi != k:
-            a[[k, pi]] = a[[pi, k]]
-            b[[k, pi]] = b[[pi, k]]
-        if pj != k:
-            a[:, [k, pj]] = a[:, [pj, k]]
-            cols[[k, pj]] = cols[[pj, k]]
-        piv = a[k, k]
-        a[k] /= piv
-        b[k] /= piv
-        fac = a[:, k].copy()
-        fac[k] = 0.0
-        a -= np.outer(fac, a[k])
-        b -= fac * b[k]
-
+    aug = np.column_stack([a, b])
+    pivots, cols, _ = _eliminate(aug, tol_singular)
+    k = len(pivots)
+    if k < n:
+        rest = aug[k:, k:n]
+        piv = rest.flat[np.argmax(np.abs(rest))]
+        if piv == 0.0 and k == 0:
+            raise SingularMatrixError("matrix is zero", step=0)
+        raise SingularMatrixError(
+            f"matrix is singular (pivot {piv:.3e} at elimination step {k})",
+            step=k,
+        )
     x = np.empty(n)
-    x[cols] = b
+    x[cols] = aug[:, n]
     return x
+
+
+def nullspace(a, tol: float) -> np.ndarray:
+    """Unit-norm rows spanning the null space of ``a`` (identity if a == 0).
+
+    The rank is decided as in :func:`rank_and_det`.
+    """
+    a = _as_square(a)
+    n = a.shape[0]
+    pivots, cols, _ = _eliminate(a, tol)
+    rank = len(pivots)
+    basis = np.zeros((n - rank, n))
+    basis[:, cols[:rank]] = -a[:rank, rank:].T
+    basis[np.arange(n - rank), cols[rank:]] = 1.0
+    for row in basis:
+        row /= np.linalg.norm(row)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -119,7 +154,7 @@ class RankReport:
 
 
 def rank_and_det(a, tol: float = 1e-10) -> RankReport:
-    """Rank and determinant via Gaussian elimination with full pivoting.
+    """Rank and determinant via Gauss-Jordan elimination with full pivoting.
 
     A pivot counts toward the rank when its magnitude is at least
     ``tol`` times the largest entry of the input matrix.
@@ -128,45 +163,16 @@ def rank_and_det(a, tol: float = 1e-10) -> RankReport:
         raise ValueError("tol must be positive")
     a = _as_square(a)
     n = a.shape[0]
-    if n == 0:
-        return RankReport(0, 1.0, (), tol, 1, 0.0)
-
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return RankReport(0, 0.0, (), tol, 0, -math.inf)
-
-    sign = 1
-    pivots: list[float] = []
-    for k in range(n):
-        sub = np.abs(a[k:, k:])
-        pi, pj = np.unravel_index(np.argmax(sub), sub.shape)
-        pi += k
-        pj += k
-        if abs(a[pi, pj]) < tol * scale:
-            break
-        if pi != k:
-            a[[k, pi]] = a[[pi, k]]
-            sign = -sign
-        if pj != k:
-            a[:, [k, pj]] = a[:, [pj, k]]
-            sign = -sign
-        piv = a[k, k]
-        pivots.append(float(piv))
-        if k + 1 < n:
-            fac = a[k + 1 :, k] / piv
-            a[k + 1 :, k:] -= np.outer(fac, a[k, k:])
-
+    pivots, _, swaps = _eliminate(a, tol)
     rank = len(pivots)
     if rank < n:
         det, det_sign, det_log10 = 0.0, 0, -math.inf
     else:
-        det_sign = sign
+        det = float((-1) ** swaps * math.prod(pivots))  # may under/overflow
+        det_sign = (-1) ** (swaps + sum(p < 0 for p in pivots))
         det_log10 = 0.0
         for piv in pivots:
-            if piv < 0:
-                det_sign = -det_sign
             det_log10 += math.log10(abs(piv))
-        det = sign * math.prod(pivots)  # may under/overflow; the log pair survives
     return RankReport(
         rank=rank,
         det=det,

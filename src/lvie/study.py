@@ -38,7 +38,7 @@ __all__ = [
     "emit",
 ]
 
-SOLVER_CHOICES = ("dense", "structured", "auto")
+SOLVER_CHOICES = ("dense", "structured")
 
 
 class StudyError(RuntimeError):
@@ -78,15 +78,15 @@ class PiecewiseLinearSolution:
 
 
 def solve_collocation(
-    p: Problem, h, solver: str = "auto", tol_singular: float = 1e-12
+    p: Problem, h, solver: str = "structured", tol_singular: float = 1e-12
 ) -> PiecewiseLinearSolution:
     """Build the grid, assemble, and solve at step ``h``.
 
     ``solver``: ``"dense"`` runs Gauss-Jordan on the materialized
     matrix (the reference path, O(N^2) memory and O(N^3) time);
-    ``"structured"`` and its alias ``"auto"`` run the
-    triangular-plus-load-columns path on a streaming system, which
-    recomputes row weights as it goes and never builds the matrix.
+    ``"structured"`` (the default) runs the triangular-plus-load-columns
+    path on a streaming system, which recomputes row weights as it goes
+    and never builds the matrix.
     """
     if solver not in SOLVER_CHOICES:
         raise ValueError(f"solver must be one of {SOLVER_CHOICES}")
@@ -146,7 +146,7 @@ def run_study(
     p: Problem,
     h0,
     levels: int,
-    solver: str = "dense",
+    solver: str = "structured",
     samples_per_interval: int = 1,
 ) -> list[StudyRow]:
     """Solve at h0, h0/2, ..., h0/2^(levels-1) and tabulate errors.

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lvie
 from lvie.cli import main
 
 CONFIG = """
@@ -42,6 +45,20 @@ def test_solve_zero_step_rejected(capsys):
     code = main(["solve", "--builtin", "model1", "--h", "0"])
     assert code == 1
     assert "h must be positive" in capsys.readouterr().err
+
+
+def test_solve_rejects_auto_solver(capsys):
+    code = main(["solve", "--builtin", "model1", "--h", "1/8", "--solver", "auto"])
+    assert code == 1
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
+def test_solve_default_solver_is_structured(capsys):
+    args = ["solve", "--builtin", "model2", "--h", "1/16"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main(args + ["--solver", "structured"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_solve_missing_config(capsys):
@@ -184,10 +201,14 @@ def test_mutually_exclusive_sources(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    # The child process imports the same lvie tree as this test session.
+    src = str(Path(lvie.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lvie.cli", "list-problems"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "model1" in proc.stdout

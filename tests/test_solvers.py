@@ -11,6 +11,7 @@ from lvie.solvers import (
     SingularMatrixError,
     SolvabilityError,
     gauss_jordan,
+    nullspace,
     rank_and_det,
     structured_solve,
 )
@@ -171,6 +172,51 @@ class TestRankAndDet:
         rep = rank_and_det(np.zeros((0, 0)))
         assert rep.rank == 0
         assert rep.det == 1.0
+
+
+def planted_rank_matrix(seed):
+    """A seeded n x n matrix (n <= 8) of known rank r, 0 <= r <= n."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    r = int(rng.integers(0, n + 1))
+    a = rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
+    return a, n, r
+
+
+class TestNullspace:
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_planted_rank(self, seed):
+        a, n, r = planted_rank_matrix(seed)
+        assert rank_and_det(a, self.TOL).rank == r
+        basis = nullspace(a, self.TOL)
+        assert basis.shape == (n - r, n)
+        assert np.allclose(np.linalg.norm(basis, axis=1), 1.0)
+        if r < n:
+            assert np.abs(a @ basis.T).max() <= 1e-9 * np.abs(a).max()
+            assert np.linalg.matrix_rank(basis) == n - r
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_plus_nullity(self, seed):
+        a, n, _ = planted_rank_matrix(seed)
+        assert rank_and_det(a, self.TOL).rank + nullspace(a, self.TOL).shape[0] == n
+
+    def test_zero_matrix_gives_identity(self):
+        assert np.array_equal(nullspace(np.zeros((3, 3)), self.TOL), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nullspace(a, self.TOL)
+
+    def test_input_not_clobbered(self):
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        kept = a.copy()
+        nullspace(a, self.TOL)
+        assert np.array_equal(a, kept)
 
 
 class TestStructuredSolve:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lvie.study
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.study import (
@@ -142,6 +143,18 @@ class TestConvergenceOrder:
             convergence_order(1e-4, 1e-5, 0.5, 0.5)
 
 
+class TestSolverChoice:
+    def test_default_is_structured(self):
+        p = builtin_problem("model1")
+        default = solve_collocation(p, Fraction(1, 16))
+        structured = solve_collocation(p, Fraction(1, 16), solver="structured")
+        assert np.array_equal(default.values, structured.values)
+
+    def test_auto_is_not_a_solver(self):
+        with pytest.raises(ValueError, match="solver must be one of"):
+            solve_collocation(builtin_problem("model1"), Fraction(1, 8), solver="auto")
+
+
 class TestRunStudy:
     def test_single_level_has_no_order(self):
         p = builtin_problem("model1")
@@ -171,6 +184,14 @@ class TestRunStudy:
         structured = run_study(p, Fraction(1, 8), 7, solver="structured")
         for row_d, row_s in zip(dense, structured):
             assert row_s.eps == pytest.approx(row_d.eps, rel=1e-6)
+
+    def test_default_never_runs_gauss_jordan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("default study reached the dense reference")
+
+        monkeypatch.setattr(lvie.study, "gauss_jordan", refuse)
+        rows = run_study(builtin_problem("model1"), Fraction(1, 8), 3)
+        assert len(rows) == 3
 
     def test_failure_carries_level(self):
         # h0 = 2/5 gives nodes k/3 (no zero of a0); the halved level has
