@@ -29,9 +29,11 @@ on the raw data.
 Numerics: iterated kernels live as lower-triangular tables on a uniform
 tensor grid and are composed by the composite trapezoid rule; the
 series is truncated once the next term falls below ``term_tolerance``.
-Off-grid evaluations interpolate linearly (bilinear on the triangle),
-but the lam-independent parts (f~, a~_j) are always evaluated exactly,
-so lam = 0 results carry no quadrature error at all.
+Kept for every lam: the kernel tables and f~, a~_j on the grid; per
+lam: the O(n) integral parts of F and of the b_j, and one resolvent
+table, for the last lam only.  Off-grid evaluations interpolate linearly
+(bilinear on the triangle), but f~ and a~_j are always evaluated
+exactly, so lam = 0 results carry no quadrature error at all.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ def _first_table(problem: Problem, z: np.ndarray) -> np.ndarray:
 class ResolventApprox:
     """Cached iterated-kernel tables plus truncation/quadrature settings.
 
-    The tables are lam-independent, so one instance supports sweeps over
-    many lam values; they grow lazily up to ``max_terms``.
+    Kernel tables (grown lazily up to ``max_terms``) and f~, a~_j on the
+    grid are lam-independent and serve every lam of a sweep; per lam only
+    ``F_int``/``B_int`` are kept, and one resolvent table, for the last lam.
     """
 
     def __init__(
@@ -125,8 +128,10 @@ class ResolventApprox:
         self.dz = span / intervals
         self._tables = [_first_table(problem, self.z)]
         self._max_abs = [float(np.abs(self._tables[0]).max())]
-        self._resolvent_cache: dict[float, tuple[np.ndarray, bool]] = {}
-        self._reduced_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        data = [problem.rhs(self.z)] + [term.coeff(self.z) for term in problem.loads]
+        self._data = np.array(data) / problem.a0(self.z)  # rows f~, a~_1, ..., a~_m
+        self._last_resolvent: Optional[tuple[float, np.ndarray, bool]] = None
+        self._reduced_cache: dict[float, np.ndarray] = {}
 
     def kernel_table(self, n: int) -> np.ndarray:
         """Table of the n-th iterated kernel (1-based) on the tensor grid."""
@@ -153,17 +158,16 @@ class ResolventApprox:
         return self.max_terms, False
 
     def resolvent_table(self, lam: Optional[float] = None) -> np.ndarray:
-        """Resolvent values on the tensor grid (lower triangle)."""
+        """Resolvent values on the tensor grid (lower triangle); kept for the last lam."""
         lam = self.lam if lam is None else float(lam)
-        cached = self._resolvent_cache.get(lam)
-        if cached is None:
+        if self._last_resolvent is None or self._last_resolvent[0] != lam:
+            self._last_resolvent = None  # free the old table before the new one
             count, converged = self.terms_needed(lam)
             table = np.zeros_like(self._tables[0])
             for n in range(1, count + 1):
                 table += lam**n * self.kernel_table(n)
-            cached = (table, converged)
-            self._resolvent_cache[lam] = cached
-        table, converged = cached
+            self._last_resolvent = (lam, table, converged)
+        _, table, converged = self._last_resolvent
         if not converged:
             warnings.warn(
                 f"resolvent series truncated at {self.max_terms} terms above "
@@ -181,18 +185,12 @@ class ResolventApprox:
         (f~ and a~_j themselves) are added at evaluation time.
         """
         lam = self.lam if lam is None else float(lam)
-        cached = self._reduced_cache.get(lam)
-        if cached is not None:
-            return cached
-        R = self.resolvent_table(lam)
-        a0_vals = self.problem.a0(self.z)
-        f_norm = self.problem.rhs(self.z) / a0_vals
-        F_int = self._volterra_integrals(R, f_norm)
-        B_int = np.empty((len(self.problem.loads), self.z.shape[0]))
-        for j, term in enumerate(self.problem.loads):
-            B_int[j] = self._volterra_integrals(R, term.coeff(self.z) / a0_vals)
-        self._reduced_cache[lam] = (F_int, B_int)
-        return F_int, B_int
+        ints = self._reduced_cache.get(lam)
+        if ints is None:
+            R = self.resolvent_table(lam)
+            ints = np.array([self._volterra_integrals(R, v) for v in self._data])
+            self._reduced_cache[lam] = ints
+        return ints[0], ints[1:]
 
     def _volterra_integrals(self, R: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Row-wise trapezoid of int_{t0}^{z_i} R(z_i, s) v(s) ds."""
@@ -276,6 +274,17 @@ def resolvent(
     return _triangle_interp(table, cfg.z, cfg.dz, t, s)
 
 
+def _reduced(problem: Problem, cfg: ResolventApprox, ts, lam: Optional[float]):
+    """F(t, lam) and every b_j(t, lam) at the points ``ts``; ``B[j]`` is b_j."""
+    F_int, B_int = cfg.reduced_tables(lam)
+    a0_vals = problem.a0(ts)
+    F = problem.rhs(ts) / a0_vals + np.interp(ts, cfg.z, F_int)
+    B = np.empty((len(problem.loads),) + np.shape(ts))
+    for j, term in enumerate(problem.loads):
+        B[j] = term.coeff(ts) / a0_vals + np.interp(ts, cfg.z, B_int[j])
+    return F, B
+
+
 def reduced_coeffs(
     problem: Problem,
     t: float,
@@ -287,16 +296,8 @@ def reduced_coeffs(
         cfg = ResolventApprox(problem, lam=lam)
     if not (problem.t0 <= t <= problem.T):
         raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
-    F_int, B_int = cfg.reduced_tables(lam)
-    a0_t = problem.a0(t)
-    F = problem.rhs(t) / a0_t + float(np.interp(t, cfg.z, F_int))
-    b = np.array(
-        [
-            term.coeff(t) / a0_t + float(np.interp(t, cfg.z, B_int[j]))
-            for j, term in enumerate(problem.loads)
-        ]
-    )
-    return F, b
+    F, b = _reduced(problem, cfg, float(t), lam)
+    return float(F), b
 
 
 def load_matrix(
@@ -307,14 +308,9 @@ def load_matrix(
     """Load system (A, d): A_ij = delta_ij + b_j(t_i), d_i = F(t_i)."""
     if cfg is None:
         cfg = ResolventApprox(problem, lam=lam)
-    m1 = len(problem.loads)
-    A = np.eye(m1)
-    d = np.empty(m1)
-    for i, term in enumerate(problem.loads):
-        F, b = reduced_coeffs(problem, term.point, cfg, lam)
-        A[i] += b
-        d[i] = F
-    return A, d
+    points = np.array([term.point for term in problem.loads], dtype=float)
+    d, B = _reduced(problem, cfg, points, lam)
+    return np.eye(len(points)) + B.T, d
 
 
 @dataclass(frozen=True)
@@ -414,6 +410,9 @@ def semi_analytic_solve(
     Requires a uniquely solvable load system; raises
     :class:`SolvabilityError` otherwise.
     """
+    ts = np.asarray(t_samples, dtype=float)
+    if not np.all((ts >= problem.t0) & (ts <= problem.T)):
+        raise ValueError("sample points must lie inside the problem interval")
     if cfg is None:
         cfg = ResolventApprox(problem, lam=lam)
     report = classify(problem, cfg, lam)
@@ -422,15 +421,9 @@ def semi_analytic_solve(
             f"load system is not uniquely solvable ({report.label})"
         )
 
-    ts = np.asarray(t_samples, dtype=float)
-    if np.any(ts < problem.t0) or np.any(ts > problem.T):
-        raise ValueError("sample points must lie inside the problem interval")
-    F_int, B_int = cfg.reduced_tables(lam)
-    a0_vals = problem.a0(ts)
-    values = problem.rhs(ts) / a0_vals + np.interp(ts, cfg.z, F_int)
-    for j, term in enumerate(problem.loads):
-        b_j = term.coeff(ts) / a0_vals + np.interp(ts, cfg.z, B_int[j])
-        values = values - b_j * report.load_values[j]
+    values, B = _reduced(problem, cfg, ts, lam)
+    for b_j, c_j in zip(B, report.load_values):
+        values = values - b_j * c_j
     return values
 
 
@@ -440,7 +433,7 @@ def solvability_sweep(
     cfg: Optional[ResolventApprox] = None,
     tol: float = 1e-10,
 ) -> list[SolvabilityReport]:
-    """Classify at every lam in ``lambdas``, reusing one table cache."""
+    """Classify at every lam in ``lambdas``, reusing one set of kernel tables."""
     if cfg is None:
         cfg = ResolventApprox(problem)
     return [classify(problem, cfg, lam=lam, tol=tol) for lam in lambdas]

@@ -67,7 +67,7 @@ class PiecewiseLinearSolution:
         """Interpolant value(s) at ``t``; exact nodal values at nodes."""
         t_arr = np.asarray(t, dtype=float)
         tau = self.grid.nodes
-        if np.any(t_arr < tau[0]) or np.any(t_arr > tau[-1]):
+        if not np.all((t_arr >= tau[0]) & (t_arr <= tau[-1])):
             raise ValueError(
                 f"evaluation point outside [{tau[0]:.6g}, {tau[-1]:.6g}]"
             )

@@ -1,3 +1,5 @@
+import importlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,8 @@ from lvie.resolvent import (
 from lvie.solvers import SolvabilityError
 from lvie.study import solve_collocation
 
+# The package re-exports a function named ``resolvent`` over its submodule.
+RESOLVENT_MODULE = importlib.import_module("lvie.resolvent")
 ONE = ScalarFunction.constant(1.0)
 ONE2 = ScalarFunction.constant(1.0, arity=2)
 
@@ -96,6 +100,18 @@ class TestResolvent:
         cfg = ResolventApprox(p, max_terms=10)
         with pytest.warns(TruncationWarning):
             resolvent(p, 1.0, 0.0, cfg)
+        # The table is kept for the last lam; reusing it still warns.
+        with pytest.warns(TruncationWarning):
+            resolvent(p, 1.0, 0.0, cfg)
+
+    def test_last_lambda_table_matches_fresh(self):
+        # Switching lam away and back rebuilds the same table bit for bit.
+        p = make_problem()
+        cfg = ResolventApprox(p)
+        for lam in (0.25, 1.0, 0.25):
+            fresh = ResolventApprox(p, lam=lam)
+            for t, s in [(1.0, 0.0), (0.7, 0.2), (0.43, 0.43), (0.9, 0.61)]:
+                assert resolvent(p, t, s, cfg, lam=lam) == resolvent(p, t, s, fresh)
 
     def test_off_grid_interpolation_accuracy(self):
         p = make_problem()
@@ -151,6 +167,17 @@ class TestReducedCoeffs:
 
 
 class TestLoadMatrix:
+    @pytest.mark.parametrize("name", ["model1", "model2"])
+    def test_rows_are_reduced_coeffs_at_load_points(self, name):
+        p = builtin_problem(name)
+        cfg = ResolventApprox(p, quad_density=64)
+        for lam in (-2.0, 0.0, 0.7):
+            A, d = load_matrix(p, cfg, lam)
+            for i, term in enumerate(p.loads):
+                F, b = reduced_coeffs(p, term.point, cfg, lam)
+                assert d[i] == F
+                np.testing.assert_array_equal(A[i], np.eye(len(p.loads))[i] + b)
+
     def test_lambda_zero_special_case(self):
         p = make_problem(
             lam=0.0,
@@ -310,6 +337,20 @@ class TestSemiAnalytic:
         with pytest.raises(ValueError, match="interval"):
             semi_analytic_solve(p, [1.5])
 
+    @pytest.mark.parametrize("name", ["constant", "model1"])
+    def test_nan_sample_rejected(self, name):
+        p = make_problem(lam=0.0) if name == "constant" else builtin_problem(name)
+        with pytest.raises(ValueError, match="interval"):
+            semi_analytic_solve(p, [np.nan, 0.5], ResolventApprox(p, quad_density=16))
+
+    def test_samples_checked_before_classify(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("classify ran before the sample check")
+
+        monkeypatch.setattr(RESOLVENT_MODULE, "classify", fail)
+        with pytest.raises(ValueError, match="interval"):
+            semi_analytic_solve(builtin_problem("model1"), [1.5])
+
 
 class TestSweep:
     def test_sweep_row_count_and_csv(self):
@@ -331,3 +372,21 @@ class TestSweep:
         n_tables = len(cfg._tables)
         solvability_sweep(p, [0.0, 0.1, 0.25], cfg)
         assert len(cfg._tables) == n_tables
+
+    def test_memory_does_not_grow_with_lambda_count(self):
+        # Per lam only O(n) vectors are kept, so 20 lambdas may not cost
+        # another n x n table over 2 lambdas spanning the same range.
+        p = builtin_problem("model1")
+
+        def sweep_peak(count):
+            tracemalloc.start()
+            try:
+                cfg = ResolventApprox(p, quad_density=128)
+                solvability_sweep(p, np.linspace(0.5, 1.0, count), cfg)
+                return tracemalloc.get_traced_memory()[1], cfg.z.size
+            finally:
+                tracemalloc.stop()
+
+        peak_2, n = sweep_peak(2)
+        peak_20, _ = sweep_peak(20)
+        assert peak_20 - peak_2 < n * n * 8

@@ -69,6 +69,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             sol.evaluate(1.1)
 
+    def test_nan_rejected(self):
+        g = two_node_solution()
+        sol = PiecewiseLinearSolution(grid=g, values=np.zeros(3))
+        with pytest.raises(ValueError, match="outside"):
+            sol.evaluate(float("nan"))
+        with pytest.raises(ValueError, match="outside"):
+            sol.evaluate(np.array([0.5, np.nan]))
+
     def test_vectorized_evaluation(self):
         g = two_node_solution()
         sol = PiecewiseLinearSolution(grid=g, values=np.array([1.0, 2.0, 0.0]))
