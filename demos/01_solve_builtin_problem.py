@@ -17,7 +17,6 @@ from lvie import (
     assemble,
     build_grid,
     builtin_problem,
-    residual,
     solve_collocation,
     sup_error,
     validate_problem,
@@ -49,10 +48,10 @@ ts = np.linspace(0.0, 1.0, 7)
 print("\ninterpolated off-node values:", np.round(sol(ts), 6))
 
 # The discrete residual of the computed solution is at rounding level.
-print(f"collocation residual: {residual(p, g, sol.values):.2E}")
+system = assemble(p, g, mode="dense")
+print(f"collocation residual: {system.residual(sol.values):.2E}")
 
 # The assembled matrix is lower triangular apart from the two load columns.
-system = assemble(p, g, mode="dense")
 upper = [(i, j) for i in range(system.size) for j in range(i + 1, system.size)
          if system.matrix[i, j] != 0.0]
 print(f"nonzero above the diagonal only in load columns: "

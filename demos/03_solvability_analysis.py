@@ -37,8 +37,8 @@ p_unit = Problem(
 print("iterated kernels of K == 1 at (t,s) = (1,0):  "
       + ", ".join(f"K_{n}={iterated_kernel(p_unit, n, 1.0, 0.0):.4f}"
                   for n in range(1, 5)))
-cfg = ResolventApprox(p_unit, lam=1.0)
-print(f"R(1, 0, 1) = {resolvent(p_unit, 1.0, 0.0, cfg):.8f}   (e = {np.e:.8f})\n")
+cfg = ResolventApprox(p_unit)
+print(f"R(1, 0, 1) = {resolvent(p_unit, 1.0, 0.0, cfg, lam=1.0):.8f}   (e = {np.e:.8f})\n")
 
 # --- Both benchmark problems are uniquely solvable at their lam.
 for name in ("model1", "model2"):

@@ -19,10 +19,10 @@ The package provides:
   CLI (``lvie``) binding it all together.
 """
 
-from .assembly import AssemblyError, CollocationSystem, assemble, quad_weight, residual
+from .assembly import AssemblyError, CollocationSystem, assemble, quad_weight
 from .config import ConfigError, load_problem_config, parse_problem_config
 from .expressions import EvalError, ParseError, evaluate, parse
-from .grid import Grid, build_grid, load_index
+from .grid import Grid, build_grid
 from .problems import (
     LoadTerm,
     Problem,
@@ -96,7 +96,6 @@ __all__ = [
     "evaluate",
     "gauss_jordan",
     "iterated_kernel",
-    "load_index",
     "load_matrix",
     "load_problem_config",
     "parse",
@@ -104,7 +103,6 @@ __all__ = [
     "quad_weight",
     "rank_and_det",
     "reduced_coeffs",
-    "residual",
     "resolvent",
     "run_study",
     "semi_analytic_solve",

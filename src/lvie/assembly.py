@@ -14,7 +14,8 @@ has no integral term.  By default the matrix stays implicit: the node
 values of the coefficients are stored and the weights of any row are
 recomputed on demand (O(N) memory), which is all the structured solver
 needs.  ``mode="dense"`` also materializes the matrix, for the
-Gauss-Jordan reference path.
+Gauss-Jordan reference path, on grids of at most ``DENSE_MAX_NODES``
+nodes.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .expressions import EvalError
 from .grid import Grid
 from .problems import Problem, ScalarFunction
 
-__all__ = [
-    "CollocationSystem",
-    "AssemblyError",
-    "quad_weight",
-    "assemble",
-    "residual",
-]
+__all__ = ["CollocationSystem", "AssemblyError", "quad_weight", "assemble"]
+
+# Largest grid the dense path materializes: 2053 nodes (h = 1/2048 on the
+# built-in problems) make a 34 MB matrix; past that the O(N^3) Gauss-Jordan
+# reference takes minutes and the matrix gigabytes.
+DENSE_MAX_NODES = 2053
+
 
 class AssemblyError(RuntimeError):
     """A coefficient or kernel evaluation failed; the message names the row and t."""
@@ -126,13 +127,22 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
     """Assemble the collocation system for problem ``p`` on grid ``g``.
 
     ``mode`` is ``"streaming"`` (row weights on demand) or ``"dense"``
-    (also materialize ``matrix``).  Evaluation failures of coefficient
-    functions are reported with the row index and abscissa.
+    (also materialize ``matrix``).  Dense assembly refuses grids of more
+    than ``DENSE_MAX_NODES`` (2053) nodes before allocating anything.
+    The kernel is only evaluated on the Volterra triangle s <= t.
+    Evaluation failures of coefficient and kernel functions are reported
+    with the row index and abscissa.
     """
     if mode not in ("dense", "streaming"):
         raise ValueError(f"unknown assembly mode {mode!r}")
     tau = g.nodes
     n = tau.shape[0]
+    if mode == "dense" and n > DENSE_MAX_NODES:
+        raise AssemblyError(
+            f"dense assembly at N={n - 1} needs a {n}x{n} matrix of "
+            f"{8 * n * n / 1e6:.0f} MB; the limit is {DENSE_MAX_NODES} nodes "
+            "(use the structured solver)"
+        )
 
     a0_values = _eval_nodes(p.a0, tau, "a0")
     rhs = _eval_nodes(p.rhs, tau, "f")
@@ -152,17 +162,16 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
     if mode == "streaming":
         return system
 
-    mids = system._mids
-    dtau = system._dtau
+    # Row i-1 of ``weights`` holds J_1^i .. J_i^i, as in ``row_weights(i)``.
+    rows, cols = np.tril_indices(n - 1)
     try:
-        kvals = p.kernel(tau[1:, None], mids[None, :])
-        weights = np.tril(0.5 * p.lam * dtau[None, :] * kvals)
+        kvals = p.kernel(tau[rows + 1], system._mids[cols])
     except EvalError:
-        # The kernel may be undefined above the diagonal (s > t); retry
-        # row by row so only the Volterra triangle is touched.
-        weights = np.zeros((n - 1, n - 1))
-        for i in range(1, n):
-            weights[i - 1, :i] = system.row_weights(i)
+        for i in range(1, n):  # locate the failing row for the error report
+            system.row_weights(i)
+        raise
+    weights = np.zeros((n - 1, n - 1))
+    weights[rows, cols] = 0.5 * p.lam * system._dtau[cols] * kvals
 
     matrix = np.zeros((n, n))
     matrix[1:, : n - 1] -= weights
@@ -172,8 +181,3 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
         matrix[:, v] += load_entries[:, j]
     system.matrix = matrix
     return system
-
-
-def residual(p: Problem, g: Grid, x) -> float:
-    """Max-abs discrete collocation residual of nodal values ``x``."""
-    return assemble(p, g).residual(x)

@@ -18,7 +18,7 @@ import numpy as np
 from .config import load_problem_config
 from .problems import builtin_names, builtin_problem, validate_problem
 from .resolvent import ResolventApprox, solvability_sweep, sweep_csv
-from .study import emit, run_study, solve_collocation, sup_error
+from .study import SOLVER_CHOICES, emit, run_study, solve_collocation, sup_error
 
 __all__ = ["main"]
 
@@ -139,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve once and write t,x values")
     _add_problem_source(p_solve)
     p_solve.add_argument("--h", required=True, help="sampling step, e.g. 1/32")
-    p_solve.add_argument(
-        "--solver", choices=["dense", "structured"], default="structured"
-    )
+    p_solve.add_argument("--solver", choices=SOLVER_CHOICES, default="structured")
     p_solve.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -149,9 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_source(p_study)
     p_study.add_argument("--h0", required=True, help="coarsest step, e.g. 1/8")
     p_study.add_argument("--levels", type=int, required=True)
-    p_study.add_argument(
-        "--solver", choices=["dense", "structured"], default="structured"
-    )
+    p_study.add_argument("--solver", choices=SOLVER_CHOICES, default="structured")
     p_study.add_argument(
         "--format", choices=["csv", "md", "plotdata"], default="csv"
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .problems import Problem
 
-__all__ = ["Grid", "build_grid", "load_index"]
+__all__ = ["Grid", "build_grid"]
 
 # Ratios this close to an integer (relatively) are treated as exact before
 # flooring, so 4 - 1ulp does not collapse to floor 3.
@@ -30,10 +30,13 @@ _FLOOR_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Mesh nodes plus the bookkeeping that locates the load points."""
+    """Mesh nodes plus the bookkeeping that locates the load points.
+
+    ``load_indices[j - 1]`` is the node index of the j-th load point; the
+    node equals the point exactly.
+    """
 
     nodes: np.ndarray
-    h_requested: float
     segment_counts: tuple[int, ...]
     load_indices: tuple[int, ...]
 
@@ -48,10 +51,6 @@ class Grid:
     def last_index(self) -> int:
         """N: the largest node index (node count is N + 1)."""
         return self.nodes.shape[0] - 1
-
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
 
 def _segment_count(length: float, h) -> int:
@@ -92,18 +91,4 @@ def build_grid(p: Problem, h: float | Fraction) -> Grid:
         raise ValueError("degenerate mesh: nodes are not strictly increasing")
 
     load_indices = tuple(int(i) for i in np.cumsum(counts[:-1]))
-    return Grid(
-        nodes=nodes,
-        h_requested=hf,
-        segment_counts=tuple(counts),
-        load_indices=load_indices,
-    )
-
-
-def load_index(g: Grid, j: int) -> int:
-    """Node index of the j-th load point (1-based j); exact coincidence."""
-    if not 1 <= j <= len(g.load_indices):
-        raise IndexError(
-            f"load ordinal {j} out of range 1..{len(g.load_indices)}"
-        )
-    return g.load_indices[j - 1]
+    return Grid(nodes=nodes, segment_counts=tuple(counts), load_indices=load_indices)

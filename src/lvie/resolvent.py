@@ -28,7 +28,9 @@ on the raw data.
 
 Numerics: iterated kernels live as lower-triangular tables on a uniform
 tensor grid and are composed by the composite trapezoid rule; the
-series is truncated once the next term falls below ``term_tolerance``.
+series is truncated once the next term falls below ``TERM_TOLERANCE``
+(1e-12), or at ``MAX_TERMS`` (40) terms with a :class:`TruncationWarning`.
+Every function takes ``lam`` and defaults it to ``problem.lam``.
 Kept for every lam: the kernel tables and f~, a~_j on the grid; per
 lam: the O(n) integral parts of F and of the b_j, and one resolvent
 table, for the last lam only.  Off-grid evaluations interpolate linearly
@@ -62,8 +64,8 @@ __all__ = [
     "sweep_csv",
 ]
 
-DEFAULT_TERM_TOLERANCE = 1e-12
-DEFAULT_MAX_TERMS = 40
+TERM_TOLERANCE = 1e-12
+MAX_TERMS = 40
 DEFAULT_QUAD_DENSITY = 512  # tensor-grid nodes per unit interval length
 
 
@@ -94,34 +96,25 @@ def _first_table(problem: Problem, z: np.ndarray) -> np.ndarray:
     return table
 
 
-class ResolventApprox:
-    """Cached iterated-kernel tables plus truncation/quadrature settings.
+def _lam(problem: Problem, lam: Optional[float]) -> float:
+    """The lam a call works at: ``lam`` if given, else ``problem.lam``."""
+    return problem.lam if lam is None else float(lam)
 
-    Kernel tables (grown lazily up to ``max_terms``) and f~, a~_j on the
-    grid are lam-independent and serve every lam of a sweep; per lam only
+
+class ResolventApprox:
+    """Iterated-kernel tables on a tensor grid, shared by every lam.
+
+    The grid has ``quad_density`` nodes per unit length.  The object is
+    lam-free: the kernel tables (grown lazily, at most ``MAX_TERMS``) and
+    f~, a~_j on the grid serve every lam of a sweep, and each method takes
+    the lam it works at (default ``problem.lam``).  Per lam only
     ``F_int``/``B_int`` are kept, and one resolvent table, for the last lam.
     """
 
-    def __init__(
-        self,
-        problem: Problem,
-        lam: Optional[float] = None,
-        term_tolerance: float = DEFAULT_TERM_TOLERANCE,
-        max_terms: int = DEFAULT_MAX_TERMS,
-        quad_density: int = DEFAULT_QUAD_DENSITY,
-    ):
-        if term_tolerance <= 0:
-            raise ValueError("term_tolerance must be positive")
-        if max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+    def __init__(self, problem: Problem, quad_density: int = DEFAULT_QUAD_DENSITY):
         if quad_density < 1:
             raise ValueError("quad_density must be at least 1")
         self.problem = problem
-        self.lam = problem.lam if lam is None else float(lam)
-        self.term_tolerance = term_tolerance
-        self.max_terms = max_terms
-        self.quad_density = quad_density
-
         span = problem.T - problem.t0
         intervals = max(1, math.ceil(quad_density * span))
         self.z = np.linspace(problem.t0, problem.T, intervals + 1)
@@ -144,22 +137,22 @@ class ResolventApprox:
         return self._tables[n - 1]
 
     def terms_needed(self, lam: float) -> tuple[int, bool]:
-        """Series length for ``lam``: the last included term is below tolerance.
+        """Series length for ``lam``: the last included term is below ``TERM_TOLERANCE``.
 
         Returns (count, converged); ``converged`` is False when the
-        ``max_terms`` budget ran out first.
+        ``MAX_TERMS`` budget ran out first.
         """
         if lam == 0.0:
             return 1, True
-        for n in range(1, self.max_terms + 1):
+        for n in range(1, MAX_TERMS + 1):
             self.kernel_table(n)
-            if abs(lam) ** n * self._max_abs[n - 1] < self.term_tolerance:
+            if abs(lam) ** n * self._max_abs[n - 1] < TERM_TOLERANCE:
                 return n, True
-        return self.max_terms, False
+        return MAX_TERMS, False
 
     def resolvent_table(self, lam: Optional[float] = None) -> np.ndarray:
         """Resolvent values on the tensor grid (lower triangle); kept for the last lam."""
-        lam = self.lam if lam is None else float(lam)
+        lam = _lam(self.problem, lam)
         if self._last_resolvent is None or self._last_resolvent[0] != lam:
             self._last_resolvent = None  # free the old table before the new one
             count, converged = self.terms_needed(lam)
@@ -170,8 +163,8 @@ class ResolventApprox:
         _, table, converged = self._last_resolvent
         if not converged:
             warnings.warn(
-                f"resolvent series truncated at {self.max_terms} terms above "
-                f"tolerance {self.term_tolerance:g} (lam={lam:g})",
+                f"resolvent series truncated at {MAX_TERMS} terms above "
+                f"tolerance {TERM_TOLERANCE:g} (lam={lam:g})",
                 TruncationWarning,
                 stacklevel=2,
             )
@@ -184,7 +177,7 @@ class ResolventApprox:
         and ``B_int[j, i]`` the same against a~_j.  The lam-free parts
         (f~ and a~_j themselves) are added at evaluation time.
         """
-        lam = self.lam if lam is None else float(lam)
+        lam = _lam(self.problem, lam)
         ints = self._reduced_cache.get(lam)
         if ints is None:
             R = self.resolvent_table(lam)
@@ -207,17 +200,11 @@ def _check_order(problem: Problem, t: float, s: float) -> None:
         )
 
 
-def iterated_kernel(
-    problem: Problem,
-    n: int,
-    t: float,
-    s: float,
-    quad_density: int = DEFAULT_QUAD_DENSITY,
-) -> float:
+def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
     """n-th iterated kernel at (t, s), built bottom-up on a local grid.
 
     The composition integrals use the composite trapezoid rule on
-    ceil(quad_density * (t - s)) + 1 nodes spanning [s, t].
+    ceil(DEFAULT_QUAD_DENSITY * (t - s)) + 1 nodes spanning [s, t].
     """
     if n < 1:
         raise ValueError("iterated-kernel order must be at least 1")
@@ -226,7 +213,7 @@ def iterated_kernel(
         return float(problem.kernel(t, s) / problem.a0(t))
     if t == s:
         return 0.0
-    q = max(1, math.ceil(quad_density * (t - s)))
+    q = max(1, math.ceil(DEFAULT_QUAD_DENSITY * (t - s)))
     first = _first_table(problem, np.linspace(s, t, q + 1))
     table = first
     for _ in range(n - 1):
@@ -268,7 +255,7 @@ def resolvent(
     calls; otherwise one is built on the spot.
     """
     if cfg is None:
-        cfg = ResolventApprox(problem, lam=lam)
+        cfg = ResolventApprox(problem)
     _check_order(problem, t, s)
     table = cfg.resolvent_table(lam)
     return _triangle_interp(table, cfg.z, cfg.dz, t, s)
@@ -293,7 +280,7 @@ def reduced_coeffs(
 ) -> tuple[float, np.ndarray]:
     """Reduced-equation coefficients (F(t, lam), [b_j(t, lam)])."""
     if cfg is None:
-        cfg = ResolventApprox(problem, lam=lam)
+        cfg = ResolventApprox(problem)
     if not (problem.t0 <= t <= problem.T):
         raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
     F, b = _reduced(problem, cfg, float(t), lam)
@@ -307,10 +294,9 @@ def load_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load system (A, d): A_ij = delta_ij + b_j(t_i), d_i = F(t_i)."""
     if cfg is None:
-        cfg = ResolventApprox(problem, lam=lam)
-    points = np.array([term.point for term in problem.loads], dtype=float)
-    d, B = _reduced(problem, cfg, points, lam)
-    return np.eye(len(points)) + B.T, d
+        cfg = ResolventApprox(problem)
+    d, B = _reduced(problem, cfg, problem.load_points, lam)
+    return np.eye(len(problem.loads)) + B.T, d
 
 
 @dataclass(frozen=True)
@@ -351,8 +337,8 @@ def classify(
     means a parametric family, anything else means no solution.
     """
     if cfg is None:
-        cfg = ResolventApprox(problem, lam=lam)
-    lam_val = cfg.lam if lam is None else float(lam)
+        cfg = ResolventApprox(problem)
+    lam_val = _lam(problem, lam)
     m1 = len(problem.loads)
     if m1 == 0:
         return SolvabilityReport(
@@ -414,7 +400,7 @@ def semi_analytic_solve(
     if not np.all((ts >= problem.t0) & (ts <= problem.T)):
         raise ValueError("sample points must lie inside the problem interval")
     if cfg is None:
-        cfg = ResolventApprox(problem, lam=lam)
+        cfg = ResolventApprox(problem)
     report = classify(problem, cfg, lam)
     if report.classification != "unique":
         raise SolvabilityError(

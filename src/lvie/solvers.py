@@ -31,6 +31,9 @@ __all__ = [
     "structured_solve",
 ]
 
+# Pivots below this share of the largest matrix entry count as zero.
+SINGULAR_TOL = 1e-12
+
 
 class SingularMatrixError(ValueError):
     """The elimination met a pivot below the singularity threshold."""
@@ -90,7 +93,7 @@ def _eliminate(aug: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, in
     return pivots, cols, swaps
 
 
-def gauss_jordan(a, b, tol_singular: float = 1e-12) -> np.ndarray:
+def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
     """Solve a x = b by Gauss-Jordan elimination with full pivoting.
 
     The pivot at each step is the maximum-magnitude element of the
@@ -147,8 +150,6 @@ class RankReport:
 
     rank: int
     det: float
-    pivot_magnitudes: tuple[float, ...]
-    tolerance: float
     det_sign: int
     det_log10: float
 
@@ -173,24 +174,19 @@ def rank_and_det(a, tol: float = 1e-10) -> RankReport:
         det_log10 = 0.0
         for piv in pivots:
             det_log10 += math.log10(abs(piv))
-    return RankReport(
-        rank=rank,
-        det=det,
-        pivot_magnitudes=tuple(abs(p) for p in pivots),
-        tolerance=tol,
-        det_sign=det_sign,
-        det_log10=det_log10,
-    )
+    return RankReport(rank=rank, det=det, det_sign=det_sign, det_log10=det_log10)
 
 
-def structured_solve(system, tol_singular: float = 1e-12) -> np.ndarray:
+def structured_solve(system) -> np.ndarray:
     """Solve a collocation system via its triangular-plus-load-columns shape.
 
     Forward-substitutes the triangular part once against the right-hand
     side and once against the negated entries of each load column, one
     row of weights at a time (``system.row_weights``), then solves the
-    small load consistency system and superposes.  Agrees with
-    :func:`gauss_jordan` on the materialized matrix to rounding.
+    small load consistency system and superposes.  A triangular pivot
+    below ``SINGULAR_TOL`` relative to max|a0| raises
+    :class:`SolvabilityError`.  Agrees with :func:`gauss_jordan` on the
+    materialized matrix to rounding.
     """
     n = system.size
     m1 = len(system.load_columns)
@@ -207,7 +203,7 @@ def structured_solve(system, tol_singular: float = 1e-12) -> np.ndarray:
         if i:
             acc = w[:-1] @ (X[: i - 1] + X[1:i]) + w[-1] * X[i - 1]
             d = a0[i] - w[-1]
-        if abs(d) < tol_singular * scale:
+        if abs(d) < SINGULAR_TOL * scale:
             raise SolvabilityError(
                 f"zero diagonal entry in the triangular part at row {i}"
             )
@@ -219,7 +215,7 @@ def structured_solve(system, tol_singular: float = 1e-12) -> np.ndarray:
     vs = list(system.load_columns)
     consistency = np.eye(m1) - X[vs, 1:]
     try:
-        c = gauss_jordan(consistency, X[vs, 0], tol_singular)
+        c = gauss_jordan(consistency, X[vs, 0])
     except SingularMatrixError as err:
         raise SolvabilityError(
             f"load consistency system is singular: {err}"

@@ -77,25 +77,25 @@ class PiecewiseLinearSolution:
     __call__ = evaluate
 
 
-def solve_collocation(
-    p: Problem, h, solver: str = "structured", tol_singular: float = 1e-12
-) -> PiecewiseLinearSolution:
+def solve_collocation(p: Problem, h, solver: str = "structured") -> PiecewiseLinearSolution:
     """Build the grid, assemble, and solve at step ``h``.
 
     ``solver``: ``"dense"`` runs Gauss-Jordan on the materialized
     matrix (the reference path, O(N^2) memory and O(N^3) time);
     ``"structured"`` (the default) runs the triangular-plus-load-columns
     path on a streaming system, which recomputes row weights as it goes
-    and never builds the matrix.
+    and never builds the matrix.  Both treat pivots below
+    ``solvers.SINGULAR_TOL`` (1e-12, relative) as singular; the dense
+    path refuses grids above ``assembly.DENSE_MAX_NODES`` nodes.
     """
     if solver not in SOLVER_CHOICES:
         raise ValueError(f"solver must be one of {SOLVER_CHOICES}")
     g = build_grid(p, h)
     if solver == "dense":
         system = assemble(p, g, mode="dense")
-        x = gauss_jordan(system.matrix, system.rhs, tol_singular)
+        x = gauss_jordan(system.matrix, system.rhs)
     else:
-        x = structured_solve(assemble(p, g), tol_singular)
+        x = structured_solve(assemble(p, g))
     return PiecewiseLinearSolution(grid=g, values=x)
 
 

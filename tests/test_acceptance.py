@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvie.grid import build_grid, load_index
+from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.resolvent import ResolventApprox, classify, resolvent, semi_analytic_solve
 from lvie.solvers import gauss_jordan, structured_solve
@@ -192,12 +192,12 @@ def test_criterion_07_resolvent_analytic():
     p = Problem(t0=0.0, T=1.0, lam=1.0, loads=(), a0=ONE, kernel=ONE2, rhs=ONE)
     worst = {}
     for lam in (0.25, 1.0):
-        cfg = ResolventApprox(p, lam=lam)  # default truncation/quadrature
+        cfg = ResolventApprox(p)  # default truncation/quadrature
         # 20 sample abscissae spanning [0, 1], placed on the tensor grid
         # so the measurement isolates series + quadrature error.
         ts = cfg.z[np.linspace(0, len(cfg.z) - 1, 20).astype(int)]
         worst[lam] = max(
-            abs(resolvent(p, t, s, cfg) - lam * np.exp(lam * (t - s)))
+            abs(resolvent(p, t, s, cfg, lam=lam) - lam * np.exp(lam * (t - s)))
             for t in ts
             for s in ts
             if s <= t
@@ -271,7 +271,7 @@ def test_criterion_10_grid_property(layout):
     assert np.max(np.diff(g.nodes)) <= h * (1 + 1e-9)
     assert g.last_index == sum(g.segment_counts)
     for j, x in enumerate(points, start=1):
-        assert g.nodes[load_index(g, j)] == x
+        assert g.nodes[g.load_indices[j - 1]] == x
 
 
 def test_criterion_10_report():

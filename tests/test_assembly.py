@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvie.assembly import AssemblyError, assemble, quad_weight, residual
+from lvie.assembly import DENSE_MAX_NODES, AssemblyError, assemble, quad_weight
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.solvers import gauss_jordan, structured_solve
@@ -27,7 +28,7 @@ class TestQuadWeight:
         # (2/2) * 0.25 * 1 on a grid with constant spacing 0.25
         p = make_problem(t0=0.0, T=1.25)
         g = build_grid(p, 0.3)  # 5 subintervals of 0.25
-        assert g.spacings[0] == 0.25
+        assert np.diff(g.nodes)[0] == 0.25
         assert quad_weight(2, 4, g, ONE2, 2.0) == pytest.approx(0.25)
 
     def test_model1_hand_value(self):
@@ -144,6 +145,41 @@ class TestAssemble:
         system = assemble(p, g, mode="dense")
         assert np.all(np.isfinite(system.matrix))
 
+    def test_dense_kernel_tabulated_once_on_triangle(self):
+        calls = []
+
+        def sqrt_kernel(t, s):
+            assert np.all(s <= t), "kernel evaluated above the diagonal"
+            calls.append(np.size(t))
+            return np.sqrt(t - s)
+
+        p = make_problem(lam=1.0, kernel=ScalarFunction(sqrt_kernel, 2, "sqrt(t-s)"))
+        g = build_grid(p, Fraction(1, 32))
+        assemble(p, g, mode="dense")
+        n_last = g.last_index
+        assert calls == [n_last * (n_last + 1) // 2]  # pairs 1 <= p <= i <= N
+
+
+class TestDenseLimit:
+    @pytest.mark.parametrize("name", ["model1", "model2"])
+    def test_limit_admits_h_1_2048(self, name):
+        p = builtin_problem(name)
+        assert build_grid(p, Fraction(1, 2048)).n_nodes <= DENSE_MAX_NODES
+        assert build_grid(p, Fraction(1, 4096)).n_nodes > DENSE_MAX_NODES
+
+    def test_oversized_grid_refused_before_allocation(self):
+        p = builtin_problem("model1")
+        g = build_grid(p, Fraction(1, 16384))
+        assert g.n_nodes == 16387
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssemblyError, match=r"N=16386 needs a 16387x16387 matrix of 2148 MB"):
+                assemble(p, g, mode="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # the matrix alone would be 2.1 GB
+
 
 class TestMidpointRule:
     def test_single_interval_third_order(self):
@@ -179,13 +215,13 @@ class TestResidual:
         g = build_grid(p, Fraction(1, 16))
         system = assemble(p, g, mode="dense")
         x = gauss_jordan(system.matrix, system.rhs)
-        assert residual(p, g, x) <= 1e-10
+        assert assemble(p, g).residual(x) <= 1e-10
 
     def test_zero_vector_residual_is_max_rhs(self):
         p = builtin_problem("model1")
         g = build_grid(p, Fraction(1, 8))
         x = np.zeros(g.n_nodes)
-        assert residual(p, g, x) == pytest.approx(
+        assert assemble(p, g).residual(x) == pytest.approx(
             np.abs(p.rhs(g.nodes)).max(), rel=1e-15
         )
 
@@ -205,7 +241,7 @@ class TestResidual:
             for i in range(system.size)
         )
         bound = abs(p.a0(g.nodes[k])) - touching
-        assert residual(p, g, x_perturbed) >= bound
+        assert assemble(p, g).residual(x_perturbed) >= bound
 
     def test_streaming_residual_matches_dense(self):
         p = builtin_problem("model2")
@@ -220,4 +256,4 @@ class TestResidual:
         p = builtin_problem("model1")
         g = build_grid(p, Fraction(1, 8))
         with pytest.raises(ValueError, match="nodal values"):
-            residual(p, g, np.zeros(3))
+            assemble(p, g).residual(np.zeros(3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvie.grid import build_grid, load_index
+from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 
 
@@ -58,16 +58,7 @@ def test_nonpositive_h():
 
 def test_load_index_lookup():
     g = build_grid(builtin_problem("model1"), Fraction(1, 8))
-    assert load_index(g, 1) == 3
-    assert load_index(g, 2) == 5
-
-
-def test_load_index_out_of_range():
-    g = build_grid(builtin_problem("model1"), Fraction(1, 8))
-    with pytest.raises(IndexError):
-        load_index(g, 3)
-    with pytest.raises(IndexError):
-        load_index(g, 0)
+    assert g.load_indices == (3, 5)
 
 
 def test_near_integer_ratio_snaps():
@@ -121,7 +112,7 @@ def test_grid_invariants_hold(layout):
     assert np.max(np.diff(g.nodes)) <= h * (1 + 1e-9)
     assert len(g.load_indices) == len(points)
     for j, x in enumerate(points, start=1):
-        assert g.nodes[load_index(g, j)] == x  # bitwise coincidence
+        assert g.nodes[g.load_indices[j - 1]] == x  # bitwise coincidence
 
 
 @given(layouts)

@@ -64,13 +64,13 @@ class TestIteratedKernel:
 class TestResolvent:
     def test_unit_kernel_exponential_resummation(self):
         p = make_problem()
-        cfg = ResolventApprox(p, lam=1.0)
-        assert resolvent(p, 1.0, 0.0, cfg) == pytest.approx(np.e, abs=1e-6)
+        cfg = ResolventApprox(p)
+        assert resolvent(p, 1.0, 0.0, cfg, lam=1.0) == pytest.approx(np.e, abs=1e-6)
 
     def test_unit_kernel_quarter_lambda(self):
         p = make_problem()
-        cfg = ResolventApprox(p, lam=0.25)
-        assert resolvent(p, 1.0, 0.0, cfg) == pytest.approx(
+        cfg = ResolventApprox(p)
+        assert resolvent(p, 1.0, 0.0, cfg, lam=0.25) == pytest.approx(
             0.25 * np.exp(0.25), abs=1e-8
         )
 
@@ -85,10 +85,10 @@ class TestResolvent:
         # grid-aligned samples (interpolation tested separately).
         p = make_problem()
         for lam in (0.25, 1.0):
-            cfg = ResolventApprox(p, lam=lam)
+            cfg = ResolventApprox(p)
             ts = cfg.z[np.linspace(0, len(cfg.z) - 1, 20).astype(int)]
             worst = max(
-                abs(resolvent(p, t, s, cfg) - lam * np.exp(lam * (t - s)))
+                abs(resolvent(p, t, s, cfg, lam=lam) - lam * np.exp(lam * (t - s)))
                 for t in ts
                 for s in ts
                 if s <= t
@@ -96,8 +96,9 @@ class TestResolvent:
             assert worst <= 1e-6
 
     def test_truncation_budget_warns(self):
+        # K == 1 at lam = 50 still has terms far above tolerance at MAX_TERMS.
         p = make_problem(lam=50.0)
-        cfg = ResolventApprox(p, max_terms=10)
+        cfg = ResolventApprox(p, quad_density=16)
         with pytest.warns(TruncationWarning):
             resolvent(p, 1.0, 0.0, cfg)
         # The table is kept for the last lam; reusing it still warns.
@@ -109,17 +110,17 @@ class TestResolvent:
         p = make_problem()
         cfg = ResolventApprox(p)
         for lam in (0.25, 1.0, 0.25):
-            fresh = ResolventApprox(p, lam=lam)
+            fresh = ResolventApprox(p)
             for t, s in [(1.0, 0.0), (0.7, 0.2), (0.43, 0.43), (0.9, 0.61)]:
-                assert resolvent(p, t, s, cfg, lam=lam) == resolvent(p, t, s, fresh)
+                assert resolvent(p, t, s, cfg, lam=lam) == resolvent(p, t, s, fresh, lam=lam)
 
     def test_off_grid_interpolation_accuracy(self):
         p = make_problem()
-        cfg = ResolventApprox(p, lam=1.0)
+        cfg = ResolventApprox(p)
         rng = np.random.default_rng(11)
         for _ in range(50):
             s, t = np.sort(rng.uniform(0.0, 1.0, size=2))
-            assert resolvent(p, t, s, cfg) == pytest.approx(
+            assert resolvent(p, t, s, cfg, lam=1.0) == pytest.approx(
                 np.exp(t - s), abs=5e-6
             )
 

@@ -211,6 +211,10 @@ class TestRunStudy:
         with pytest.raises(StudyError, match=r"level 1 \(h=1/5\)"):
             run_study(p, Fraction(2, 5), 2, solver="structured")
 
+    def test_dense_level_over_node_limit_fails(self):
+        with pytest.raises(StudyError, match=r"level 0 \(h=1/4096\) failed: dense assembly at N=4098"):
+            run_study(builtin_problem("model1"), Fraction(1, 4096), 1, solver="dense")
+
 
 class TestEmit:
     def rows(self):
