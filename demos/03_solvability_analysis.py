@@ -77,5 +77,5 @@ print(f"0*c = 0 -> {homogeneous.label}")
 print(f"0*c = 1 -> {inconsistent.label} "
       f"(orthogonality defect {inconsistent.orthogonality_defect:.2f})")
 
-A, d = load_matrix(one_load(1.0), ResolventApprox(one_load(1.0)))
+A, d = load_matrix(one_load(1.0))
 print(f"load matrix A = {A.tolist()}, right-hand side d = {d.tolist()}")

@@ -41,6 +41,16 @@ class AssemblyError(RuntimeError):
     """A coefficient or kernel evaluation failed; the message names the row and t."""
 
 
+def check_dense_size(n: int) -> None:
+    """Refuse a dense system on more than ``DENSE_MAX_NODES`` nodes, before allocating it."""
+    if n > DENSE_MAX_NODES:
+        raise AssemblyError(
+            f"dense assembly at N={n - 1} needs a {n}x{n} matrix of "
+            f"{8 * n * n / 1e6:.0f} MB; the limit is {DENSE_MAX_NODES} nodes "
+            "(use the structured solver)"
+        )
+
+
 def quad_weight(p_idx: int, i: int, g: Grid, kernel: ScalarFunction, lam: float) -> float:
     """Midpoint product-quadrature weight J_p^i for row i, subinterval p.
 
@@ -137,12 +147,8 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
         raise ValueError(f"unknown assembly mode {mode!r}")
     tau = g.nodes
     n = tau.shape[0]
-    if mode == "dense" and n > DENSE_MAX_NODES:
-        raise AssemblyError(
-            f"dense assembly at N={n - 1} needs a {n}x{n} matrix of "
-            f"{8 * n * n / 1e6:.0f} MB; the limit is {DENSE_MAX_NODES} nodes "
-            "(use the structured solver)"
-        )
+    if mode == "dense":
+        check_dense_size(n)
 
     a0_values = _eval_nodes(p.a0, tau, "a0")
     rhs = _eval_nodes(p.rhs, tau, "f")

@@ -117,7 +117,7 @@ def _cmd_analyze(ns) -> int:
     else:
         lambdas = [problem.lam]
     cfg = ResolventApprox(problem, quad_density=ns.density)
-    reports = solvability_sweep(problem, lambdas, cfg, tol=ns.tol)
+    reports = solvability_sweep(problem, lambdas, cfg)
     _write_output(sweep_csv(reports), ns.out)
     return 0
 
@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--lambda-to", dest="lambda_to", type=float, default=None)
     p_an.add_argument("--steps", type=int, default=None)
     p_an.add_argument("--density", type=int, default=512, help="quadrature density")
-    p_an.add_argument("--tol", type=float, default=1e-10, help="rank tolerance")
     p_an.add_argument("--out", metavar="PATH")
     p_an.set_defaults(func=_cmd_analyze)
 

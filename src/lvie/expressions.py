@@ -9,15 +9,17 @@ Precedence, loosest to tightest: ``+ -``, then ``* /``, then unary
 minus, then ``^`` (right-associative, so ``2^3^2`` is ``2^(3^2)`` and
 ``-t^2`` is ``-(t^2)``).
 
-Evaluation is plain IEEE double precision and works elementwise on
-numpy arrays as well as on scalars.  Leaving the real domain (division
-by zero, ``ln`` of a non-positive value, a fractional power of a
-non-positive base) raises :class:`EvalError` instead of producing NaN
-or infinity.
+Every operator and function has one implementation in the table
+``_OPS``, which lists the function names the parser accepts.  Evaluation
+is plain IEEE double precision and works elementwise on numpy arrays
+as well as on scalars.  Leaving the real domain (division by zero,
+``ln`` of a non-positive value, a fractional power of a non-positive
+base) raises :class:`EvalError` instead of producing NaN or infinity.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -45,7 +47,8 @@ class Expr:
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
-        raise NotImplementedError
+        children = (v for v in vars(self).values() if isinstance(v, Expr))
+        return frozenset().union(*(child.variables() for child in children))
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,6 @@ class Num(Expr):
 
     def eval(self, t, s=None):
         return self.value
-
-    def variables(self):
-        return frozenset()
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,6 @@ class Neg(Expr):
     def eval(self, t, s=None):
         return -self.operand.eval(t, s)
 
-    def variables(self):
-        return self.operand.variables()
-
 
 @dataclass(frozen=True)
 class BinOp(Expr):
@@ -92,54 +89,16 @@ class BinOp(Expr):
     right: Expr
 
     def eval(self, t, s=None):
-        a = self.left.eval(t, s)
-        b = self.right.eval(t, s)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalError("division by zero")
-            return a / b
-        return _power(a, b)
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
+        return _OPS[self.op](self.left.eval(t, s), self.right.eval(t, s))
 
 
 @dataclass(frozen=True)
 class Call(Expr):
-    func: str
+    func: str  # a function name of _OPS
     arg: Expr
 
     def eval(self, t, s=None):
-        x = self.arg.eval(t, s)
-        f = self.func
-        if f == "cos":
-            return np.cos(x)
-        if f == "sin":
-            return np.sin(x)
-        if f == "exp":
-            return np.exp(x)
-        if f == "ln":
-            if np.any(np.asarray(x) <= 0.0):
-                raise EvalError("ln of a non-positive value")
-            return np.log(x)
-        if f == "sqrt":
-            if np.any(np.asarray(x) < 0.0):
-                raise EvalError("sqrt of a negative value")
-            return np.sqrt(x)
-        return np.abs(x)  # "abs"
-
-    def variables(self):
-        return self.arg.variables()
-
-
-_FUNCTIONS = ("cos", "sin", "exp", "ln", "sqrt", "abs")
+        return _OPS[self.func](self.arg.eval(t, s))
 
 
 def _power(a, b):
@@ -152,6 +111,32 @@ def _power(a, b):
     if np.any(np.asarray(a) <= 0.0):
         raise EvalError("fractional power of a non-positive base")
     return np.exp(b * np.log(a))
+
+
+def _checked(fn, outside, message: str):
+    """``fn`` raising ``EvalError(message)`` where its last argument is ``outside`` the domain."""
+
+    def checked(*args):
+        if np.any(outside(np.asarray(args[-1]))):
+            raise EvalError(message)
+        return fn(*args)
+
+    return checked
+
+
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _checked(operator.truediv, lambda b: b == 0.0, "division by zero"),
+    "^": _power,
+    "cos": np.cos,
+    "sin": np.sin,
+    "exp": np.exp,
+    "ln": _checked(np.log, lambda x: x <= 0.0, "ln of a non-positive value"),
+    "sqrt": _checked(np.sqrt, lambda x: x < 0.0, "sqrt of a negative value"),
+    "abs": np.abs,
+}
 
 
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
@@ -237,7 +222,7 @@ class _Parser:
             return Num(value)
         if kind == "name":
             if self.current[0] == "(":
-                if value not in _FUNCTIONS:
+                if value not in _OPS:  # a name token is never an operator symbol
                     raise ParseError(f"unknown function {value!r}", pos)
                 self.advance()
                 arg = self.expression()

@@ -8,7 +8,8 @@ on an interval [t0, T].  The fixed abscissae t_j (strictly inside the
 interval) are the load points; the values x(t_j) entering the equation
 are the loads.  Coefficient functions are :class:`ScalarFunction`
 values, built either from a parsed expression or from any Python
-callable, and evaluate on scalars and numpy arrays alike.
+callable; one call path evaluates functions of ``t`` and of ``(t, s)``
+on scalars and numpy arrays alike.
 
 Problems are immutable after construction and safe to share between
 concurrent solves.
@@ -59,36 +60,23 @@ class ScalarFunction:
             raise ValueError(
                 f"one-argument expression {text!r} references the variable 's'"
             )
-        if arity == 1:
-            return cls(lambda t: evaluate(expr, t), 1, text)
-        return cls(lambda t, s: evaluate(expr, t, s), 2, text)
+        return cls(lambda *args: evaluate(expr, *args), arity, text)
 
     @classmethod
     def constant(cls, value: float, arity: int = 1) -> "ScalarFunction":
         value = float(value)
-        if arity == 1:
-            return cls(lambda t: value, 1, repr(value))
-        return cls(lambda t, s: value, 2, repr(value))
+        return cls(lambda *args: value, arity, repr(value))
 
-    def __call__(self, t, s=None):
-        if self.arity == 1:
-            if s is not None:
-                raise TypeError(f"{self!r} takes a single argument")
-            scalar = np.ndim(t) == 0
-            t_arr = np.asarray(t, dtype=float)
-            out = np.asarray(self._fn(t_arr), dtype=float)
-            if out.shape != t_arr.shape:
-                out = np.broadcast_to(out, t_arr.shape)
-            return float(out) if scalar else out
-        if s is None:
-            raise TypeError(f"{self!r} takes two arguments; 's' is missing")
-        scalar = np.ndim(t) == 0 and np.ndim(s) == 0
-        t_arr, s_arr = np.broadcast_arrays(
-            np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-        )
-        out = np.asarray(self._fn(t_arr, s_arr), dtype=float)
-        if out.shape != t_arr.shape:
-            out = np.broadcast_to(out, t_arr.shape)
+    def __call__(self, *args):
+        if len(args) != self.arity:
+            raise TypeError(f"{self!r} takes {self.arity} argument(s), got {len(args)}")
+        arrays = [np.asarray(a, dtype=float) for a in args]
+        scalar = not any(a.ndim for a in arrays)
+        if len(arrays) == 2:
+            arrays = np.broadcast_arrays(*arrays)
+        out = np.asarray(self._fn(*arrays), dtype=float)
+        if out.shape != arrays[0].shape:
+            out = np.broadcast_to(out, arrays[0].shape)
         return float(out) if scalar else out
 
     def __repr__(self):
@@ -172,16 +160,11 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
             )
 
     ts = np.linspace(p.t0, p.T, samples)
-    msg = _sample_function(p.a0, ts, "a0")
-    if msg:
-        return ValidationReport(False, msg)
-    for j, term in enumerate(p.loads, start=1):
-        msg = _sample_function(term.coeff, ts, f"a{j}")
+    loads = [(term.coeff, f"a{j}") for j, term in enumerate(p.loads, start=1)]
+    for fn, label in [(p.a0, "a0"), *loads, (p.rhs, "f")]:
+        msg = _sample_function(fn, ts, label)
         if msg:
             return ValidationReport(False, msg)
-    msg = _sample_function(p.rhs, ts, "f")
-    if msg:
-        return ValidationReport(False, msg)
 
     # Kernel is only defined on t0 <= s <= t <= T; sample that triangle.
     ti, si = np.tril_indices(samples)

@@ -19,7 +19,7 @@ and collocating at the load points gives the small load system
 Whether that matrix is regular decides everything: full rank means a
 unique solution; otherwise the equation has a parametric family when
 the right-hand side is orthogonal to the null space of the adjoint,
-and no solution at all when it is not.
+and no solution at all when it is not, each decided at ``RANK_TOL``.
 
 The theory takes the coefficient of x(t) to be identically one, so all
 inputs are normalized internally: K, a_j and f are divided by a0(t)
@@ -30,7 +30,8 @@ Numerics: iterated kernels live as lower-triangular tables on a uniform
 tensor grid and are composed by the composite trapezoid rule; the
 series is truncated once the next term falls below ``TERM_TOLERANCE``
 (1e-12), or at ``MAX_TERMS`` (40) terms with a :class:`TruncationWarning`.
-Every function takes ``lam`` and defaults it to ``problem.lam``.
+Every function takes ``lam`` and defaults it to ``problem.lam``, and an
+optional shared ``cfg``, which must have been built for the same problem.
 Kept for every lam: the kernel tables and f~, a~_j on the grid; per
 lam: the O(n) integral parts of F and of the b_j, and one resolvent
 table, for the last lam only.  Off-grid evaluations interpolate linearly
@@ -67,6 +68,7 @@ __all__ = [
 TERM_TOLERANCE = 1e-12
 MAX_TERMS = 40
 DEFAULT_QUAD_DENSITY = 512  # tensor-grid nodes per unit interval length
+RANK_TOL = 1e-10  # classify's rank, pivot and orthogonality tolerance
 
 
 class TruncationWarning(UserWarning):
@@ -192,6 +194,13 @@ class ResolventApprox:
         return self.dz * (full - corr)
 
 
+def _approx(problem: Problem, cfg: Optional[ResolventApprox]) -> ResolventApprox:
+    """``cfg``, or a fresh one when it is None; refuses a cfg built for another problem."""
+    if cfg is not None and cfg.problem is not problem:
+        raise ValueError("cfg is a ResolventApprox of another problem")
+    return ResolventApprox(problem) if cfg is None else cfg
+
+
 def _check_order(problem: Problem, t: float, s: float) -> None:
     if not (problem.t0 <= s <= t <= problem.T):
         raise ValueError(
@@ -254,8 +263,7 @@ def resolvent(
     Pass a shared :class:`ResolventApprox` to reuse kernel tables across
     calls; otherwise one is built on the spot.
     """
-    if cfg is None:
-        cfg = ResolventApprox(problem)
+    cfg = _approx(problem, cfg)
     _check_order(problem, t, s)
     table = cfg.resolvent_table(lam)
     return _triangle_interp(table, cfg.z, cfg.dz, t, s)
@@ -279,8 +287,7 @@ def reduced_coeffs(
     lam: Optional[float] = None,
 ) -> tuple[float, np.ndarray]:
     """Reduced-equation coefficients (F(t, lam), [b_j(t, lam)])."""
-    if cfg is None:
-        cfg = ResolventApprox(problem)
+    cfg = _approx(problem, cfg)
     if not (problem.t0 <= t <= problem.T):
         raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
     F, b = _reduced(problem, cfg, float(t), lam)
@@ -293,8 +300,7 @@ def load_matrix(
     lam: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load system (A, d): A_ij = delta_ij + b_j(t_i), d_i = F(t_i)."""
-    if cfg is None:
-        cfg = ResolventApprox(problem)
+    cfg = _approx(problem, cfg)
     d, B = _reduced(problem, cfg, problem.load_points, lam)
     return np.eye(len(problem.loads)) + B.T, d
 
@@ -327,7 +333,6 @@ def classify(
     problem: Problem,
     cfg: Optional[ResolventApprox] = None,
     lam: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> SolvabilityReport:
     """Solvability of the loaded equation at ``lam`` (default: the problem's).
 
@@ -336,8 +341,7 @@ def classify(
     orthogonality against the null space of the adjoint: orthogonal
     means a parametric family, anything else means no solution.
     """
-    if cfg is None:
-        cfg = ResolventApprox(problem)
+    cfg = _approx(problem, cfg)
     lam_val = _lam(problem, lam)
     m1 = len(problem.loads)
     if m1 == 0:
@@ -350,9 +354,9 @@ def classify(
         )
 
     A, d = load_matrix(problem, cfg, lam)
-    report = rank_and_det(A, tol)
+    report = rank_and_det(A, RANK_TOL)
     if report.rank == m1:
-        c = gauss_jordan(A, d, tol_singular=tol)
+        c = gauss_jordan(A, d, tol_singular=RANK_TOL)
         return SolvabilityReport(
             lam=lam_val,
             det=report.det,
@@ -361,13 +365,13 @@ def classify(
             load_values=c,
         )
 
-    basis = nullspace(A.T, tol)
+    basis = nullspace(A.T, RANK_TOL)
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         defect = 0.0
     else:
         defect = float(max(abs(basis @ d) / d_norm))
-    if defect <= tol:
+    if defect <= RANK_TOL:
         return SolvabilityReport(
             lam=lam_val,
             det=report.det,
@@ -399,8 +403,7 @@ def semi_analytic_solve(
     ts = np.asarray(t_samples, dtype=float)
     if not np.all((ts >= problem.t0) & (ts <= problem.T)):
         raise ValueError("sample points must lie inside the problem interval")
-    if cfg is None:
-        cfg = ResolventApprox(problem)
+    cfg = _approx(problem, cfg)
     report = classify(problem, cfg, lam)
     if report.classification != "unique":
         raise SolvabilityError(
@@ -417,12 +420,10 @@ def solvability_sweep(
     problem: Problem,
     lambdas,
     cfg: Optional[ResolventApprox] = None,
-    tol: float = 1e-10,
 ) -> list[SolvabilityReport]:
     """Classify at every lam in ``lambdas``, reusing one set of kernel tables."""
-    if cfg is None:
-        cfg = ResolventApprox(problem)
-    return [classify(problem, cfg, lam=lam, tol=tol) for lam in lambdas]
+    cfg = _approx(problem, cfg)
+    return [classify(problem, cfg, lam=lam) for lam in lambdas]
 
 
 def sweep_csv(reports) -> str:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import assemble, check_dense_size
 from .grid import Grid, build_grid
 from .problems import Problem, ScalarFunction
 from .solvers import gauss_jordan, structured_solve
@@ -160,23 +160,28 @@ def run_study(
         raise ValueError("levels must be at least 1")
     steps = [Fraction(h0) / 2**k for k in range(levels)]
 
-    def run_level(k: int) -> tuple[int, float, float]:
-        start = time.perf_counter()
+    def at_level(k: int, work):
+        """``work(steps[k])``; any failure is a :class:`StudyError` naming level k."""
         try:
-            sol = solve_collocation(p, steps[k], solver)
-            eps = sup_error(sol, p.exact, samples_per_interval)
+            return work(steps[k])
         except Exception as err:
             raise StudyError(f"study level {k} (h={steps[k]}) failed: {err}") from err
-        return sol.grid.last_index, eps, time.perf_counter() - start
 
-    results = [run_level(k) for k in range(levels)]
+    def solve(h) -> tuple[int, float]:
+        sol = solve_collocation(p, h, solver)
+        return sol.grid.last_index, sup_error(sol, p.exact, samples_per_interval)
 
+    if solver == "dense":  # refuse an oversized ladder before its first O(N^3) solve
+        at_level(levels - 1, lambda h: check_dense_size(build_grid(p, h).n_nodes))
     rows: list[StudyRow] = []
-    for k, (n_idx, eps, wall) in enumerate(results):
+    for k, h in enumerate(steps):
+        start = time.perf_counter()
+        n_idx, eps = at_level(k, solve)
+        wall = time.perf_counter() - start
         r = None
-        if k > 0 and eps > 0 and results[k - 1][1] > 0:
-            r = convergence_order(results[k - 1][1], eps, steps[k - 1], steps[k])
-        rows.append(StudyRow(h=steps[k], N=n_idx, eps=eps, r=r, wall_time=wall))
+        if rows and eps > 0 and rows[-1].eps > 0:
+            r = convergence_order(rows[-1].eps, eps, rows[-1].h, h)
+        rows.append(StudyRow(h=h, N=n_idx, eps=eps, r=r, wall_time=wall))
     return rows
 
 
@@ -202,7 +207,7 @@ def emit(rows, fmt: str = "csv", include_timing: bool = True) -> str:
                 line += f",{row.wall_time:.5E}"
             lines.append(line)
         return "\n".join(lines) + "\n"
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         lines = ["| h | eps | r |", "| --- | --- | --- |"]
         for row in rows:
             r_txt = f"{row.r:.2f}" if row.r is not None else "-"

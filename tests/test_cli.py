@@ -154,6 +154,12 @@ def test_analyze_incomplete_sweep(capsys):
     assert "sweep needs" in capsys.readouterr().err
 
 
+def test_analyze_has_no_tol_flag(capsys):
+    code = main(["analyze", "--builtin", "model1", "--tol", "1e-8"])
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_analyze_defaults_to_problem_lambda(capsys):
     code = main(["analyze", "--builtin", "model2", "--density", "64"])
     assert code == 0

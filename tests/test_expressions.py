@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,3 +203,47 @@ def test_ast_nodes_report_variables():
     assert parse("t-2*s^2").variables() == {"t", "s"}
     assert parse("cos(1/2)").variables() == set()
     assert Neg(Call("cos", Var("t"))).variables() == {"t"}
+
+
+_T = np.array([0.25, 0.5, 1.5, 2.0])
+_S = np.array([2.0, -0.5, 3.0, 0.75])
+
+# Every function name and operator of the grammar against the direct numpy
+# expression it stands for.
+_OPERATOR_CASES = [
+    ("cos(t)", lambda t, s: np.cos(t)),
+    ("sin(t)", lambda t, s: np.sin(t)),
+    ("exp(t)", lambda t, s: np.exp(t)),
+    ("ln(t)", lambda t, s: np.log(t)),
+    ("sqrt(t)", lambda t, s: np.sqrt(t)),
+    ("abs(s)", lambda t, s: np.abs(s)),
+    ("t+s", lambda t, s: t + s),
+    ("t-s", lambda t, s: t - s),
+    ("t*s", lambda t, s: t * s),
+    ("t/s", lambda t, s: t / s),
+    ("s^3", lambda t, s: np.power(s, 3.0)),
+    ("t^0.5", lambda t, s: np.exp(0.5 * np.log(t))),
+    ("-s", lambda t, s: -s),
+]
+
+
+@pytest.mark.parametrize("text,direct", _OPERATOR_CASES, ids=[c[0] for c in _OPERATOR_CASES])
+def test_every_operator_matches_numpy(text, direct):
+    np.testing.assert_array_equal(evaluate(parse(text), _T, _S), direct(_T, _S))
+
+
+# Every EvalError message, each raised by the case that leaves the domain.
+_DOMAIN_CASES = [
+    ("t/(s-s)", "division by zero"),
+    ("ln(s)", "ln of a non-positive value"),
+    ("sqrt(s)", "sqrt of a negative value"),
+    ("(t-t)^-1", "zero raised to a negative power"),
+    ("s^0.5", "fractional power of a non-positive base"),
+    ("exp(exp(t*100))", "non-finite value"),
+]
+
+
+@pytest.mark.parametrize("text,message", _DOMAIN_CASES, ids=[c[0] for c in _DOMAIN_CASES])
+def test_every_domain_error_message(text, message):
+    with pytest.raises(EvalError, match=re.escape(message)):
+        evaluate(parse(text), _T, _S)

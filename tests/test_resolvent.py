@@ -391,3 +391,22 @@ class TestSweep:
         peak_2, n = sweep_peak(2)
         peak_20, _ = sweep_peak(20)
         assert peak_20 - peak_2 < n * n * 8
+
+
+# Every entry point that takes a ResolventApprox, called with a model2
+# problem and a cfg tabulated for model1.
+_CFG_CALLS = {
+    "resolvent": lambda p, cfg: resolvent(p, 0.5, 0.25, cfg),
+    "reduced_coeffs": lambda p, cfg: reduced_coeffs(p, 0.5, cfg),
+    "load_matrix": lambda p, cfg: load_matrix(p, cfg),
+    "classify": lambda p, cfg: classify(p, cfg),
+    "semi_analytic_solve": lambda p, cfg: semi_analytic_solve(p, [0.5], cfg),
+    "solvability_sweep": lambda p, cfg: solvability_sweep(p, [0.25], cfg),
+}
+
+
+@pytest.mark.parametrize("name", list(_CFG_CALLS))
+def test_cfg_of_another_problem_rejected(name):
+    cfg = ResolventApprox(builtin_problem("model1"), quad_density=16)
+    with pytest.raises(ValueError, match="another problem"):
+        _CFG_CALLS[name](builtin_problem("model2"), cfg)

@@ -215,6 +215,18 @@ class TestRunStudy:
         with pytest.raises(StudyError, match=r"level 0 \(h=1/4096\) failed: dense assembly at N=4098"):
             run_study(builtin_problem("model1"), Fraction(1, 4096), 1, solver="dense")
 
+    def test_dense_ladder_over_node_limit_fails_before_any_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized dense ladder reached Gauss-Jordan")
+
+        monkeypatch.setattr(lvie.study, "gauss_jordan", refuse)
+        with pytest.raises(
+            StudyError,
+            match=r"level 11 \(h=1/16384\) failed: dense assembly at N=16386 .* "
+            r"the limit is 2053 nodes",
+        ):
+            run_study(builtin_problem("model1"), Fraction(1, 8), 12, solver="dense")
+
 
 class TestEmit:
     def rows(self):
@@ -266,6 +278,10 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):
             emit(self.rows(), "yaml")
+
+    def test_md_is_the_only_markdown_name(self):
+        with pytest.raises(ValueError, match="unknown format"):
+            emit(self.rows(), "markdown")
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
