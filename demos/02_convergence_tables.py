@@ -5,8 +5,8 @@ decay of the sup-norm error for both benchmark problems:  the ratio of
 successive errors approaches 4, i.e. the empirical order r approaches 2.
 
 The dense Gauss-Jordan solver carries the first six levels; the
-structured solver (forward substitution plus a small load solve, with
-row weights recomputed one row at a time) extends the ladder to
+structured solver (blocked forward substitution plus a small load
+solve, with the weights recomputed panel by panel) extends the ladder to
 h = 1/16384, where the error reaches the 1e-10 range.
 """
 

@@ -11,11 +11,12 @@ against the piecewise-linear trial function gives, for row i,
 
 Apart from the load columns v_j the matrix is lower triangular; row 0
 has no integral term.  By default the matrix stays implicit: the node
-values of the coefficients are stored and the weights of any row are
-recomputed on demand (O(N) memory), which is all the structured solver
-needs.  ``mode="dense"`` also materializes the matrix, for the
-Gauss-Jordan reference path, on grids of at most ``DENSE_MAX_NODES``
-nodes.
+values of the coefficients are stored and ``CollocationSystem.weights``
+recomputes the weights of any rows and columns on demand (O(N) memory).
+The structured solver and the residual read them in panels of at most
+``BLOCK_ROWS`` rows and ``PANEL_POINTS`` kernel points.  ``mode="dense"``
+also materializes the matrix, for the Gauss-Jordan reference path, on
+grids of at most ``DENSE_MAX_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ __all__ = ["CollocationSystem", "AssemblyError", "quad_weight", "assemble"]
 # built-in problems) make a 34 MB matrix; past that the O(N^3) Gauss-Jordan
 # reference takes minutes and the matrix gigabytes.
 DENSE_MAX_NODES = 2053
+
+# Panels of the blocked paths: past 16384 points (128 KiB per temporary) a
+# kernel call costs about twice as much per point.
+BLOCK_ROWS = 64
+PANEL_POINTS = 16384
 
 
 class AssemblyError(RuntimeError):
@@ -71,8 +77,8 @@ class CollocationSystem:
 
     ``matrix`` is the full dense matrix (None unless assembled in dense
     mode).  ``load_entries`` holds a_j(tau_i) per node and load.
-    ``row_weights`` reproduces the quadrature weights of any row without
-    materializing anything.
+    ``weights`` reproduces the quadrature weights of any rows and columns
+    without materializing the matrix; ``row_weights`` is its one-row case.
     """
 
     problem: Problem
@@ -94,30 +100,62 @@ class CollocationSystem:
     def size(self) -> int:
         return self.rhs.shape[0]
 
+    def weights(self, i0: int, i1: int, k0: int, k1: int) -> np.ndarray:
+        """Weights J_{k+1}^i (rows i0 <= i < i1, columns k0 <= k < k1) of x_k + x_{k+1}.
+
+        The kernel is evaluated on the Volterra triangle k < i only; the
+        rest is zero.  A kernel failure raises :class:`AssemblyError`
+        naming the first failing row and its abscissa.
+        """
+        tau = self.grid.nodes
+        below = k1 <= i0  # every pair lies below the diagonal
+        if below:
+            rows = cols = slice(None)
+            t, s = tau[i0:i1, None], self._mids[None, k0:k1]
+        else:
+            rows, cols = np.tril_indices(i1 - i0, i0 - k0 - 1, k1 - k0)
+            t, s = tau[i0 + rows], self._mids[k0 + cols]
+        try:
+            kvals = self.problem.kernel(t, s)
+        except EvalError as err:
+            if i1 - i0 == 1:
+                raise AssemblyError(f"kernel failed at row {i0}, t={tau[i0]:.6g}: {err}") from err
+            for i in range(i0, i1):  # locate the failing row
+                self.weights(i, i + 1, k0, k1)
+            raise
+        w = 0.5 * self.problem.lam * self._dtau[k0:k1][cols] * kvals
+        if below:
+            return w
+        out = np.zeros((i1 - i0, k1 - k0))
+        out[rows, cols] = w
+        return out
+
     def row_weights(self, i: int) -> np.ndarray:
         """Weights J_1^i .. J_i^i of row i (empty for row 0)."""
-        if i == 0:
-            return np.empty(0)
-        tau_i = self.grid.nodes[i]
-        try:
-            kvals = self.problem.kernel(tau_i, self._mids[:i])
-        except EvalError as err:
-            raise AssemblyError(f"kernel failed at row {i}, t={tau_i:.6g}: {err}") from err
-        return 0.5 * self.problem.lam * self._dtau[:i] * np.atleast_1d(kvals)
+        return self.weights(i, i + 1, 0, i)[0]
+
+    def integral(self, i0: int, i1: int, y: np.ndarray, k1: int) -> np.ndarray:
+        """sum_{k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, for rows i0 <= i < i1.
+
+        The weights come in panels of ``BLOCK_ROWS`` rows and ``PANEL_POINTS`` points.
+        """
+        width = PANEL_POINTS // BLOCK_ROWS
+        acc = np.zeros((i1 - i0,) + y.shape[1:])
+        for r0 in range(i0, i1, BLOCK_ROWS):
+            r1 = min(r0 + BLOCK_ROWS, i1)
+            for c0 in range(0, min(k1, r1 - 1), width):
+                c1 = min(c0 + width, k1, r1 - 1)
+                acc[r0 - i0 : r1 - i0] += self.weights(r0, r1, c0, c1) @ y[c0:c1]
+        return acc
 
     def residual(self, x) -> float:
         """Max-abs collocation residual of nodal values ``x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):
             raise ValueError(f"expected {self.size} nodal values, got shape {x.shape}")
+        acc = self.integral(0, self.size, x[:-1] + x[1:], self.size - 1)
         load_part = self.load_entries @ x[list(self.load_columns)]
-        worst = 0.0
-        for i in range(self.size):
-            w = self.row_weights(i)
-            integral = float(w @ (x[:i] + x[1 : i + 1])) if i else 0.0
-            r = self.a0_values[i] * x[i] + load_part[i] - integral - self.rhs[i]
-            worst = max(worst, abs(r))
-        return worst
+        return float(np.abs(self.a0_values * x + load_part - acc - self.rhs).max())
 
 
 def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
@@ -169,16 +207,7 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
         return system
 
     # Row i-1 of ``weights`` holds J_1^i .. J_i^i, as in ``row_weights(i)``.
-    rows, cols = np.tril_indices(n - 1)
-    try:
-        kvals = p.kernel(tau[rows + 1], system._mids[cols])
-    except EvalError:
-        for i in range(1, n):  # locate the failing row for the error report
-            system.row_weights(i)
-        raise
-    weights = np.zeros((n - 1, n - 1))
-    weights[rows, cols] = 0.5 * p.lam * system._dtau[cols] * kvals
-
+    weights = system.weights(1, n, 0, n - 1)
     matrix = np.zeros((n, n))
     matrix[1:, : n - 1] -= weights
     matrix[1:, 1:] -= weights

@@ -121,17 +121,17 @@ class ValidationReport:
         return self.passed
 
 
-def _sample_function(fn: ScalarFunction, ts, label: str) -> Optional[str]:
-    """Evaluate on the sample and return a violation message, or None."""
+def _sample_function(fn: ScalarFunction, ts, label: str):
+    """Evaluate on the sample: ``(values, None)``, or ``(None, violation message)``."""
     try:
-        vals = fn(ts)
+        vals = np.atleast_1d(fn(ts))
     except (EvalError, ArithmeticError, ValueError, TypeError) as err:
-        return f"{label} not evaluable: {err}"
-    bad = ~np.isfinite(np.atleast_1d(vals))
+        return None, f"{label} not evaluable: {err}"
+    bad = ~np.isfinite(vals)
     if bad.any():
         where = np.atleast_1d(ts)[bad][0]
-        return f"{label} non-finite at t={where:.6g}"
-    return None
+        return None, f"{label} non-finite at t={where:.6g}"
+    return vals, None
 
 
 def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
@@ -161,10 +161,12 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
 
     ts = np.linspace(p.t0, p.T, samples)
     loads = [(term.coeff, f"a{j}") for j, term in enumerate(p.loads, start=1)]
+    sampled = []
     for fn, label in [(p.a0, "a0"), *loads, (p.rhs, "f")]:
-        msg = _sample_function(fn, ts, label)
+        vals, msg = _sample_function(fn, ts, label)
         if msg:
             return ValidationReport(False, msg)
+        sampled.append(vals)
 
     # Kernel is only defined on t0 <= s <= t <= T; sample that triangle.
     ti, si = np.tril_indices(samples)
@@ -179,7 +181,7 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
             f"kernel non-finite at t={ts[ti[bad]]:.6g}, s={ts[si[bad]]:.6g}",
         )
 
-    a0_vals = np.atleast_1d(p.a0(ts))
+    a0_vals = sampled[0]
     zeros = np.flatnonzero(a0_vals == 0.0)
     if zeros.size:
         return ValidationReport(False, f"a0 vanishes near t={ts[zeros[0]]:.6g}")

@@ -9,9 +9,11 @@ basis off the reduced matrix.
 ``structured_solve`` exploits the collocation shape (lower triangular
 plus a handful of load columns) by superposition: one forward
 substitution for the right-hand side, one per load column, and a small
-consistency solve for the load values.  The substitution recomputes
-each row's quadrature weights from the system as it goes, so it costs
-O(m N^2) time and O(m N) memory and never needs the materialized matrix.
+consistency solve for the load values.  The substitution is blocked:
+one numpy triangular solve per block of ``BLOCK_ROWS`` (64) rows, with
+the weights recomputed in panels of at most ``PANEL_POINTS`` (16384)
+kernel points.  It costs O(m N^2) time, O(N/64 + N^2/16384) kernel
+calls and O(m N) memory, and never needs the materialized matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .assembly import BLOCK_ROWS, AssemblyError
 
 __all__ = [
     "SingularMatrixError",
@@ -181,12 +185,13 @@ def structured_solve(system) -> np.ndarray:
     """Solve a collocation system via its triangular-plus-load-columns shape.
 
     Forward-substitutes the triangular part once against the right-hand
-    side and once against the negated entries of each load column, one
-    row of weights at a time (``system.row_weights``), then solves the
-    small load consistency system and superposes.  A triangular pivot
-    below ``SINGULAR_TOL`` relative to max|a0| raises
-    :class:`SolvabilityError`.  Agrees with :func:`gauss_jordan` on the
-    materialized matrix to rounding.
+    side and once against the negated entries of each load column, then
+    solves the small load consistency system and superposes.  Rows after
+    row 0 go in blocks of ``BLOCK_ROWS``, each one ``np.linalg.solve``.
+    The first row at fault raises: :class:`SolvabilityError` for a
+    triangular pivot below ``SINGULAR_TOL`` relative to max|a0|,
+    :class:`AssemblyError` for a kernel failure.  Agrees with
+    :func:`gauss_jordan` on the materialized matrix to rounding.
     """
     n = system.size
     m1 = len(system.load_columns)
@@ -195,19 +200,32 @@ def structured_solve(system) -> np.ndarray:
     B[:, 1:] = -system.load_entries
 
     a0 = system.a0_values
-    scale = float(np.abs(a0).max()) or 1.0
+    tiny = SINGULAR_TOL * (float(np.abs(a0).max()) or 1.0)
+
+    def check_pivots(r0, d):
+        bad = np.flatnonzero(np.abs(d) < tiny)
+        if bad.size:
+            raise SolvabilityError(f"zero diagonal entry in the triangular part at row {r0 + bad[0]}")
+
     X = np.empty_like(B)
-    for i in range(n):
-        w = system.row_weights(i)
-        acc, d = 0.0, a0[i]
-        if i:
-            acc = w[:-1] @ (X[: i - 1] + X[1:i]) + w[-1] * X[i - 1]
-            d = a0[i] - w[-1]
-        if abs(d) < SINGULAR_TOL * scale:
-            raise SolvabilityError(
-                f"zero diagonal entry in the triangular part at row {i}"
-            )
-        X[i] = (B[i] + acc) / d
+    Y = np.empty((n - 1, 1 + m1))  # pair sums X[q] + X[q+1]
+    check_pivots(0, a0[:1])
+    X[0] = B[0] / a0[0]
+    for r0 in range(1, n, BLOCK_ROWS):
+        r1 = min(r0 + BLOCK_ROWS, n)
+        try:
+            acc = system.integral(r0, r1, Y, r0 - 1)
+            J = system.weights(r0, r1, r0 - 1, r1 - 1)  # row k: J_{r0}..J_{r0+k}
+        except AssemblyError:
+            for i in range(r0, r1):  # the earlier row's failure wins
+                check_pivots(i, a0[i] - system.row_weights(i)[-1:])
+            raise
+        # Row k couples X[r0+j] through J[k, j] + J[k, j+1] (j < k) and J[k, k].
+        T = np.diag(a0[r0:r1]) - J
+        T[:, :-1] -= J[:, 1:]
+        check_pivots(r0, T.diagonal())
+        X[r0:r1] = np.linalg.solve(T, B[r0:r1] + acc + J[:, :1] * X[r0 - 1])
+        Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
 
     if m1 == 0:
         return X[:, 0]

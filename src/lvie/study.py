@@ -83,8 +83,8 @@ def solve_collocation(p: Problem, h, solver: str = "structured") -> PiecewiseLin
     ``solver``: ``"dense"`` runs Gauss-Jordan on the materialized
     matrix (the reference path, O(N^2) memory and O(N^3) time);
     ``"structured"`` (the default) runs the triangular-plus-load-columns
-    path on a streaming system, which recomputes row weights as it goes
-    and never builds the matrix.  Both treat pivots below
+    path on a streaming system, which recomputes the weights panel by
+    panel and never builds the matrix.  Both treat pivots below
     ``solvers.SINGULAR_TOL`` (1e-12, relative) as singular; the dense
     path refuses grids above ``assembly.DENSE_MAX_NODES`` nodes.
     """

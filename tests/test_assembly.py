@@ -98,6 +98,20 @@ class TestAssemble:
                 quad_weight(p_idx, i, g, p.kernel, p.lam), rel=1e-15
             )
 
+    @pytest.mark.parametrize(
+        "i0, i1, k0, k1",
+        [(10, 14, 0, 8), (3, 9, 0, 12), (5, 9, 6, 8), (1, 18, 0, 17)],
+        ids=["below", "straddling", "above-and-below", "all"],
+    )
+    def test_weights_block_matches_rows(self, i0, i1, k0, k1):
+        p = builtin_problem("model2")
+        system = assemble(p, build_grid(p, Fraction(1, 16)))
+        expected = np.zeros((i1 - i0, k1 - k0))
+        for i in range(i0, i1):
+            row = system.row_weights(i)[k0:k1]
+            expected[i - i0, : row.size] = row
+        np.testing.assert_allclose(system.weights(i0, i1, k0, k1), expected, rtol=1e-15, atol=0)
+
     def test_streaming_matches_dense(self):
         p = builtin_problem("model1")
         g = build_grid(p, Fraction(1, 16))

@@ -94,6 +94,17 @@ class TestValidation:
         assert "a0 vanishes" in report.violation
         assert "0.5" in report.violation
 
+    def test_a0_sampled_once(self):
+        calls = []
+
+        def a0(t):
+            calls.append(np.size(t))
+            return 1.0 + t
+
+        p = make_problem(a0=ScalarFunction(a0, 1, "1+t"))
+        assert validate_problem(p, samples=1000)
+        assert calls == [1000]
+
     def test_sign_change_between_samples(self):
         p = make_problem(a0=ScalarFunction.from_expression("t-0.5", 1))
         report = validate_problem(p, samples=1000)  # 0.5 is not a sample point

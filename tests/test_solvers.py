@@ -1,11 +1,14 @@
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lvie.assembly import assemble
+from lvie.assembly import BLOCK_ROWS, PANEL_POINTS, AssemblyError, assemble
 from lvie.config import parse_problem_config
-from lvie.grid import build_grid
+from lvie.expressions import EvalError
+from lvie.grid import Grid, build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.solvers import (
     SingularMatrixError,
@@ -285,3 +288,176 @@ class TestStructuredSolve:
         x_dense = gauss_jordan(system.matrix, system.rhs)
         x_structured = structured_solve(system)
         assert np.abs(x_dense - x_structured).max() <= 1e-10
+
+    def test_sqrt_ladder_residual_at_h_1_2048(self):
+        p = parse_problem_config(SQRT_LADDER_CONFIG)
+        system = assemble(p, build_grid(p, Fraction(1, 2048)))
+        x = structured_solve(system)
+        assert system.residual(x) <= 1e-12 * np.abs(system.rhs).max()
+
+    def test_memory_beyond_state_is_bounded(self):
+        # Past its O(m N) arrays B, X and Y the solve holds only panels.
+        p = parse_problem_config(SQRT_LADDER_CONFIG)
+        system = assemble(p, build_grid(p, Fraction(1, 8192)))
+        state = 3 * system.size * (1 + len(system.load_columns)) * 8
+        tracemalloc.start()
+        try:
+            structured_solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - state <= 1_000_000
+
+
+def uniform_grid(n_nodes, load_indices=()):
+    """``n_nodes`` equispaced nodes on [0, 1] with loads at the given node indices."""
+    cuts = [0, *load_indices, n_nodes - 1]
+    return Grid(
+        nodes=np.linspace(0.0, 1.0, n_nodes),
+        segment_counts=tuple(b - a for a, b in zip(cuts, cuts[1:])),
+        load_indices=tuple(load_indices),
+    )
+
+
+class CountingSqrtKernel:
+    """sqrt(t-s)·(1+s/2), recording every (t, s) pair it is asked for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, t, s):
+        assert np.all(s <= t), "kernel evaluated above the diagonal"
+        self.calls.append((t.ravel().copy(), s.ravel().copy()))
+        return np.sqrt(t - s) * (1.0 + 0.5 * s)
+
+
+R = BLOCK_ROWS
+BLOCK_CASES = [
+    (n, m)
+    for n in (2, R, R + 1, R + 2, 2 * R + 1, 5 * R + 2)  # 5R+2: two far panels
+    for m in (0, 1, 3)
+    if m <= n - 2
+]
+
+
+class TestBlockedSubstitution:
+    @pytest.mark.parametrize("n_nodes, n_loads", BLOCK_CASES, ids=[f"n={n}-m={m}" for n, m in BLOCK_CASES])
+    def test_matches_gauss_jordan_and_evaluates_each_pair_once(self, n_nodes, n_loads):
+        rng = np.random.default_rng(n_nodes * 10 + n_loads)
+        idx = sorted(rng.choice(np.arange(1, n_nodes - 1), size=n_loads, replace=False)) if n_loads else []
+        g = uniform_grid(n_nodes, [int(i) for i in idx])
+        u = rng.uniform(-0.4, 0.4, size=(n_loads, 2))
+        c = rng.uniform(-2.0, 2.0, size=3)
+        kernel = CountingSqrtKernel()
+        p = Problem(
+            t0=0.0,
+            T=1.0,
+            lam=float(rng.uniform(-1.0, 1.0)),
+            loads=tuple(
+                LoadTerm(float(g.nodes[v]), ScalarFunction(lambda t, u=u[j]: u[0] + u[1] * t, 1))
+                for j, v in enumerate(idx)
+            ),
+            a0=ScalarFunction(lambda t: 2.0 + 0.3 * np.sin(t), 1),
+            kernel=ScalarFunction(kernel, 2),
+            rhs=ScalarFunction(lambda t: c[0] + c[1] * np.cos(t) + c[2] * t, 1),
+        )
+        dense = assemble(p, g, mode="dense")
+        x_ref = gauss_jordan(dense.matrix, dense.rhs)
+        kernel.calls.clear()
+        x = structured_solve(assemble(p, g))
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+        sizes = [t.size for t, _ in kernel.calls]
+        assert max(sizes, default=0) <= PANEL_POINTS
+        n_last = n_nodes - 1
+        assert sum(sizes) == n_last * (n_last + 1) // 2
+        counts = np.zeros((n_nodes, n_last), dtype=int)
+        mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
+        for t, s in kernel.calls:
+            np.add.at(counts, (np.searchsorted(g.nodes, t), np.searchsorted(mids, s)), 1)
+        # Row i needs J_{k+1}^i for every k < i, exactly once.
+        np.testing.assert_array_equal(counts, np.tril(np.ones_like(counts), -1))
+
+
+def failing_kernel(bad):
+    """t + s, raising EvalError wherever ``bad(t, s)`` holds."""
+
+    def kernel(t, s):
+        if np.any(bad(t, s)):
+            raise EvalError("kernel undefined here")
+        return t + s
+
+    return ScalarFunction(kernel, 2)
+
+
+class TestBlockedErrorLocation:
+    # lam = 0, so the triangular pivots are the a0 values.  Rows 100 and 110
+    # lie inside the block 65..128; rows 321..384 form a block with two far
+    # panels (columns 0..255 and 256..319).
+    GRID = uniform_grid(400)
+    NODES = GRID.nodes
+    MIDS = 0.5 * (NODES[:-1] + NODES[1:])
+
+    def solve(self, a0=None, kernel=None):
+        p = Problem(
+            t0=0.0, T=1.0, lam=0.0, loads=(),
+            a0=a0 or ScalarFunction(lambda t: 2.0 + t, 1),
+            kernel=kernel or ScalarFunction(lambda t, s: t + s, 2),
+            rhs=ScalarFunction.constant(1.0),
+        )
+        return structured_solve(assemble(p, self.GRID))
+
+    def zero_pivots_at(self, rows):
+        """An a0 that vanishes exactly at the given nodes."""
+        roots = [self.NODES[i] for i in rows]
+        return ScalarFunction(lambda t: np.prod([t - r for r in roots], axis=0), 1)
+
+    def kernel_error(self, row):
+        expected = f"kernel failed at row {row}, t={self.NODES[row]:.6g}:"
+        return pytest.raises(AssemblyError, match=re.escape(expected))
+
+    def pivot_error(self, row):
+        return pytest.raises(SolvabilityError, match=rf"diagonal entry .* at row {row}$")
+
+    def test_zero_pivot_mid_block(self):
+        with self.pivot_error(100):
+            self.solve(a0=self.zero_pivots_at([100, 110]))
+
+    def test_kernel_failure_in_near_triangle(self):
+        # Only pairs with s past mids[98] fail: in row 100's own block.
+        with self.kernel_error(100):
+            self.solve(kernel=failing_kernel(lambda t, s: s > self.MIDS[98]))
+
+    def test_kernel_failure_in_far_panel(self):
+        bad = lambda t, s: (t >= self.NODES[100]) & (s < self.MIDS[10])
+        with self.kernel_error(100):
+            self.solve(kernel=failing_kernel(bad))
+
+    def test_earliest_row_wins_across_far_panels(self):
+        # Row 340 fails in the first far panel, row 330 only in the second.
+        bad = lambda t, s: ((t >= self.NODES[340]) & (s < self.MIDS[5])) | (
+            (t >= self.NODES[330]) & (s > self.MIDS[300]) & (s < self.MIDS[310])
+        )
+        with self.kernel_error(330):
+            self.solve(kernel=failing_kernel(bad))
+
+    def test_zero_pivot_before_kernel_failure(self):
+        with self.pivot_error(90):
+            self.solve(
+                a0=self.zero_pivots_at([90]),
+                kernel=failing_kernel(lambda t, s: t >= self.NODES[100]),
+            )
+
+    def test_kernel_failure_before_zero_pivot(self):
+        with self.kernel_error(90):
+            self.solve(
+                a0=self.zero_pivots_at([100]),
+                kernel=failing_kernel(lambda t, s: t >= self.NODES[90]),
+            )
+
+    def test_kernel_failure_and_zero_pivot_in_one_row(self):
+        with self.kernel_error(95):
+            self.solve(
+                a0=self.zero_pivots_at([95]),
+                kernel=failing_kernel(lambda t, s: t >= self.NODES[95]),
+            )
