@@ -17,6 +17,13 @@ The structured solver and the residual read them in panels of at most
 ``BLOCK_ROWS`` rows and ``PANEL_POINTS`` kernel points.  ``mode="dense"``
 also materializes the matrix, for the Gauss-Jordan reference path, on
 grids of at most ``DENSE_MAX_NODES`` nodes.
+
+Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
+on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
+i - p only.  A streaming system then evaluates K(tau_{j+1}, (tau_0 + tau_1)/2),
+j = 0..N-1, once on first use and copies every panel out of that table.
+A kernel failure there leaves the direct path, which names the row as
+before; dense assembly and ``quad_weight`` evaluate every pair.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .expressions import EvalError
 from .grid import Grid
@@ -90,6 +98,8 @@ class CollocationSystem:
     matrix: Optional[np.ndarray] = None
     _mids: np.ndarray = field(init=False, repr=False)
     _dtau: np.ndarray = field(init=False, repr=False)
+    _lag_step: Optional[float] = field(default=None, init=False, repr=False)
+    _lags: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         tau = self.grid.nodes
@@ -107,6 +117,9 @@ class CollocationSystem:
         rest is zero.  A kernel failure raises :class:`AssemblyError`
         naming the first failing row and its abscissa.
         """
+        lags = self._lag_rows()
+        if lags is not None:
+            return lags[i0:i1, k0:k1].copy()
         tau = self.grid.nodes
         below = k1 <= i0  # every pair lies below the diagonal
         if below:
@@ -129,6 +142,19 @@ class CollocationSystem:
         out = np.zeros((i1 - i0, k1 - k0))
         out[rows, cols] = w
         return out
+
+    def _lag_rows(self) -> Optional[np.ndarray]:
+        """All weights as a read-only view, row i = J_1^i .. J_N^i, or None (direct path)."""
+        if self._lag_step is not None:  # tabulate once
+            h, self._lag_step = self._lag_step, None
+            try:
+                kvals = self.problem.kernel(self.grid.nodes[1:], self._mids[0])
+            except EvalError:
+                return None
+            w = 0.5 * self.problem.lam * h * kvals
+            by_lag = np.concatenate([w[::-1], np.zeros_like(w)])  # lags N-1 .. 0, then -1 .. -N
+            self._lags = sliding_window_view(by_lag, w.size)[::-1]
+        return self._lags
 
     def row_weights(self, i: int) -> np.ndarray:
         """Weights J_1^i .. J_i^i of row i (empty for row 0)."""
@@ -204,6 +230,7 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
         matrix=None,
     )
     if mode == "streaming":
+        system._lag_step = g.uniform_step() if p.kernel.is_difference else None
         return system
 
     # Row i-1 of ``weights`` holds J_1^i .. J_i^i, as in ``row_weights(i)``.

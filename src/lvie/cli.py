@@ -91,8 +91,6 @@ def _cmd_solve(ns) -> int:
 def _cmd_study(ns) -> int:
     problem = _load_problem(ns)
     h0 = _positive_step(ns.h0, "h0")
-    if ns.levels < 1:
-        raise CliError("levels must be at least 1")
     rows = run_study(
         problem,
         h0,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate"]
+__all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate", "is_difference"]
 
 
 class ParseError(ValueError):
@@ -47,8 +47,10 @@ class Expr:
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
-        children = (v for v in vars(self).values() if isinstance(v, Expr))
-        return frozenset().union(*(child.variables() for child in children))
+        return frozenset().union(*(child.variables() for child in self.children()))
+
+    def children(self) -> list["Expr"]:
+        return [v for v in vars(self).values() if isinstance(v, Expr)]
 
 
 @dataclass(frozen=True)
@@ -254,6 +256,14 @@ def parse(text: str) -> Expr:
     if kind != "end":
         raise ParseError(f"unexpected {kind!r}", pos)
     return expr
+
+
+def is_difference(expr: Expr) -> bool:
+    """True when every ``t`` and ``s`` in ``expr`` occurs as the node ``t - s``
+    (so a constant qualifies, and ``1+t-s``, parsed as ``(1+t)-s``, does not)."""
+    if expr == BinOp("-", Var("t"), Var("s")):
+        return True
+    return not isinstance(expr, Var) and all(is_difference(c) for c in expr.children())
 
 
 def evaluate(expr: Expr, t, s=None):

@@ -52,6 +52,17 @@ class Grid:
         """N: the largest node index (node count is N + 1)."""
         return self.nodes.shape[0] - 1
 
+    def uniform_step(self) -> float | None:
+        """(tau_N - tau_0) / N if all spacings agree to rounding, else None.
+
+        A node is off by at most an ulp of max(|t0|, |T|), a spacing by
+        two; the tolerance is four, far below h / n for unequal segments.
+        """
+        tau, dtau = self.nodes, np.diff(self.nodes)
+        if np.ptp(dtau) > 4 * np.spacing(max(abs(tau[0]), abs(tau[-1]))):
+            return None
+        return float((tau[-1] - tau[0]) / dtau.size)
+
 
 def _segment_count(length: float, h) -> int:
     if isinstance(h, Fraction):

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import EvalError, evaluate, parse
+from .expressions import EvalError, ParseError, evaluate, is_difference, parse
 
 __all__ = [
     "ScalarFunction",
@@ -42,6 +42,11 @@ class ScalarFunction:
     be scalars or numpy arrays; two-argument functions broadcast their
     arguments, and the output always has the broadcast shape (constants
     are expanded).  Scalar inputs give a plain ``float`` back.
+
+    ``source`` is a promise: when it parses, the function is that formula
+    (a wrapper that keeps the source must keep the values); the default
+    ``"<callable>"`` never parses.  Only structure (:attr:`is_difference`)
+    is read off it; values always come from the callable.
     """
 
     __slots__ = ("_fn", "arity", "source")
@@ -66,6 +71,14 @@ class ScalarFunction:
     def constant(cls, value: float, arity: int = 1) -> "ScalarFunction":
         value = float(value)
         return cls(lambda *args: value, arity, repr(value))
+
+    @property
+    def is_difference(self) -> bool:
+        """True for a function of (t, s) whose ``source`` depends on t - s only."""
+        try:
+            return self.arity == 2 and is_difference(parse(self.source))
+        except ParseError:
+            return False
 
     def __call__(self, *args):
         if len(args) != self.arity:

@@ -99,8 +99,11 @@ def _first_table(problem: Problem, z: np.ndarray) -> np.ndarray:
 
 
 def _lam(problem: Problem, lam: Optional[float]) -> float:
-    """The lam a call works at: ``lam`` if given, else ``problem.lam``."""
-    return problem.lam if lam is None else float(lam)
+    """The lam a call works at: ``lam`` if given, else ``problem.lam``; must be finite."""
+    lam = problem.lam if lam is None else float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+    return lam
 
 
 class ResolventApprox:
@@ -341,8 +344,8 @@ def classify(
     orthogonality against the null space of the adjoint: orthogonal
     means a parametric family, anything else means no solution.
     """
-    cfg = _approx(problem, cfg)
     lam_val = _lam(problem, lam)
+    cfg = _approx(problem, cfg)
     m1 = len(problem.loads)
     if m1 == 0:
         return SolvabilityReport(

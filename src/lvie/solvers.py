@@ -13,7 +13,8 @@ consistency solve for the load values.  The substitution is blocked:
 one numpy triangular solve per block of ``BLOCK_ROWS`` (64) rows, with
 the weights recomputed in panels of at most ``PANEL_POINTS`` (16384)
 kernel points.  It costs O(m N^2) time, O(N/64 + N^2/16384) kernel
-calls and O(m N) memory, and never needs the materialized matrix.
+calls and O(m N) memory, and never needs the materialized matrix.  On
+a lag table (``assembly``) the panels are copies: N kernel points in all.
 """
 
 from __future__ import annotations

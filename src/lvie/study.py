@@ -158,6 +158,8 @@ def run_study(
         raise ValueError("a convergence study requires a problem with an exact solution")
     if levels < 1:
         raise ValueError("levels must be at least 1")
+    if samples_per_interval < 1:
+        raise ValueError("samples_per_interval must be at least 1")
     steps = [Fraction(h0) / 2**k for k in range(levels)]
 
     def at_level(k: int, work):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,18 @@ def test_analyze_sweep_row_count(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_analyze_non_finite_lambda(capsys, lam):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", "--builtin", "model1", f"--lambda={lam}", "--density", "64"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lambda must be finite" in captured.err
+    assert caught == []
 
 
 def test_analyze_incomplete_sweep(capsys):

@@ -15,6 +15,7 @@ from lvie.expressions import (
     ParseError,
     Var,
     evaluate,
+    is_difference,
     parse,
 )
 
@@ -247,3 +248,23 @@ _DOMAIN_CASES = [
 def test_every_domain_error_message(text, message):
     with pytest.raises(EvalError, match=re.escape(message)):
         evaluate(parse(text), _T, _S)
+
+
+# Which formulas depend on t - s only: every t and s occurs as the node t - s.
+_DIFFERENCE_CASES = [
+    ("sqrt(t-s)", True),
+    ("exp(-(t-s))", True),
+    ("(t-s)^2", True),
+    ("sqrt(0.7-(t-s))", True),
+    ("2.5", True),
+    ("t-2*s^2", False),
+    ("1+t-s", False),  # parses as (1+t)-s
+    ("sqrt(0.7-t)+s", False),
+    ("s-t", False),
+    ("t", False),
+]
+
+
+@pytest.mark.parametrize("text,expected", _DIFFERENCE_CASES, ids=[c[0] for c in _DIFFERENCE_CASES])
+def test_difference_structure(text, expected):
+    assert is_difference(parse(text)) is expected

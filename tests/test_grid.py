@@ -134,3 +134,22 @@ def test_spacing_strictly_below_h():
     g = build_grid(builtin_problem("model1"), Fraction(1, 8))
     for (a, b), n_k in zip(((0.0, 0.3), (0.3, 0.5), (0.5, 1.0)), g.segment_counts):
         assert (b - a) / n_k < 1 / 8
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_uniform_step_of_quarter_segments(k):
+    # Four equal segments: uniform at every step, spacings equal to rounding.
+    p = Problem(
+        t0=0.0, T=1.0, lam=0.0,
+        loads=tuple(LoadTerm(x, ScalarFunction.constant(1.0)) for x in (0.25, 0.5, 0.75)),
+        a0=ScalarFunction.constant(1.0),
+        kernel=ScalarFunction.constant(1.0, arity=2),
+        rhs=ScalarFunction.constant(1.0),
+    )
+    g = build_grid(p, Fraction(1, 8) / 2**k)
+    assert g.uniform_step() == 1.0 / g.last_index
+
+
+def test_uniform_step_rejects_unequal_segments():
+    g = build_grid(builtin_problem("model1"), Fraction(1, 16))  # spacings 0.3/5, 0.2/4, 0.5/9
+    assert g.uniform_step() is None

@@ -68,6 +68,21 @@ class TestScalarFunction:
         fn = ScalarFunction(np.cos, 1, "cos")
         assert fn(0.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "fn, expected",
+        [
+            (ScalarFunction.from_expression("sqrt(t-s)", 2), True),
+            (ScalarFunction(lambda t, s: np.sqrt(t - s), 2, "sqrt(t-s)"), True),
+            (ScalarFunction.constant(1.0, arity=2), True),
+            (ScalarFunction(lambda t, s: np.sqrt(t - s), 2), False),  # "<callable>"
+            (ScalarFunction.from_expression("t-2*s^2", 2), False),
+            (ScalarFunction.from_expression("1", 1), False),
+        ],
+        ids=["expression", "callable-with-source", "constant", "callable", "model-kernel", "arity-1"],
+    )
+    def test_difference_structure_read_from_source(self, fn, expected):
+        assert fn.is_difference is expected
+
 
 class TestValidation:
     def test_model1_passes(self):

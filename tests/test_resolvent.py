@@ -1,4 +1,5 @@
 import importlib
+import warnings
 import tracemalloc
 from fractions import Fraction
 
@@ -297,6 +298,27 @@ class TestClassify:
         report = classify(p)
         assert report.classification == "family"
         assert report.family_dim == 2
+
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_classify_refuses_before_any_table(self, monkeypatch, lam):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a resolvent table was built for a non-finite lambda")
+
+        monkeypatch.setattr(RESOLVENT_MODULE, "ResolventApprox", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"lambda must be finite, got {lam}"):
+                classify(builtin_problem("model1"), lam=lam)
+        assert caught == []
+
+    def test_shared_tables_untouched(self):
+        p = builtin_problem("model1")
+        cfg = ResolventApprox(p, quad_density=16)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            solvability_sweep(p, [0.25, float("nan")], cfg)
+        assert cfg._last_resolvent[0] == 0.25
+
 
 class TestSemiAnalytic:
     def test_lambda_zero_no_loads_returns_rhs(self):

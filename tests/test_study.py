@@ -201,6 +201,15 @@ class TestRunStudy:
         rows = run_study(builtin_problem("model1"), Fraction(1, 8), 3)
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_checked_before_first_solve(self, monkeypatch, samples):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a level was solved before the sample check")
+
+        monkeypatch.setattr(lvie.study, "solve_collocation", refuse)
+        with pytest.raises(ValueError, match="samples_per_interval must be at least 1"):
+            run_study(builtin_problem("model1"), Fraction(1, 8), 2, samples_per_interval=samples)
+
     def test_failure_carries_level(self):
         # h0 = 2/5 gives nodes k/3 (no zero of a0); the halved level has
         # nodes k/6 and the diagonal vanishes at 0.5.
