@@ -10,6 +10,8 @@ runtime error, always with a message on stderr.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -28,6 +30,12 @@ class CliError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument that starts with "-" for a value only when
+        # this matcher calls it a number; its default misses -1e-1, -inf and -1/8.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # exit code 1, not argparse's 2
         raise CliError(message)
 
@@ -111,6 +119,9 @@ def _cmd_analyze(ns) -> int:
             raise CliError("sweep needs --lambda-from, --lambda-to, and --steps")
         if ns.steps < 1:
             raise CliError("steps must be at least 1")
+        for end in (ns.lambda_from, ns.lambda_to):  # linspace would turn inf into nan
+            if not math.isfinite(end):
+                raise CliError(f"lambda must be finite, got {end}")
         lambdas = list(np.linspace(ns.lambda_from, ns.lambda_to, ns.steps))
     else:
         lambdas = [problem.lam]

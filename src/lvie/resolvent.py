@@ -32,11 +32,14 @@ series is truncated once the next term falls below ``TERM_TOLERANCE``
 (1e-12), or at ``MAX_TERMS`` (40) terms with a :class:`TruncationWarning`.
 Every function takes ``lam`` and defaults it to ``problem.lam``, and an
 optional shared ``cfg``, which must have been built for the same problem.
-Kept for every lam: the kernel tables and f~, a~_j on the grid; per
-lam: the O(n) integral parts of F and of the b_j, and one resolvent
-table, for the last lam only.  Off-grid evaluations interpolate linearly
-(bilinear on the triangle), but f~ and a~_j are always evaluated
-exactly, so lam = 0 results carry no quadrature error at all.
+Kept for every lam: the kernel tables K_n, their integrals I_n against
+f~ and every a~_j, and f~, a~_j on the grid and at the load points.  The
+integral parts of F and of the b_j are linear in R, so at each lam they
+are sums of lam^n I_n, O(terms * n) work.  Per lam nothing is kept but
+the resolvent table of the last lam the point evaluator asked for.
+Off-grid evaluations interpolate linearly (bilinear on the triangle),
+but f~ and a~_j are always evaluated exactly, so lam = 0 results carry
+no quadrature error at all.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ TERM_TOLERANCE = 1e-12
 MAX_TERMS = 40
 DEFAULT_QUAD_DENSITY = 512  # tensor-grid nodes per unit interval length
 RANK_TOL = 1e-10  # classify's rank, pivot and orthogonality tolerance
+COMPOSE_PANEL_ROWS = 64  # rows per matrix product in _compose
 
 
 class TruncationWarning(UserWarning):
@@ -78,15 +82,20 @@ class TruncationWarning(UserWarning):
 def _compose(first: np.ndarray, prev: np.ndarray, dz: float) -> np.ndarray:
     """One kernel composition step on a uniform grid (trapezoid weights).
 
-    ``first`` and ``prev`` are lower-triangular tables; the endpoint
+    ``first`` and ``prev`` are lower-triangular tables, so rows ``r0:r1``
+    of their product need only columns and inner indices below ``r1``:
+    computed by row panels, that is about a third of a full product's
+    work, and the upper triangle is exactly zero.  The endpoint
     half-weights of the trapezoid rule appear as the two corrections.
     """
-    d_prev = np.diagonal(prev)
-    d_first = np.diagonal(first)
-    return dz * (
-        first @ prev
-        - 0.5 * (first * d_prev[None, :] + d_first[:, None] * prev)
-    )
+    npts = first.shape[0]
+    product = np.zeros_like(first)
+    for r0 in range(0, npts, COMPOSE_PANEL_ROWS):
+        r1 = min(r0 + COMPOSE_PANEL_ROWS, npts)
+        product[r0:r1, :r1] = first[r0:r1, :r1] @ prev[:r1, :r1]
+    product -= 0.5 * (first * np.diagonal(prev)[None, :] + np.diagonal(first)[:, None] * prev)
+    product *= dz
+    return product
 
 
 def _first_table(problem: Problem, z: np.ndarray) -> np.ndarray:
@@ -106,14 +115,29 @@ def _lam(problem: Problem, lam: Optional[float]) -> float:
     return lam
 
 
+def _tilde(problem: Problem, ts) -> np.ndarray:
+    """Rows f~, a~_1, ..., a~_m at the points ``ts``."""
+    data = [problem.rhs(ts)] + [term.coeff(ts) for term in problem.loads]
+    return np.array(data) / problem.a0(ts)
+
+
+def _series(lam: float, count: int, terms: list) -> np.ndarray:
+    """lam terms[0] + lam^2 terms[1] + ... + lam^count terms[count - 1]."""
+    total = np.zeros_like(terms[0])
+    for n in range(1, count + 1):
+        total += lam**n * terms[n - 1]
+    return total
+
+
 class ResolventApprox:
     """Iterated-kernel tables on a tensor grid, shared by every lam.
 
     The grid has ``quad_density`` nodes per unit length.  The object is
-    lam-free: the kernel tables (grown lazily, at most ``MAX_TERMS``) and
-    f~, a~_j on the grid serve every lam of a sweep, and each method takes
-    the lam it works at (default ``problem.lam``).  Per lam only
-    ``F_int``/``B_int`` are kept, and one resolvent table, for the last lam.
+    lam-free: it keeps the kernel tables K_n (grown lazily, at most
+    ``MAX_TERMS``), their integrals I_n against f~ and every a~_j, and
+    f~, a~_j on the grid and at the load points.  Each method takes the
+    lam it works at (default ``problem.lam``); per lam nothing is kept
+    but the resolvent table of the last lam :meth:`resolvent_table` built.
     """
 
     def __init__(self, problem: Problem, quad_density: int = DEFAULT_QUAD_DENSITY):
@@ -124,12 +148,12 @@ class ResolventApprox:
         intervals = max(1, math.ceil(quad_density * span))
         self.z = np.linspace(problem.t0, problem.T, intervals + 1)
         self.dz = span / intervals
+        self._data = _tilde(problem, self.z)
+        self._load_data = _tilde(problem, problem.load_points)
         self._tables = [_first_table(problem, self.z)]
         self._max_abs = [float(np.abs(self._tables[0]).max())]
-        data = [problem.rhs(self.z)] + [term.coeff(self.z) for term in problem.loads]
-        self._data = np.array(data) / problem.a0(self.z)  # rows f~, a~_1, ..., a~_m
-        self._last_resolvent: Optional[tuple[float, np.ndarray, bool]] = None
-        self._reduced_cache: dict[float, np.ndarray] = {}
+        self._ints = [self._integrals(self._tables[0])]
+        self._last_resolvent: Optional[tuple[float, np.ndarray]] = None
 
     def kernel_table(self, n: int) -> np.ndarray:
         """Table of the n-th iterated kernel (1-based) on the tensor grid."""
@@ -139,13 +163,14 @@ class ResolventApprox:
             nxt = _compose(self._tables[0], self._tables[-1], self.dz)
             self._tables.append(nxt)
             self._max_abs.append(float(np.abs(nxt).max()))
+            self._ints.append(self._integrals(nxt))
         return self._tables[n - 1]
 
     def terms_needed(self, lam: float) -> tuple[int, bool]:
         """Series length for ``lam``: the last included term is below ``TERM_TOLERANCE``.
 
-        Returns (count, converged); ``converged`` is False when the
-        ``MAX_TERMS`` budget ran out first.
+        Returns (count, converged); ``converged`` is False, with a
+        :class:`TruncationWarning`, when the ``MAX_TERMS`` budget ran out first.
         """
         if lam == 0.0:
             return 1, True
@@ -153,42 +178,39 @@ class ResolventApprox:
             self.kernel_table(n)
             if abs(lam) ** n * self._max_abs[n - 1] < TERM_TOLERANCE:
                 return n, True
+        warnings.warn(
+            f"resolvent series truncated at {MAX_TERMS} terms above "
+            f"tolerance {TERM_TOLERANCE:g} (lam={lam:g})",
+            TruncationWarning,
+            stacklevel=3,
+        )
         return MAX_TERMS, False
 
     def resolvent_table(self, lam: Optional[float] = None) -> np.ndarray:
         """Resolvent values on the tensor grid (lower triangle); kept for the last lam."""
         lam = _lam(self.problem, lam)
+        count, _ = self.terms_needed(lam)
         if self._last_resolvent is None or self._last_resolvent[0] != lam:
             self._last_resolvent = None  # free the old table before the new one
-            count, converged = self.terms_needed(lam)
-            table = np.zeros_like(self._tables[0])
-            for n in range(1, count + 1):
-                table += lam**n * self.kernel_table(n)
-            self._last_resolvent = (lam, table, converged)
-        _, table, converged = self._last_resolvent
-        if not converged:
-            warnings.warn(
-                f"resolvent series truncated at {MAX_TERMS} terms above "
-                f"tolerance {TERM_TOLERANCE:g} (lam={lam:g})",
-                TruncationWarning,
-                stacklevel=2,
-            )
-        return table
+            self._last_resolvent = (lam, _series(lam, count, self._tables))
+        return self._last_resolvent[1]
 
     def reduced_tables(self, lam: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """Integral parts of F and of every b_j on the tensor grid.
 
         Returns ``(F_int, B_int)`` with ``F_int[i] = int R(z_i, s) f~(s) ds``
-        and ``B_int[j, i]`` the same against a~_j.  The lam-free parts
-        (f~ and a~_j themselves) are added at evaluation time.
+        and ``B_int[j, i]`` the same against a~_j.  The integrals are linear
+        in R, so this is the series of the I_n: O(terms * n) work and no
+        resolvent table.  The lam-free parts (f~ and a~_j themselves) are
+        added at evaluation time.
         """
         lam = _lam(self.problem, lam)
-        ints = self._reduced_cache.get(lam)
-        if ints is None:
-            R = self.resolvent_table(lam)
-            ints = np.array([self._volterra_integrals(R, v) for v in self._data])
-            self._reduced_cache[lam] = ints
+        ints = _series(lam, self.terms_needed(lam)[0], self._ints)
         return ints[0], ints[1:]
+
+    def _integrals(self, table: np.ndarray) -> np.ndarray:
+        """``_volterra_integrals`` of ``table`` against f~ and every a~_j, one row each."""
+        return np.array([self._volterra_integrals(table, v) for v in self._data])
 
     def _volterra_integrals(self, R: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Row-wise trapezoid of int_{t0}^{z_i} R(z_i, s) v(s) ds."""
@@ -272,14 +294,13 @@ def resolvent(
     return _triangle_interp(table, cfg.z, cfg.dz, t, s)
 
 
-def _reduced(problem: Problem, cfg: ResolventApprox, ts, lam: Optional[float]):
-    """F(t, lam) and every b_j(t, lam) at the points ``ts``; ``B[j]`` is b_j."""
+def _reduced(cfg: ResolventApprox, ts, tilde: np.ndarray, lam: Optional[float]):
+    """F(t, lam) and every b_j(t, lam) at ``ts``, whose f~, a~_j are ``tilde``; ``B[j]`` is b_j."""
     F_int, B_int = cfg.reduced_tables(lam)
-    a0_vals = problem.a0(ts)
-    F = problem.rhs(ts) / a0_vals + np.interp(ts, cfg.z, F_int)
-    B = np.empty((len(problem.loads),) + np.shape(ts))
-    for j, term in enumerate(problem.loads):
-        B[j] = term.coeff(ts) / a0_vals + np.interp(ts, cfg.z, B_int[j])
+    F = tilde[0] + np.interp(ts, cfg.z, F_int)
+    B = tilde[1:].copy()
+    for j, row in enumerate(B_int):
+        B[j] += np.interp(ts, cfg.z, row)
     return F, B
 
 
@@ -293,7 +314,7 @@ def reduced_coeffs(
     cfg = _approx(problem, cfg)
     if not (problem.t0 <= t <= problem.T):
         raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
-    F, b = _reduced(problem, cfg, float(t), lam)
+    F, b = _reduced(cfg, float(t), _tilde(problem, float(t)), lam)
     return float(F), b
 
 
@@ -304,7 +325,7 @@ def load_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load system (A, d): A_ij = delta_ij + b_j(t_i), d_i = F(t_i)."""
     cfg = _approx(problem, cfg)
-    d, B = _reduced(problem, cfg, problem.load_points, lam)
+    d, B = _reduced(cfg, problem.load_points, cfg._load_data, lam)
     return np.eye(len(problem.loads)) + B.T, d
 
 
@@ -370,24 +391,14 @@ def classify(
 
     basis = nullspace(A.T, RANK_TOL)
     d_norm = float(np.linalg.norm(d))
-    if d_norm == 0.0:
-        defect = 0.0
-    else:
-        defect = float(max(abs(basis @ d) / d_norm))
-    if defect <= RANK_TOL:
-        return SolvabilityReport(
-            lam=lam_val,
-            det=report.det,
-            rank=report.rank,
-            classification="family",
-            family_dim=m1 - report.rank,
-            orthogonality_defect=defect,
-        )
+    defect = float(max(abs(basis @ d) / d_norm)) if d_norm else 0.0
+    family = defect <= RANK_TOL
     return SolvabilityReport(
         lam=lam_val,
         det=report.det,
         rank=report.rank,
-        classification="no_solution",
+        classification="family" if family else "no_solution",
+        family_dim=m1 - report.rank if family else 0,
         orthogonality_defect=defect,
     )
 
@@ -413,7 +424,10 @@ def semi_analytic_solve(
             f"load system is not uniquely solvable ({report.label})"
         )
 
-    values, B = _reduced(problem, cfg, ts, lam)
+    with warnings.catch_warnings():
+        if problem.loads:  # classify has warned of a truncated series already
+            warnings.simplefilter("ignore", TruncationWarning)
+        values, B = _reduced(cfg, ts, _tilde(problem, ts), lam)
     for b_j, c_j in zip(B, report.load_values):
         values = values - b_j * c_j
     return values

@@ -161,6 +161,48 @@ def test_analyze_non_finite_lambda(capsys, lam):
     assert caught == []
 
 
+@pytest.mark.parametrize("value", ["-1e-1", "-1E+3"])
+@pytest.mark.parametrize("option", ["--lambda", "--lambda-from", "--lambda-to"])
+def test_analyze_negative_exponent_value(capsys, option, value):
+    # "--opt -1e-1" must read exactly like "--opt=-1e-1", not as a flag.
+    base = ["analyze", "--builtin", "model1", "--density", "16"]
+    if option != "--lambda":
+        base += ["--lambda-from", "0", "--lambda-to", "0", "--steps", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lam = -1000 truncates the series
+        assert main(base + [f"{option}={value}"]) == 0
+        joined = capsys.readouterr()
+        assert main(base + [option, value]) == 0
+    assert capsys.readouterr() == joined
+
+
+@pytest.mark.parametrize("option", ["--lambda", "--lambda-from", "--lambda-to"])
+def test_analyze_negative_infinity_value(capsys, option):
+    argv = ["analyze", "--builtin", "model1", "--density", "16"]
+    if option != "--lambda":
+        argv += ["--lambda-from", "0", "--lambda-to", "0", "--steps", "41"]
+    argv += [option, "-inf"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lambda must be finite, got -inf\n"
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["study", "--builtin", "model1", "--h0", "-1/8", "--levels", "2"], "h0"),
+        (["solve", "--builtin", "model1", "--h", "-1/8"], "h"),
+    ],
+)
+def test_negative_rational_step(capsys, argv, name):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {name} must be positive\n"
+
+
 def test_analyze_incomplete_sweep(capsys):
     code = main(["analyze", "--builtin", "model1", "--lambda-from", "0"])
     assert code == 1

@@ -168,6 +168,95 @@ class TestReducedCoeffs:
         assert F == pytest.approx(0.25)
 
 
+UNIT_ONE_LOAD = dict(loads=(LoadTerm(0.5, ScalarFunction.from_expression("t+1", 1)),))
+
+
+class TestReducedTables:
+    """The lam-free integrals I_n against the integrals of the resolvent table."""
+
+    @pytest.fixture(scope="class")
+    def cfgs(self):
+        problems = {
+            "model1": builtin_problem("model1"),
+            "model2": builtin_problem("model2"),
+            "unit": make_problem(**UNIT_ONE_LOAD),
+        }
+        return {name: ResolventApprox(p, quad_density=128) for name, p in problems.items()}
+
+    @staticmethod
+    def _oracle(cfg, lam):
+        R = cfg.resolvent_table(lam)
+        return np.array([cfg._volterra_integrals(R, v) for v in cfg._data])
+
+    @staticmethod
+    def _assert_close(cfg, lam):
+        with warnings.catch_warnings():
+            # K == 1 needs more than MAX_TERMS terms at |lam| >= 10
+            warnings.simplefilter("ignore", TruncationWarning)
+            F_int, B_int = cfg.reduced_tables(lam)
+            expected = TestReducedTables._oracle(cfg, lam)
+        ints = np.vstack([F_int[None, :], B_int])
+        assert ints.shape == expected.shape
+        assert np.abs(ints - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("lam", [-10.0, -1.0, 0.0, 0.25, 3.5641, 10.0])
+    @pytest.mark.parametrize("name", ["model1", "model2", "unit"])
+    def test_matches_integrals_of_resolvent_table(self, cfgs, name, lam):
+        self._assert_close(cfgs[name], lam)
+
+    def test_matches_when_truncated(self):
+        cfg = ResolventApprox(make_problem(**UNIT_ONE_LOAD), quad_density=16)
+        with pytest.warns(TruncationWarning):
+            assert cfg.terms_needed(50.0) == (40, False)
+        self._assert_close(cfg, 50.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 513])
+    def test_compose_matches_full_product(self, n):
+        rng = np.random.default_rng(n)
+        first = np.tril(rng.standard_normal((n, n)))
+        prev = np.tril(rng.standard_normal((n, n)))
+        dz = 1.0 / n
+        full = dz * (
+            first @ prev
+            - 0.5 * (first * np.diagonal(prev)[None, :] + np.diagonal(first)[:, None] * prev)
+        )
+        out = RESOLVENT_MODULE._compose(first, prev, dz)
+        assert np.abs(out - full).max() <= 1e-13 * np.abs(full).max()
+        assert np.all(np.triu(out, 1) == 0.0)
+
+
+class TestPerLambdaCost:
+    """Per lam, no entry point but the point evaluator builds an n x n table."""
+
+    def test_no_resolvent_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a resolvent table was built")
+
+        monkeypatch.setattr(ResolventApprox, "resolvent_table", refuse)
+        p = builtin_problem("model1")
+        cfg = ResolventApprox(p, quad_density=64)
+        assert len(solvability_sweep(p, [-1.0, 0.0, 0.25], cfg)) == 3
+        assert classify(p, cfg, 0.5).classification == "unique"
+        load_matrix(p, cfg, 0.5)
+        reduced_coeffs(p, 0.3, cfg, 0.5)
+        assert np.all(np.isfinite(semi_analytic_solve(p, [0.0, 0.5, 1.0], cfg, 0.5)))
+
+    @pytest.mark.parametrize("loads", [(), UNIT_ONE_LOAD["loads"]])
+    def test_one_truncation_warning_per_call(self, loads):
+        p = make_problem(lam=50.0, loads=loads)
+        cfg = ResolventApprox(p, quad_density=16)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                classify(p, cfg)
+            assert len(caught) == (1 if loads else 0)
+            assert all(w.category is TruncationWarning for w in caught)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                semi_analytic_solve(p, [0.5], cfg)
+            assert [w.category for w in caught] == [TruncationWarning]
+
+
 class TestLoadMatrix:
     @pytest.mark.parametrize("name", ["model1", "model2"])
     def test_rows_are_reduced_coeffs_at_load_points(self, name):
@@ -313,11 +402,23 @@ class TestNonFiniteLambda:
         assert caught == []
 
     def test_shared_tables_untouched(self):
+        # A NaN partway through a sweep leaves the shared state as it was.
         p = builtin_problem("model1")
         cfg = ResolventApprox(p, quad_density=16)
+        classify(p, cfg, 0.25)
+        count = len(cfg._tables)
+        ints = [table.copy() for table in cfg._ints]
         with pytest.raises(ValueError, match="lambda must be finite"):
             solvability_sweep(p, [0.25, float("nan")], cfg)
-        assert cfg._last_resolvent[0] == 0.25
+        assert len(cfg._tables) == len(cfg._ints) == count
+        for before, after in zip(ints, cfg._ints):
+            np.testing.assert_array_equal(after, before)
+        shared = classify(p, cfg, 0.25)
+        fresh = classify(p, ResolventApprox(p, quad_density=16), 0.25)
+        assert (shared.det, shared.rank, shared.classification) == (
+            fresh.det, fresh.rank, fresh.classification
+        )
+        assert shared.load_values.tobytes() == fresh.load_values.tobytes()
 
 
 class TestSemiAnalytic:
@@ -395,6 +496,18 @@ class TestSweep:
         n_tables = len(cfg._tables)
         solvability_sweep(p, [0.0, 0.1, 0.25], cfg)
         assert len(cfg._tables) == n_tables
+
+    def test_sweep_allocates_no_table_once_tables_exist(self):
+        p = builtin_problem("model1")
+        cfg = ResolventApprox(p)
+        solvability_sweep(p, [-10.0, 10.0], cfg)  # builds every table |lam| <= 10 needs
+        tracemalloc.start()
+        try:
+            solvability_sweep(p, np.linspace(-10.0, 10.0, 41), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.z.size**2 * 8
 
     def test_memory_does_not_grow_with_lambda_count(self):
         # Per lam only O(n) vectors are kept, so 20 lambdas may not cost
