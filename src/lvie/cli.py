@@ -111,20 +111,21 @@ def _cmd_study(ns) -> int:
 
 
 def _cmd_analyze(ns) -> int:
-    problem = _load_problem(ns)
+    problem = _load_problem(ns)  # refuses a non-finite problem lambda
     if ns.lam is not None:
-        lambdas = [ns.lam]
+        ends = [ns.lam]
     elif ns.lambda_from is not None or ns.lambda_to is not None:
         if ns.lambda_from is None or ns.lambda_to is None or ns.steps is None:
             raise CliError("sweep needs --lambda-from, --lambda-to, and --steps")
         if ns.steps < 1:
             raise CliError("steps must be at least 1")
-        for end in (ns.lambda_from, ns.lambda_to):  # linspace would turn inf into nan
-            if not math.isfinite(end):
-                raise CliError(f"lambda must be finite, got {end}")
-        lambdas = list(np.linspace(ns.lambda_from, ns.lambda_to, ns.steps))
+        ends = [ns.lambda_from, ns.lambda_to]
     else:
-        lambdas = [problem.lam]
+        ends = [problem.lam]
+    for end in ends:  # before any table; linspace would turn inf into nan
+        if not math.isfinite(end):
+            raise CliError(f"lambda must be finite, got {end}")
+    lambdas = list(np.linspace(*ends, ns.steps)) if len(ends) == 2 else ends
     cfg = ResolventApprox(problem, quad_density=ns.density)
     reports = solvability_sweep(problem, lambdas, cfg)
     _write_output(sweep_csv(reports), ns.out)

@@ -86,15 +86,20 @@ def _compose(first: np.ndarray, prev: np.ndarray, dz: float) -> np.ndarray:
     of their product need only columns and inner indices below ``r1``:
     computed by row panels, that is about a third of a full product's
     work, and the upper triangle is exactly zero.  The endpoint
-    half-weights of the trapezoid rule appear as the two corrections.
+    half-weights of the trapezoid rule appear as the two corrections,
+    applied panel by panel to the same entries.
     """
     npts = first.shape[0]
+    dp = np.diagonal(prev)
+    df = np.diagonal(first)
     product = np.zeros_like(first)
     for r0 in range(0, npts, COMPOSE_PANEL_ROWS):
         r1 = min(r0 + COMPOSE_PANEL_ROWS, npts)
-        product[r0:r1, :r1] = first[r0:r1, :r1] @ prev[:r1, :r1]
-    product -= 0.5 * (first * np.diagonal(prev)[None, :] + np.diagonal(first)[:, None] * prev)
-    product *= dz
+        f = first[r0:r1, :r1]
+        blk = f @ prev[:r1, :r1]
+        blk -= 0.5 * (f * dp[:r1] + df[r0:r1, None] * prev[r0:r1, :r1])
+        blk *= dz
+        product[r0:r1, :r1] = blk
     return product
 
 
@@ -366,9 +371,10 @@ def classify(
     means a parametric family, anything else means no solution.
     """
     lam_val = _lam(problem, lam)
-    cfg = _approx(problem, cfg)
     m1 = len(problem.loads)
-    if m1 == 0:
+    if m1 == 0:  # nothing to tabulate, but a cfg of another problem is still refused
+        if cfg is not None:
+            _approx(problem, cfg)
         return SolvabilityReport(
             lam=lam_val,
             det=1.0,

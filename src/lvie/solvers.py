@@ -4,7 +4,9 @@ One full-pivot Gauss-Jordan core, ``_eliminate``, serves three callers:
 ``gauss_jordan``, the reference solver, eliminates ``[a | b]``;
 ``rank_and_det``, the solvability diagnostics, reads rank and
 determinant off the pivots and the swap parity; ``nullspace`` reads a
-basis off the reduced matrix.
+basis off the reduced matrix.  The core works on the transpose, so a
+step's columns are contiguous rows, and skips the columns left of the
+pivot, exact zeros in its row: n^3/2 multiply-subtracts, 2n^3/3 search reads.
 
 ``structured_solve`` exploits the collocation shape (lower triangular
 plus a handful of load columns) by superposition: one forward
@@ -38,6 +40,7 @@ __all__ = [
 
 # Pivots below this share of the largest matrix entry count as zero.
 SINGULAR_TOL = 1e-12
+UPDATE_ROWS = 64  # rows of ``at`` per elimination update: 64 x n doubles stay in cache
 
 
 class SingularMatrixError(ValueError):
@@ -61,40 +64,45 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def _eliminate(aug: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int]:
-    """Full-pivot Gauss-Jordan elimination of ``aug = [A | R]`` in place.
+def _eliminate(at: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int]:
+    """Full-pivot Gauss-Jordan elimination of ``aug = [A | R]``, stored as ``at = aug.T``.
 
-    ``A`` is the leading n x n block; pivots are searched only there and
-    elimination stops at the first pivot below ``tol * max|A|``.  Each
-    accepted pivot row is divided by its pivot and eliminated from every
-    other row, so the first ``len(pivots)`` rows end up reduced.  Returns
-    the raw pivots, the column order of ``A`` and the number of swaps.
+    ``at`` is C-contiguous, so the columns ``k:`` of ``aug`` that step k
+    changes are the row block ``at[k:]``, updated ``UPDATE_ROWS`` rows at a
+    time through one buffer.  The pivot is the first maximum of
+    ``|A[k:, k:]|`` in row-major order: its first row, then the first
+    column in that row.  Elimination stops at the first pivot below
+    ``tol * max|A|``.  Returns the raw pivots, the column order of ``A``
+    and the number of swaps; callers read ``aug[:, rank:]`` only.
     """
-    n = aug.shape[0]
-    scale = np.abs(aug[:, :n]).max(initial=0.0)
+    n = at.shape[1]
+    scale = np.abs(at[:n]).max(initial=0.0)
     cols = np.arange(n)
     pivots: list[float] = []
     swaps = 0
+    prod = np.empty((min(UPDATE_ROWS, at.shape[0]), n))
     for k in range(n):
-        sub = np.abs(aug[k:, k:n])
-        pi, pj = np.unravel_index(np.argmax(sub), sub.shape)
+        sub = at[k:n, k:]  # sub[j, i] = aug[k+i, k+j]; max and min read it without a copy
+        pi = int(np.argmax(np.maximum(sub.max(axis=0), -sub.min(axis=0))))
+        pj = int(np.argmax(np.abs(sub[:, pi]))) + k
         pi += k
-        pj += k
-        piv = aug[pi, pj]
+        piv = at[pj, pi]
         if piv == 0.0 or abs(piv) < tol * scale:  # piv == 0 stops a zero A
             break
         if pi != k:
-            aug[[k, pi]] = aug[[pi, k]]
+            at[k:, [k, pi]] = at[k:, [pi, k]]
             swaps += 1
         if pj != k:
-            aug[:, [k, pj]] = aug[:, [pj, k]]
+            at[[k, pj]] = at[[pj, k]]
             cols[[k, pj]] = cols[[pj, k]]
             swaps += 1
         pivots.append(float(piv))
-        aug[k] /= piv
-        fac = aug[:, k].copy()
+        at[k:, k] /= piv
+        fac = at[k].copy()
         fac[k] = 0.0
-        aug -= np.outer(fac, aug[k])
+        for j0 in range(k, at.shape[0], UPDATE_ROWS):
+            j1 = min(j0 + UPDATE_ROWS, at.shape[0])
+            at[j0:j1] -= np.multiply.outer(at[j0:j1, k], fac, out=prod[: j1 - j0])
     return pivots, cols, swaps
 
 
@@ -110,11 +118,11 @@ def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
-    aug = np.column_stack([a, b])
-    pivots, cols, _ = _eliminate(aug, tol_singular)
+    at = np.column_stack([a, b]).T.copy()
+    pivots, cols, _ = _eliminate(at, tol_singular)
     k = len(pivots)
     if k < n:
-        rest = aug[k:, k:n]
+        rest = at[k:n, k:].T
         piv = rest.flat[np.argmax(np.abs(rest))]
         if piv == 0.0 and k == 0:
             raise SingularMatrixError("matrix is zero", step=0)
@@ -123,7 +131,7 @@ def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
             step=k,
         )
     x = np.empty(n)
-    x[cols] = aug[:, n]
+    x[cols] = at[n]
     return x
 
 
@@ -132,12 +140,12 @@ def nullspace(a, tol: float) -> np.ndarray:
 
     The rank is decided as in :func:`rank_and_det`.
     """
-    a = _as_square(a)
-    n = a.shape[0]
-    pivots, cols, _ = _eliminate(a, tol)
+    at = np.ascontiguousarray(_as_square(a).T)
+    n = at.shape[0]
+    pivots, cols, _ = _eliminate(at, tol)
     rank = len(pivots)
     basis = np.zeros((n - rank, n))
-    basis[:, cols[:rank]] = -a[:rank, rank:].T
+    basis[:, cols[:rank]] = -at[rank:, :rank]
     basis[np.arange(n - rank), cols[rank:]] = 1.0
     for row in basis:
         row /= np.linalg.norm(row)
@@ -167,9 +175,9 @@ def rank_and_det(a, tol: float = 1e-10) -> RankReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = _as_square(a)
-    n = a.shape[0]
-    pivots, _, swaps = _eliminate(a, tol)
+    at = np.ascontiguousarray(_as_square(a).T)
+    n = at.shape[0]
+    pivots, _, swaps = _eliminate(at, tol)
     rank = len(pivots)
     if rank < n:
         det, det_sign, det_log10 = 0.0, 0, -math.inf

@@ -9,6 +9,7 @@ import pytest
 
 import lvie
 from lvie.cli import main
+from lvie.resolvent import ResolventApprox
 
 CONFIG = """
 t0     = 0.0
@@ -150,15 +151,18 @@ def test_analyze_sweep_row_count(capsys):
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
-def test_analyze_non_finite_lambda(capsys, lam):
+def test_analyze_non_finite_lambda(capsys, monkeypatch, lam):
+    built = []
+    monkeypatch.setattr(ResolventApprox, "__init__", lambda self, *a, **k: built.append(a))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["analyze", "--builtin", "model1", f"--lambda={lam}", "--density", "64"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "lambda must be finite" in captured.err
+    assert captured.err == f"error: lambda must be finite, got {float(lam)}\n"
     assert caught == []
+    assert built == []  # refused before any table
 
 
 @pytest.mark.parametrize("value", ["-1e-1", "-1E+3"])

@@ -224,6 +224,20 @@ class TestReducedTables:
         assert np.abs(out - full).max() <= 1e-13 * np.abs(full).max()
         assert np.all(np.triu(out, 1) == 0.0)
 
+    @pytest.mark.parametrize("name", ["model1", "model2"])
+    def test_compose_corrections_by_panel_are_bytewise_full_pass(self, name):
+        # Reference order: the row-panel product, then the trapezoid
+        # corrections as one full n x n pass.
+        cfg = ResolventApprox(builtin_problem(name), quad_density=150)
+        first, prev, dz = cfg._tables[0], cfg.kernel_table(3), cfg.dz
+        full = np.zeros_like(first)
+        for r0 in range(0, first.shape[0], RESOLVENT_MODULE.COMPOSE_PANEL_ROWS):
+            r1 = min(r0 + RESOLVENT_MODULE.COMPOSE_PANEL_ROWS, first.shape[0])
+            full[r0:r1, :r1] = first[r0:r1, :r1] @ prev[:r1, :r1]
+        full -= 0.5 * (first * np.diagonal(prev)[None, :] + np.diagonal(first)[:, None] * prev)
+        full *= dz
+        assert RESOLVENT_MODULE._compose(first, prev, dz).tobytes() == full.tobytes()
+
 
 class TestPerLambdaCost:
     """Per lam, no entry point but the point evaluator builds an n x n table."""
@@ -291,6 +305,18 @@ class TestLoadMatrix:
         assert A.shape == (0, 0)
         assert d.shape == (0,)
         assert classify(p).classification == "unique"
+
+    def test_no_loads_classify_builds_no_tables(self, monkeypatch):
+        p = make_problem()
+        cfg_of_other = ResolventApprox(builtin_problem("model1"), quad_density=16)
+        built = []
+        monkeypatch.setattr(ResolventApprox, "__init__", lambda self, *a, **k: built.append(a))
+        report = classify(p, lam=0.5)
+        assert (report.classification, report.rank, report.det) == ("unique", 0, 1.0)
+        assert report.load_values.shape == (0,)
+        with pytest.raises(ValueError, match="another problem"):
+            classify(p, cfg_of_other)
+        assert built == []
 
     def test_constructed_singular_one_load(self):
         p = make_problem(

@@ -11,8 +11,10 @@ from lvie.expressions import EvalError
 from lvie.grid import Grid, build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.solvers import (
+    SINGULAR_TOL,
     SingularMatrixError,
     SolvabilityError,
+    _eliminate,
     gauss_jordan,
     nullspace,
     rank_and_det,
@@ -175,6 +177,90 @@ class TestRankAndDet:
         rep = rank_and_det(np.zeros((0, 0)))
         assert rep.rank == 0
         assert rep.det == 1.0
+
+
+def reference_eliminate(aug, tol):
+    """Row-major full-pivot elimination of ``aug`` in place, every column at every step.
+
+    The oracle for ``_eliminate``, which must match it bit for bit.
+    """
+    n = aug.shape[0]
+    scale = np.abs(aug[:, :n]).max(initial=0.0)
+    cols = np.arange(n)
+    pivots = []
+    swaps = 0
+    for k in range(n):
+        sub = np.abs(aug[k:, k:n])
+        pi, pj = np.unravel_index(np.argmax(sub), sub.shape)
+        pi += k
+        pj += k
+        piv = aug[pi, pj]
+        if piv == 0.0 or abs(piv) < tol * scale:
+            break
+        if pi != k:
+            aug[[k, pi]] = aug[[pi, k]]
+            swaps += 1
+        if pj != k:
+            aug[:, [k, pj]] = aug[:, [pj, k]]
+            cols[[k, pj]] = cols[[pj, k]]
+            swaps += 1
+        pivots.append(float(piv))
+        aug[k] /= piv
+        fac = aug[:, k].copy()
+        fac[k] = 0.0
+        aug -= np.outer(fac, aug[k])
+    return pivots, cols, swaps
+
+
+def assert_eliminates_like_reference(aug, tol):
+    """Pivots, column order, swaps and every entry a caller reads are byte-equal."""
+    n = aug.shape[0]
+    ref = np.array(aug, dtype=float)
+    at = ref.T.copy()
+    pivots, cols, swaps = reference_eliminate(ref, tol)
+    got_pivots, got_cols, got_swaps = _eliminate(at, tol)
+    assert np.array(got_pivots).tobytes() == np.array(pivots).tobytes()
+    assert got_cols.tobytes() == cols.tobytes()
+    assert got_swaps == swaps
+    r = len(pivots)
+    for block in (np.s_[:r, r:], np.s_[r:, r:n], np.s_[:, n:]):
+        assert at.T[block].tobytes() == ref[block].tobytes()
+
+
+class TestEliminateOracle:
+    """The transposed elimination against the row-major reference loop."""
+
+    @pytest.mark.parametrize("denominator", [8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("name", ["model1", "model2"])
+    def test_builtin_dense_systems(self, name, denominator):
+        p = builtin_problem(name)
+        system = assemble(p, build_grid(p, Fraction(1, denominator)), mode="dense")
+        assert_eliminates_like_reference(np.column_stack([system.matrix, system.rhs]), SINGULAR_TOL)
+        assert_eliminates_like_reference(system.matrix, 1e-10)
+
+    def test_sqrt_ladder_dense_system(self):
+        p = parse_problem_config(SQRT_LADDER_CONFIG)
+        system = assemble(p, build_grid(p, Fraction(1, 64)), mode="dense")
+        assert_eliminates_like_reference(np.column_stack([system.matrix, system.rhs]), SINGULAR_TOL)
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_small_integer_matrices_with_ties(self, block):
+        # 300 seeded matrices in all; small integer entries give pivot ties and rank deficiency.
+        for seed in range(50 * block, 50 * (block + 1)):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 13))
+            a = rng.integers(-3, 4, size=(n, n + 1)).astype(float)
+            assert_eliminates_like_reference(a, SINGULAR_TOL)
+            assert_eliminates_like_reference(a[:, :n], 1e-10)
+
+    @pytest.mark.parametrize(
+        "aug",
+        [np.zeros((3, 4)), np.zeros((3, 3)), np.array([[-2.0, 3.0]]), np.array([[0.5]]),
+         np.zeros((0, 1)), np.zeros((0, 0))],
+        ids=["zero-aug", "zero", "1x1-aug", "1x1", "empty-aug", "empty"],
+    )
+    def test_degenerate_cases(self, aug):
+        assert_eliminates_like_reference(aug, SINGULAR_TOL)
 
 
 def planted_rank_matrix(seed):
