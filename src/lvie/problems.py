@@ -34,6 +34,8 @@ __all__ = [
     "builtin_names",
 ]
 
+_KERNEL_BLOCK_ROWS = 64  # sample rows per kernel call in validate_problem
+
 
 class ScalarFunction:
     """A pure real-valued function of ``t`` or of ``(t, s)``.
@@ -181,18 +183,24 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
             return ValidationReport(False, msg)
         sampled.append(vals)
 
-    # Kernel is only defined on t0 <= s <= t <= T; sample that triangle.
-    ti, si = np.tril_indices(samples)
-    try:
-        kvals = p.kernel(ts[ti], ts[si])
-    except (EvalError, ArithmeticError, ValueError, TypeError) as err:
-        return ValidationReport(False, f"kernel not evaluable: {err}")
-    if not np.all(np.isfinite(kvals)):
-        bad = int(np.flatnonzero(~np.isfinite(kvals))[0])
-        return ValidationReport(
-            False,
-            f"kernel non-finite at t={ts[ti[bad]]:.6g}, s={ts[si[bad]]:.6g}",
-        )
+    # Kernel is only defined on t0 <= s <= t <= T; sample that triangle in
+    # row-major order, a block of rows per call.  Every block is evaluated
+    # before a non-finite value is reported, so an error raised anywhere
+    # still takes precedence, as for one call on the whole triangle.
+    nonfinite = None
+    for r0 in range(0, samples, _KERNEL_BLOCK_ROWS):
+        rows, cols = np.nonzero(np.tri(min(_KERNEL_BLOCK_ROWS, samples - r0), samples, r0, bool))
+        rows += r0
+        try:
+            kvals = p.kernel(ts[rows], ts[cols])
+        except (EvalError, ArithmeticError, ValueError, TypeError) as err:
+            return ValidationReport(False, f"kernel not evaluable: {err}")
+        bad = np.flatnonzero(~np.isfinite(kvals))
+        if nonfinite is None and bad.size:
+            t, s = ts[rows[bad[0]]], ts[cols[bad[0]]]
+            nonfinite = f"kernel non-finite at t={t:.6g}, s={s:.6g}"
+    if nonfinite is not None:
+        return ValidationReport(False, nonfinite)
 
     a0_vals = sampled[0]
     zeros = np.flatnonzero(a0_vals == 0.0)

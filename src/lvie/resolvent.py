@@ -26,20 +26,24 @@ inputs are normalized internally: K, a_j and f are divided by a0(t)
 (tilde quantities above).  For problems with a0 == 1 the formulas act
 on the raw data.
 
-Numerics: iterated kernels live as lower-triangular tables on a uniform
-tensor grid and are composed by the composite trapezoid rule; the
-series is truncated once the next term falls below ``TERM_TOLERANCE``
-(1e-12), or at ``MAX_TERMS`` (40) terms with a :class:`TruncationWarning`.
-Every function takes ``lam`` and defaults it to ``problem.lam``, and an
-optional shared ``cfg``, which must have been built for the same problem.
-Kept for every lam: the kernel tables K_n, their integrals I_n against
-f~ and every a~_j, and f~, a~_j on the grid and at the load points.  The
-integral parts of F and of the b_j are linear in R, so at each lam they
-are sums of lam^n I_n, O(terms * n) work.  Per lam nothing is kept but
-the resolvent table of the last lam the point evaluator asked for.
-Off-grid evaluations interpolate linearly (bilinear on the triangle),
-but f~ and a~_j are always evaluated exactly, so lam = 0 results carry
-no quadrature error at all.
+Numerics: every integral is the composite trapezoid rule on a uniform
+tensor grid.  Every function takes ``lam`` and defaults it to
+``problem.lam``, and an optional shared ``cfg``, which must have been
+built for the same problem.  F and the b_j need only the lam-free
+integrals I_n(z_i) = int K_n(z_i, s) v(s) ds for v in f~ and every a~_j,
+and those follow a recursion on vectors: the diagonal of K_n is zero for
+n >= 2, so I_{n+1} = dz D I_n with D = K - diag(K)/2 (one more endpoint
+correction for I_2).  That is O(terms * n^2) work, no n x n product, no
+table but K, and the same discrete quantities composed tables give.  At
+each lam, F and the b_j are sums of lam^n I_n, O(terms * n) work, and
+nothing is kept per lam.  Only the point evaluator ``resolvent(t, s)``
+composes the tables K_n, when first called, and keeps the resolvent
+table of the last lam it was asked for.  Either series stops at the
+first term below ``TERM_TOLERANCE`` (1e-12), measured by |lam|^n max|I_n|
+or |lam|^n max|K_n|, or at ``MAX_TERMS`` (40) terms with a
+:class:`TruncationWarning`.  Off-grid evaluations interpolate linearly
+(bilinear on the triangle), but f~ and a~_j are always evaluated
+exactly, so lam = 0 results carry no quadrature error at all.
 """
 
 from __future__ import annotations
@@ -135,14 +139,16 @@ def _series(lam: float, count: int, terms: list) -> np.ndarray:
 
 
 class ResolventApprox:
-    """Iterated-kernel tables on a tensor grid, shared by every lam.
+    """Lam-free resolvent data on a tensor grid, shared by every lam.
 
-    The grid has ``quad_density`` nodes per unit length.  The object is
-    lam-free: it keeps the kernel tables K_n (grown lazily, at most
-    ``MAX_TERMS``), their integrals I_n against f~ and every a~_j, and
-    f~, a~_j on the grid and at the load points.  Each method takes the
-    lam it works at (default ``problem.lam``); per lam nothing is kept
-    but the resolvent table of the last lam :meth:`resolvent_table` built.
+    The grid has ``quad_density`` nodes per unit length.  The object
+    keeps the kernel table K_1, f~ and a~_j on the grid and at the load
+    points, and the integrals I_n against f~ and every a~_j, grown
+    lazily by the vector recursion (at most ``MAX_TERMS``).  The tables
+    K_n for n >= 2 exist only once the point evaluator has asked for
+    them.  Each method takes the lam it works at (default
+    ``problem.lam``); per lam nothing is kept but the resolvent table of
+    the last lam :meth:`resolvent_table` built.
     """
 
     def __init__(self, problem: Problem, quad_density: int = DEFAULT_QUAD_DENSITY):
@@ -156,8 +162,9 @@ class ResolventApprox:
         self._data = _tilde(problem, self.z)
         self._load_data = _tilde(problem, problem.load_points)
         self._tables = [_first_table(problem, self.z)]
-        self._max_abs = [float(np.abs(self._tables[0]).max())]
+        self._tables_max = [float(np.abs(self._tables[0]).max())]
         self._ints = [self._integrals(self._tables[0])]
+        self._ints_max = [float(np.abs(self._ints[0]).max())]
         self._last_resolvent: Optional[tuple[float, np.ndarray]] = None
 
     def kernel_table(self, n: int) -> np.ndarray:
@@ -167,34 +174,70 @@ class ResolventApprox:
         while len(self._tables) < n:
             nxt = _compose(self._tables[0], self._tables[-1], self.dz)
             self._tables.append(nxt)
-            self._max_abs.append(float(np.abs(nxt).max()))
-            self._ints.append(self._integrals(nxt))
+            self._tables_max.append(float(np.abs(nxt).max()))
         return self._tables[n - 1]
 
-    def terms_needed(self, lam: float) -> tuple[int, bool]:
-        """Series length for ``lam``: the last included term is below ``TERM_TOLERANCE``.
+    def _grow_integrals(self) -> None:
+        """Append I_{n+1}: one trapezoid Volterra step on the rows of I_n.
 
-        Returns (count, converged); ``converged`` is False, with a
-        :class:`TruncationWarning`, when the ``MAX_TERMS`` budget ran out first.
+        K_n has a zero diagonal for n >= 2, so I_n = dz K_n w, where w is
+        the data with its first entry at half weight; then
+        I_2 = dz^2 (D K w - K (diag(K) w) / 2) and I_{n+1} = dz D I_n with
+        D = K - diag(K)/2.  Rows are vectors, so K acts as ``@ K.T``.
         """
+        first = self._tables[0]
+        diag = np.diagonal(first)
+        if len(self._ints) == 1:
+            w = self._data.copy()
+            w[:, 0] *= 0.5
+            kw = w @ first.T
+            nxt = self.dz**2 * (kw @ first.T - 0.5 * diag * kw - 0.5 * ((diag * w) @ first.T))
+        else:
+            prev = self._ints[-1]
+            nxt = self.dz * (prev @ first.T - 0.5 * diag * prev)
+        self._ints.append(nxt)
+        self._ints_max.append(float(np.abs(nxt).max()))
+
+    def _count(self, lam: float, bound) -> tuple[int, bool]:
+        """First n with |lam|^n bound(n) below ``TERM_TOLERANCE``, or ``MAX_TERMS``."""
         if lam == 0.0:
             return 1, True
         for n in range(1, MAX_TERMS + 1):
-            self.kernel_table(n)
-            if abs(lam) ** n * self._max_abs[n - 1] < TERM_TOLERANCE:
+            if abs(lam) ** n * bound(n) < TERM_TOLERANCE:
                 return n, True
         warnings.warn(
             f"resolvent series truncated at {MAX_TERMS} terms above "
             f"tolerance {TERM_TOLERANCE:g} (lam={lam:g})",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return MAX_TERMS, False
 
+    def _int_bound(self, n: int) -> float:
+        while len(self._ints) < n:
+            self._grow_integrals()
+        return self._ints_max[n - 1]
+
+    def _table_bound(self, n: int) -> float:
+        self.kernel_table(n)
+        return self._tables_max[n - 1]
+
+    def terms_needed(self, lam: float) -> tuple[int, bool]:
+        """Series length of F and the b_j at ``lam``, counted by |lam|^n max|I_n|.
+
+        Returns (count, converged); ``converged`` is False, with a
+        :class:`TruncationWarning`, when the ``MAX_TERMS`` budget ran out first.
+        """
+        return self._count(lam, self._int_bound)
+
     def resolvent_table(self, lam: Optional[float] = None) -> np.ndarray:
-        """Resolvent values on the tensor grid (lower triangle); kept for the last lam."""
+        """Resolvent values on the tensor grid (lower triangle); kept for the last lam.
+
+        Its terms are counted by |lam|^n max|K_n|, which does not vanish
+        with the data as the I_n can.
+        """
         lam = _lam(self.problem, lam)
-        count, _ = self.terms_needed(lam)
+        count, _ = self._count(lam, self._table_bound)
         if self._last_resolvent is None or self._last_resolvent[0] != lam:
             self._last_resolvent = None  # free the old table before the new one
             self._last_resolvent = (lam, _series(lam, count, self._tables))

@@ -149,6 +149,45 @@ class TestValidation:
         p = make_problem(kernel=ScalarFunction.from_expression("sqrt(t-s)", 2))
         assert validate_problem(p, samples=300).passed
 
+    def test_kernel_sampled_by_row_blocks_in_row_major_order(self):
+        calls = []
+
+        def kernel(t, s):
+            calls.append((t.copy(), s.copy()))
+            return t - s
+
+        assert validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)), samples=1000)
+        ts = np.linspace(0.0, 1.0, 1000)
+        rows, cols = np.tril_indices(1000)
+        assert len(calls) > 1
+        assert max(t.size for t, _ in calls) < rows.size // 4
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in calls]), ts[rows])
+        np.testing.assert_array_equal(np.concatenate([s for _, s in calls]), ts[cols])
+
+    def test_late_non_finite_kernel_point_as_on_whole_triangle(self):
+        ts = np.linspace(0.0, 1.0, 1000)
+
+        def kernel(t, s):
+            return np.where((t == ts[998]) & (s >= ts[517]), np.inf, t - s)
+
+        report = validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)), samples=1000)
+        # Reference: one kernel call on the whole triangle.
+        rows, cols = np.tril_indices(1000)
+        first = np.flatnonzero(~np.isfinite(kernel(ts[rows], ts[cols])))[0]
+        expected = f"kernel non-finite at t={ts[rows[first]]:.6g}, s={ts[cols[first]]:.6g}"
+        assert (report.passed, report.violation) == (False, expected)
+        assert expected == "kernel non-finite at t=0.998999, s=0.517518"
+
+    def test_kernel_error_outranks_an_earlier_non_finite_point(self):
+        # On the whole triangle the raise came first; it still does.
+        def kernel(t, s):
+            if np.any(t == 1.0):
+                raise ValueError("boom")
+            return np.where(t == s, np.nan, 1.0)
+
+        report = validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)), samples=1000)
+        assert report.violation == "kernel not evaluable: boom"
+
     def test_samples_precondition(self):
         with pytest.raises(ValueError):
             validate_problem(make_problem(), samples=1)

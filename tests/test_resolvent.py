@@ -131,6 +131,14 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent(p, 0.1, 0.9, cfg)
 
+    def test_terms_counted_by_kernels_not_by_data(self):
+        # With f == 0 and no loads every I_n is 0, so F needs one term;
+        # the resolvent itself still needs the whole series.
+        p = make_problem(rhs=ScalarFunction.constant(0.0))
+        cfg = ResolventApprox(p)
+        assert cfg.terms_needed(1.0) == (1, True)
+        assert resolvent(p, 1.0, 0.0, cfg, lam=1.0) == pytest.approx(np.e, abs=1e-6)
+
 
 class TestReducedCoeffs:
     def test_lambda_zero_reduces_to_raw_data(self):
@@ -204,6 +212,22 @@ class TestReducedTables:
     def test_matches_integrals_of_resolvent_table(self, cfgs, name, lam):
         self._assert_close(cfgs[name], lam)
 
+    @pytest.mark.parametrize("lam", [-10.0, -1.0, 0.0, 0.25, 3.5641, 10.0])
+    @pytest.mark.parametrize("name", ["model1", "model2", "unit"])
+    def test_matches_integrals_of_kernel_tables(self, cfgs, name, lam):
+        # The vector recursion against the integrals of the composed
+        # tables K_n, summed to the same term count.
+        cfg = cfgs[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            count = cfg.terms_needed(lam)[0]
+            F_int, B_int = cfg.reduced_tables(lam)
+        expected = sum(
+            lam**n * cfg._integrals(cfg.kernel_table(n)) for n in range(1, count + 1)
+        )
+        ints = np.vstack([F_int[None, :], B_int])
+        assert np.abs(ints - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_matches_when_truncated(self):
         cfg = ResolventApprox(make_problem(**UNIT_ONE_LOAD), quad_density=16)
         with pytest.warns(TruncationWarning):
@@ -255,6 +279,19 @@ class TestPerLambdaCost:
         reduced_coeffs(p, 0.3, cfg, 0.5)
         assert np.all(np.isfinite(semi_analytic_solve(p, [0.0, 0.5, 1.0], cfg, 0.5)))
 
+    def test_no_composition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an iterated-kernel table was composed")
+
+        monkeypatch.setattr(RESOLVENT_MODULE, "_compose", refuse)
+        p = builtin_problem("model1")
+        cfg = ResolventApprox(p, quad_density=64)
+        reports = solvability_sweep(p, np.linspace(-10.0, 10.0, 9), cfg)
+        assert [r.classification for r in reports] == ["unique"] * 9
+        assert classify(p, cfg, 3.5641).classification == "unique"
+        assert np.all(np.isfinite(semi_analytic_solve(p, [0.0, 0.5, 1.0], cfg, 0.5)))
+        assert len(cfg._tables) == 1
+
     @pytest.mark.parametrize("loads", [(), UNIT_ONE_LOAD["loads"]])
     def test_one_truncation_warning_per_call(self, loads):
         p = make_problem(lam=50.0, loads=loads)
@@ -269,6 +306,23 @@ class TestPerLambdaCost:
                 warnings.simplefilter("always")
                 semi_analytic_solve(p, [0.5], cfg)
             assert [w.category for w in caught] == [TruncationWarning]
+
+
+class TestUnitKernelIntegrals:
+    """K == 1, f == 1, no loads: F = e^{lam t}, so F_int = e^{lam t} - 1."""
+
+    @staticmethod
+    def _error(lam, density):
+        cfg = ResolventApprox(make_problem(), quad_density=density)
+        F_int, B_int = cfg.reduced_tables(lam)
+        assert B_int.shape == (0, cfg.z.size)
+        return float(np.abs(F_int - np.expm1(lam * cfg.z)).max())
+
+    @pytest.mark.parametrize("lam", [-2.0, 1.0, 3.0])
+    def test_second_order_against_closed_form(self, lam):
+        coarse, fine = self._error(lam, 128), self._error(lam, 256)
+        assert fine <= 5e-5 * np.exp(abs(lam))
+        assert np.log2(coarse / fine) == pytest.approx(2.0, abs=0.01)
 
 
 class TestLoadMatrix:
@@ -432,13 +486,14 @@ class TestNonFiniteLambda:
         p = builtin_problem("model1")
         cfg = ResolventApprox(p, quad_density=16)
         classify(p, cfg, 0.25)
-        count = len(cfg._tables)
-        ints = [table.copy() for table in cfg._ints]
+        n_tables = len(cfg._tables)
+        ints = [row.copy() for row in cfg._ints]
         with pytest.raises(ValueError, match="lambda must be finite"):
             solvability_sweep(p, [0.25, float("nan")], cfg)
-        assert len(cfg._tables) == len(cfg._ints) == count
+        assert len(cfg._tables) == n_tables
+        assert len(cfg._ints) == len(ints)
         for before, after in zip(ints, cfg._ints):
-            np.testing.assert_array_equal(after, before)
+            assert after.tobytes() == before.tobytes()
         shared = classify(p, cfg, 0.25)
         fresh = classify(p, ResolventApprox(p, quad_density=16), 0.25)
         assert (shared.det, shared.rank, shared.classification) == (
@@ -518,10 +573,10 @@ class TestSweep:
         p = builtin_problem("model1")
         cfg = ResolventApprox(p)
         solvability_sweep(p, [0.0, 0.1, 0.25], cfg)
-        # tables grew once; a second sweep touches the cache only
-        n_tables = len(cfg._tables)
+        # the integrals grew once; a second sweep grows neither them nor the tables
+        n_ints, n_tables = len(cfg._ints), len(cfg._tables)
         solvability_sweep(p, [0.0, 0.1, 0.25], cfg)
-        assert len(cfg._tables) == n_tables
+        assert (len(cfg._ints), len(cfg._tables)) == (n_ints, n_tables)
 
     def test_sweep_allocates_no_table_once_tables_exist(self):
         p = builtin_problem("model1")
