@@ -21,9 +21,12 @@ grids of at most ``DENSE_MAX_NODES`` nodes.
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
 i - p only.  A streaming system then evaluates K(tau_{j+1}, (tau_0 + tau_1)/2),
-j = 0..N-1, once on first use and copies every panel out of that table.
-A kernel failure there leaves the direct path, which names the row as
-before; dense assembly and ``quad_weight`` evaluate every pair.
+j = 0..N-1, once on first use (``lag_weights``) and copies every panel
+out of that table; ``integral`` applies a rectangle with both sides past
+``PANEL_MAX_SIDE`` as a Toeplitz matrix, by one FFT convolution, so
+``residual`` costs O(N log N).  A kernel failure there leaves the direct
+path, which names the row as before; dense assembly and ``quad_weight``
+evaluate every pair.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ DENSE_MAX_NODES = 2053
 # kernel call costs about twice as much per point.
 BLOCK_ROWS = 64
 PANEL_POINTS = 16384
+# A lag rectangle with both sides longer than this is one FFT product, not panels.
+PANEL_MAX_SIDE = 256
 
 
 class AssemblyError(RuntimeError):
@@ -99,7 +104,9 @@ class CollocationSystem:
     _mids: np.ndarray = field(init=False, repr=False)
     _dtau: np.ndarray = field(init=False, repr=False)
     _lag_step: Optional[float] = field(default=None, init=False, repr=False)
-    _lags: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _lag: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _lags: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # read-only, row i = J_1^i .. J_N^i
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         tau = self.grid.nodes
@@ -117,9 +124,8 @@ class CollocationSystem:
         rest is zero.  A kernel failure raises :class:`AssemblyError`
         naming the first failing row and its abscissa.
         """
-        lags = self._lag_rows()
-        if lags is not None:
-            return lags[i0:i1, k0:k1].copy()
+        if self.lag_weights() is not None:
+            return self._lags[i0:i1, k0:k1].copy()
         tau = self.grid.nodes
         below = k1 <= i0  # every pair lies below the diagonal
         if below:
@@ -143,43 +149,82 @@ class CollocationSystem:
         out[rows, cols] = w
         return out
 
-    def _lag_rows(self) -> Optional[np.ndarray]:
-        """All weights as a read-only view, row i = J_1^i .. J_N^i, or None (direct path)."""
+    def lag_weights(self) -> Optional[np.ndarray]:
+        """Weights by lag, w[d] = J_p^{p+d} for d = 0..N-1, or None (direct path).
+
+        Tabulated on first use: N kernel points in one call.
+        """
         if self._lag_step is not None:  # tabulate once
             h, self._lag_step = self._lag_step, None
             try:
                 kvals = self.problem.kernel(self.grid.nodes[1:], self._mids[0])
             except EvalError:
                 return None
-            w = 0.5 * self.problem.lam * h * kvals
-            by_lag = np.concatenate([w[::-1], np.zeros_like(w)])  # lags N-1 .. 0, then -1 .. -N
-            self._lags = sliding_window_view(by_lag, w.size)[::-1]
-        return self._lags
+            n = kvals.size
+            by_lag = np.zeros(2 * n)  # lags N-1 .. 0, then -1 .. -N
+            by_lag[:n] = 0.5 * self.problem.lam * h * kvals[::-1]
+            self._lag = by_lag[n - 1 :: -1]
+            self._lags = sliding_window_view(by_lag, n)[::-1]
+        return self._lag
 
     def row_weights(self, i: int) -> np.ndarray:
         """Weights J_1^i .. J_i^i of row i (empty for row 0)."""
         return self.weights(i, i + 1, 0, i)[0]
 
-    def integral(self, i0: int, i1: int, y: np.ndarray, k1: int) -> np.ndarray:
-        """sum_{k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, for rows i0 <= i < i1.
+    def integral(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int, k1: int) -> None:
+        """Add sum_{k0 <= k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, to out[i - i0].
 
-        The weights come in panels of ``BLOCK_ROWS`` rows and ``PANEL_POINTS`` points.
+        The rows are i0 <= i < i0 + len(out).  The weights come in panels
+        of ``BLOCK_ROWS`` rows and ``PANEL_POINTS`` points, except on a lag
+        system when both sides of the rectangle exceed ``PANEL_MAX_SIDE``:
+        then they form a Toeplitz matrix, applied by FFT.
         """
+        i1 = i0 + out.shape[0]
+        if min(i1 - i0, k1 - k0) > PANEL_MAX_SIDE and self.lag_weights() is not None:
+            self._toeplitz_product(out, i0, y[k0:k1], k0)
+            return
         width = PANEL_POINTS // BLOCK_ROWS
-        acc = np.zeros((i1 - i0,) + y.shape[1:])
         for r0 in range(i0, i1, BLOCK_ROWS):
             r1 = min(r0 + BLOCK_ROWS, i1)
-            for c0 in range(0, min(k1, r1 - 1), width):
+            for c0 in range(k0, min(k1, r1 - 1), width):
                 c1 = min(c0 + width, k1, r1 - 1)
-                acc[r0 - i0 : r1 - i0] += self.weights(r0, r1, c0, c1) @ y[c0:c1]
-        return acc
+                out[r0 - i0 : r1 - i0] += self.weights(r0, r1, c0, c1) @ y[c0:c1]
+
+    def _toeplitz_product(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int) -> None:
+        """Add sum_c w[i0 + r - 1 - k0 - c] y[c] to out[r], w = 0 outside 0..N-1.
+
+        With R = len(out) and C = len(y) the lags run from ``start`` =
+        i0 - k0 - C, and out[r] is entry C - 1 + r of the convolution of
+        w[start:] with y: one circular convolution of a period of at least
+        R + C - 1 has no wrap-around there.  The spectrum of w is kept per
+        (start, period).  The columns of y go in groups whose transforms
+        hold at most ``PANEL_POINTS`` / 2 points (one column at a time past
+        that).
+        """
+        rows, cols = out.shape[0], y.shape[0]
+        start = i0 - k0 - cols
+        size = 1 << (rows + cols - 2).bit_length()  # a power of two >= R + C - 1
+        spectrum = self._spectra.get((start, size))
+        if spectrum is None:
+            w, seg = self._lag, np.zeros(size)
+            lo, hi = max(start, 0), min(start + size, w.size)
+            seg[lo - start : hi - start] = w[lo:hi]
+            spectrum = self._spectra[start, size] = np.fft.rfft(seg)[:, None]
+        y2 = y if y.ndim == 2 else y[:, None]
+        out2 = out if out.ndim == 2 else out[:, None]
+        step = max(1, PANEL_POINTS // (2 * size))
+        for j0 in range(0, y2.shape[1], step):
+            f = np.fft.rfft(y2[:, j0 : j0 + step], size, axis=0)
+            f *= spectrum
+            out2[:, j0 : j0 + step] += np.fft.irfft(f, size, axis=0)[cols - 1 : cols - 1 + rows]
 
     def residual(self, x) -> float:
         """Max-abs collocation residual of nodal values ``x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):
             raise ValueError(f"expected {self.size} nodal values, got shape {x.shape}")
-        acc = self.integral(0, self.size, x[:-1] + x[1:], self.size - 1)
+        acc = np.zeros(self.size)
+        self.integral(acc, 0, x[:-1] + x[1:], 0, self.size - 1)
         load_part = self.load_entries @ x[list(self.load_columns)]
         return float(np.abs(self.a0_values * x + load_part - acc - self.rhs).max())
 

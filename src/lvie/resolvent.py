@@ -112,7 +112,7 @@ def _first_table(problem: Problem, z: np.ndarray) -> np.ndarray:
     npts = z.shape[0]
     rows, cols = np.tril_indices(npts)
     table = np.zeros((npts, npts))
-    table[rows, cols] = problem.kernel(z[rows], z[cols]) / problem.a0(z[rows])
+    table[rows, cols] = problem.kernel(z[rows], z[cols]) / problem.a0(z)[rows]
     return table
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lvie.assembly import AssemblyError, assemble
+from lvie.assembly import BLOCK_ROWS, AssemblyError, assemble
 from lvie.expressions import evaluate, parse
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction
@@ -164,3 +164,102 @@ class TestErrorLocation:
         for source in (self.TEXT, "<callable>"):
             with pytest.raises(SolvabilityError, match=rf"diagonal entry .* at row {root_row}$"):
                 self.solve(source, lam=0.0, a0=a0)
+
+
+def lag_system(text, denominator, load_points=(), lam=0.5, a0=None):
+    """A streaming system on the lag path (the kernel parsed from ``text``)."""
+    p = make_problem(ScalarFunction.from_expression(text, 2), load_points, lam, a0)
+    system = assemble(p, build_grid(p, Fraction(1, denominator)))
+    assert system.lag_weights() is not None
+    return system
+
+
+class CountingIrfft:
+    """Counts the inverse transforms of the far field."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+class TestPushSchedule:
+    # Every N leaves a ragged last block: N = 64 q + 1 or, for 301, 45 rows.
+    @pytest.mark.parametrize("n_last", [65, 129, 301, 1025, 4097])
+    def test_far_field_is_the_toeplitz_product(self, n_last):
+        system = lag_system("sqrt(t-s)", n_last)
+        calls = []
+        integral = system.integral
+
+        def recording(out, i0, y, k0, k1):
+            calls.append((i0, out.shape[0], k0, k1))
+            integral(out, i0, y, k0, k1)
+
+        system.integral = recording
+        structured_solve(system)
+
+        # Replay the solve's far-field products on a random y.
+        rng = np.random.default_rng(n_last)
+        y = rng.uniform(-1.0, 1.0, size=(n_last, 2))
+        far = np.zeros((n_last + 1, 2))
+        for i0, rows, k0, k1 in calls:
+            integral(far[i0 : i0 + rows], i0, y, k0, k1)
+
+        # Row i of block r0..r0+63 needs every column k < r0 - 1, each once.
+        w = system.lag_weights()
+        expected = np.zeros_like(far)
+        for r0 in range(1, n_last + 1, BLOCK_ROWS):
+            r1 = min(r0 + BLOCK_ROWS, n_last + 1)
+            lags = np.subtract.outer(np.arange(r0, r1) - 1, np.arange(r0 - 1))
+            expected[r0:r1] = w[lags] @ y[: r0 - 1]
+        scale = np.abs(expected).max(initial=1.0)
+        assert np.abs(far - expected).max() <= 1e-13 * scale
+
+
+class TestFFTOracle:
+    # h = 1/1024: sixteen blocks; rows 513..1024 take one FFT product of side 512.
+    @pytest.mark.parametrize("load_points", [(), QUARTER_LOADS], ids=["no-loads", "quarter-loads"])
+    @pytest.mark.parametrize("text", KERNELS)
+    def test_matches_gauss_jordan_and_direct_path(self, text, load_points, monkeypatch):
+        system = lag_system(text, 1024, load_points)
+        irfft = CountingIrfft(np.fft.irfft)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        x = structured_solve(system)
+        assert irfft.calls > 0
+
+        g = system.grid
+        dense = assemble(system.problem, g, mode="dense")
+        x_ref = gauss_jordan(dense.matrix, dense.rhs)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+        direct = make_problem(ScalarFunction(formula(text), 2), load_points)
+        x_direct = structured_solve(assemble(direct, g))
+        assert np.abs(x - x_direct).max() <= 1e-12 * np.abs(x_direct).max()
+
+    @pytest.mark.parametrize("text", KERNELS)
+    def test_residual_matches_direct_path(self, text):
+        system = lag_system(text, 1024, QUARTER_LOADS)
+        direct = assemble(make_problem(ScalarFunction(formula(text), 2), QUARTER_LOADS), system.grid)
+        x = np.random.default_rng(7).uniform(-1.0, 1.0, system.size)
+        scale = np.abs(system.rhs).max()
+        assert abs(system.residual(x) - direct.residual(x)) <= 1e-13 * scale
+
+
+class TestLagPivots:
+    # lam = 0: every weight is zero and the pivots are the a0 values.
+    @pytest.mark.parametrize("root_row", [0, 40, 200, 300])
+    def test_zero_pivot_names_the_direct_path_row(self, root_row):
+        g = build_grid(make_problem(ScalarFunction.constant(1.0, 2)), Fraction(1, 300))
+        a0 = ScalarFunction(lambda t, root=g.nodes[root_row]: t - root, 1)
+        messages = []
+        for source in ("sqrt(t-s)", "<callable>"):
+            p = make_problem(ScalarFunction(formula("sqrt(t-s)"), 2, source), lam=0.0, a0=a0)
+            system = assemble(p, g)
+            assert (system.lag_weights() is None) == (source == "<callable>")
+            with pytest.raises(SolvabilityError, match=rf"diagonal entry .* at row {root_row}$") as info:
+                structured_solve(system)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
