@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate", "is_difference"]
+__all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate", "is_difference", "separable"]
 
 
 class ParseError(ValueError):
@@ -264,6 +264,64 @@ def is_difference(expr: Expr) -> bool:
     if expr == BinOp("-", Var("t"), Var("s")):
         return True
     return not isinstance(expr, Var) and all(is_difference(c) for c in expr.children())
+
+
+def _signed_terms(expr: Expr, sign: bool, out: list) -> None:
+    """Append ``(negated, term)`` for every term of the signed sum ``expr``."""
+    if isinstance(expr, BinOp) and expr.op in "+-":
+        _signed_terms(expr.left, sign, out)
+        _signed_terms(expr.right, sign ^ (expr.op == "-"), out)
+    elif isinstance(expr, Neg):
+        _signed_terms(expr.operand, not sign, out)
+    else:
+        out.append((sign, expr))
+
+
+def _factors(expr: Expr, divide: bool, sign: bool, out: list) -> bool:
+    """Append ``(divide, factor)`` for every factor of the product or quotient
+    ``expr``; returns the sign flipped by every unary minus met on the way."""
+    if isinstance(expr, BinOp) and expr.op in "*/":
+        sign = _factors(expr.left, divide, sign, out)
+        return _factors(expr.right, divide ^ (expr.op == "/"), sign, out)
+    if isinstance(expr, Neg):
+        return _factors(expr.operand, divide, not sign, out)
+    out.append((divide, expr))
+    return sign
+
+
+def _product(factors: list) -> Expr:
+    """``1`` times or divided by each ``(divide, factor)`` pair in turn."""
+    result: Expr = Num(1.0)
+    for divide, factor in factors:
+        result = BinOp("/" if divide else "*", result, factor)
+    return result
+
+
+def separable(expr: Expr):
+    """Rank-r split ``[(u_1, v_1), ...]`` of ``expr`` = sum_r u_r(t) v_r(s), or None.
+
+    ``expr`` must be a signed sum (``+``, ``-``, unary ``-``) of terms, each
+    a product or quotient of factors that depend on ``t`` only or on ``s``
+    only; each term gives one pair, so ``t-2*s^2`` has rank 2 and
+    ``1+t-s`` rank 3.  Constant factors and the term's sign go into ``u``,
+    whose subtree references ``t`` only; ``v`` references ``s`` only.
+    Sums inside a factor are not expanded: ``(t-s)^2`` gives None.
+    """
+    terms: list = []
+    _signed_terms(expr, False, terms)
+    pairs = []
+    for sign, term in terms:
+        factors: list = []
+        sign = _factors(term, False, sign, factors)
+        u_factors, v_factors = [], []
+        for divide, factor in factors:
+            names = factor.variables()
+            if "t" in names and "s" in names:
+                return None
+            (v_factors if "s" in names else u_factors).append((divide, factor))
+        u = _product(u_factors)
+        pairs.append((Neg(u) if sign else u, _product(v_factors)))
+    return pairs
 
 
 def evaluate(expr: Expr, t, s=None):

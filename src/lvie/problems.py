@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import EvalError, ParseError, evaluate, is_difference, parse
+from .expressions import EvalError, ParseError, evaluate, is_difference, parse, separable
 
 __all__ = [
     "ScalarFunction",
@@ -47,8 +47,11 @@ class ScalarFunction:
 
     ``source`` is a promise: when it parses, the function is that formula
     (a wrapper that keeps the source must keep the values); the default
-    ``"<callable>"`` never parses.  Only structure (:attr:`is_difference`)
-    is read off it; values always come from the callable.
+    ``"<callable>"`` never parses.  Structure is read off it
+    (:attr:`is_difference`, :attr:`separable`).  The function's own values
+    always come from the callable; the factor values of :attr:`separable`
+    come from subtrees of ``source``, and a caller that uses them checks
+    them against the callable.
     """
 
     __slots__ = ("_fn", "arity", "source")
@@ -82,6 +85,24 @@ class ScalarFunction:
         except ParseError:
             return False
 
+    @property
+    def separable(self) -> Optional[list[tuple["ScalarFunction", "ScalarFunction"]]]:
+        """``[(u_1, v_1), ...]`` with f(t, s) = sum_r u_r(t) v_r(s), read off
+        ``source`` (see :func:`lvie.expressions.separable`), or None.
+
+        Each factor is a one-argument function.  None for a function of t
+        alone, and for a ``source`` that does not parse or is no such sum.
+        """
+        if self.arity != 2:
+            return None
+        try:
+            pairs = separable(parse(self.source))
+        except ParseError:
+            return None
+        if pairs is None:
+            return None
+        return [(_subtree_function(u), _subtree_function(v)) for u, v in pairs]
+
     def __call__(self, *args):
         if len(args) != self.arity:
             raise TypeError(f"{self!r} takes {self.arity} argument(s), got {len(args)}")
@@ -96,6 +117,11 @@ class ScalarFunction:
 
     def __repr__(self):
         return f"ScalarFunction({self.source!r}, arity={self.arity})"
+
+
+def _subtree_function(expr) -> ScalarFunction:
+    """A subtree that references one of t and s, as a function of one argument."""
+    return ScalarFunction(lambda x: evaluate(expr, x, x), 1)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,19 @@ built for the same problem.  F and the b_j need only the lam-free
 integrals I_n(z_i) = int K_n(z_i, s) v(s) ds for v in f~ and every a~_j,
 and those follow a recursion on vectors: the diagonal of K_n is zero for
 n >= 2, so I_{n+1} = dz D I_n with D = K - diag(K)/2 (one more endpoint
-correction for I_2).  That is O(terms * n^2) work, no n x n product, no
-table but K, and the same discrete quantities composed tables give.  At
-each lam, F and the b_j are sums of lam^n I_n, O(terms * n) work, and
-nothing is kept per lam.  Only the point evaluator ``resolvent(t, s)``
-composes the tables K_n, when first called, and keeps the resolvent
-table of the last lam it was asked for.  Either series stops at the
-first term below ``TERM_TOLERANCE`` (1e-12), measured by |lam|^n max|I_n|
-or |lam|^n max|K_n|, or at ``MAX_TERMS`` (40) terms with a
+correction for I_2), the same discrete quantities composed tables give.
+K enters only as the product of the 1+m rows with K^T.  A kernel whose
+formula is a sum of r products u_r(t) v_r(s) (a degenerate kernel, read
+off its ``source`` and checked against its callable) gives that product
+as r running sums: O(terms * r * n) work and no n x n array.  Any other
+kernel is tabulated once on at most ``TABLE_MAX_NODES`` nodes, and the
+recursion costs O(terms * n^2).  At each lam, F and the b_j are sums of
+lam^n I_n, O(terms * n) work, and nothing is kept per lam.  Only the
+point evaluator ``resolvent(t, s)`` tabulates K and composes the tables
+K_n, when first called, and keeps the resolvent table of the last lam it
+was asked for.  Either series stops at the first term below
+``TERM_TOLERANCE`` (1e-12), measured by |lam|^n max|I_n| or
+|lam|^n max|K_n|, or at ``MAX_TERMS`` (40) terms with a
 :class:`TruncationWarning`.  Off-grid evaluations interpolate linearly
 (bilinear on the triangle), but f~ and a~_j are always evaluated
 exactly, so lam = 0 results carry no quadrature error at all.
@@ -77,6 +82,8 @@ MAX_TERMS = 40
 DEFAULT_QUAD_DENSITY = 512  # tensor-grid nodes per unit interval length
 RANK_TOL = 1e-10  # classify's rank, pivot and orthogonality tolerance
 COMPOSE_PANEL_ROWS = 64  # rows per matrix product in _compose
+TABLE_MAX_NODES = 4097  # largest grid a kernel table is built on (134 MB)
+SPLIT_TOL = 1e-12  # relative agreement a kernel split must show with the callable
 
 
 class TruncationWarning(UserWarning):
@@ -107,13 +114,71 @@ def _compose(first: np.ndarray, prev: np.ndarray, dz: float) -> np.ndarray:
     return product
 
 
-def _first_table(problem: Problem, z: np.ndarray) -> np.ndarray:
-    """Normalized kernel K(t,s)/a0(t) tabulated on the lower triangle."""
+def _first_table(problem: Problem, z: np.ndarray, density: int) -> np.ndarray:
+    """Normalized kernel K(t,s)/a0(t) tabulated on the lower triangle.
+
+    A grid of more than ``TABLE_MAX_NODES`` nodes (``density`` per unit
+    length) is refused before anything is allocated.
+    """
     npts = z.shape[0]
+    if npts > TABLE_MAX_NODES:
+        raise ValueError(
+            f"a kernel table at quad_density {density} has {npts} nodes and needs "
+            f"{8 * npts * npts / 1e6:.0f} MB; the limit is {TABLE_MAX_NODES} nodes"
+        )
     rows, cols = np.tril_indices(npts)
     table = np.zeros((npts, npts))
     table[rows, cols] = problem.kernel(z[rows], z[cols]) / problem.a0(z)[rows]
     return table
+
+
+def _running_sums(factors: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """``rows @ K~.T`` for the lower-triangular K~(z_i, z_j) = sum_r U[r, i] V[r, j].
+
+    Row i needs sum_{j <= i} V[r, j] rows[:, j] only: one running sum per r.
+    """
+    U, V = factors
+    out = np.zeros_like(rows)
+    for u, v in zip(U, V):
+        out += u * np.cumsum(v * rows, axis=1)
+    return out
+
+
+def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray):
+    """The kernel's rank-r split on the grid, checked against the callable.
+
+    Returns ``((U, V), diag, col0)``: the rows u_r/a0 and v_r on the grid,
+    and the callable's K/a0 on the diagonal and on column 0.  None keeps
+    the table: the kernel has no split (``ScalarFunction.separable``), a
+    factor or the callable raises (the table then reports it as it always
+    did), the split's values differ from the callable's by more than
+    ``SPLIT_TOL`` max|K| on the diagonal, on column 0 or on the last row,
+    or the running sums of ``data`` on the last row differ from the direct
+    sums by more than ``SPLIT_TOL`` times the sums of magnitudes.
+    """
+    pairs = problem.kernel.separable
+    if pairs is None:
+        return None
+    try:
+        a0 = problem.a0(z)
+        factors = (np.array([u(z) for u, _ in pairs]) / a0, np.array([v(z) for _, v in pairs]))
+        diag = problem.kernel(z, z) / a0
+        col0 = problem.kernel(z, z[0]) / a0
+        last = problem.kernel(z[-1], z) / a0[-1]
+    except (ArithmeticError, ValueError, TypeError):
+        return None
+    U, V = factors
+    scale = SPLIT_TOL * max(np.abs(diag).max(), np.abs(col0).max(), np.abs(last).max())
+    sums_tol = SPLIT_TOL * (np.abs(data) @ np.abs(last))
+    checks = [
+        (np.sum(U * V, axis=0), diag, scale),
+        (U.T @ V[:, 0], col0, scale),
+        (U[:, -1] @ V, last, scale),
+        (_running_sums(factors, data)[:, -1], data @ last, sums_tol),
+    ]
+    if not all(np.all(np.abs(split - exact) <= tol) for split, exact, tol in checks):
+        return None
+    return factors, diag, col0
 
 
 def _lam(problem: Problem, lam: Optional[float]) -> float:
@@ -142,13 +207,17 @@ class ResolventApprox:
     """Lam-free resolvent data on a tensor grid, shared by every lam.
 
     The grid has ``quad_density`` nodes per unit length.  The object
-    keeps the kernel table K_1, f~ and a~_j on the grid and at the load
-    points, and the integrals I_n against f~ and every a~_j, grown
-    lazily by the vector recursion (at most ``MAX_TERMS``).  The tables
-    K_n for n >= 2 exist only once the point evaluator has asked for
-    them.  Each method takes the lam it works at (default
-    ``problem.lam``); per lam nothing is kept but the resolvent table of
-    the last lam :meth:`resolvent_table` built.
+    keeps f~ and a~_j on the grid and at the load points, K on the
+    diagonal and on column 0, and the integrals I_n against f~ and every
+    a~_j, grown lazily by the vector recursion (at most ``MAX_TERMS``).
+    The recursion needs K only as the product ``rows @ K.T``.  For a
+    kernel of rank r (``ScalarFunction.separable``, checked against the
+    callable by ``_kernel_split``) that product is r running sums, O(r n)
+    work, and no table is built; otherwise the object tabulates K itself,
+    on at most ``TABLE_MAX_NODES`` nodes.  The tables K_n exist only
+    once the point evaluator has asked for them.  Each method takes the
+    lam it works at (default ``problem.lam``); per lam nothing is kept
+    but the resolvent table of the last lam :meth:`resolvent_table` built.
     """
 
     def __init__(self, problem: Problem, quad_density: int = DEFAULT_QUAD_DENSITY):
@@ -159,23 +228,40 @@ class ResolventApprox:
         intervals = max(1, math.ceil(quad_density * span))
         self.z = np.linspace(problem.t0, problem.T, intervals + 1)
         self.dz = span / intervals
+        self.quad_density = quad_density
         self._data = _tilde(problem, self.z)
         self._load_data = _tilde(problem, problem.load_points)
-        self._tables = [_first_table(problem, self.z)]
-        self._tables_max = [float(np.abs(self._tables[0]).max())]
-        self._ints = [self._integrals(self._tables[0])]
-        self._ints_max = [float(np.abs(self._ints[0]).max())]
+        self._tables: list[np.ndarray] = []
+        self._tables_max: list[float] = []
         self._last_resolvent: Optional[tuple[float, np.ndarray]] = None
+        split = _kernel_split(problem, self.z, self._data)
+        if split is None:
+            first = self.kernel_table(1)
+            split = None, np.diagonal(first), first[:, 0]
+        self._factors, self._diag, self._col0 = split
+        data = self._data
+        first_ints = self._product(data) - 0.5 * (self._col0 * data[:, :1] + self._diag * data)
+        self._ints = [self.dz * first_ints]
+        self._ints_max = [float(np.abs(self._ints[0]).max())]
 
     def kernel_table(self, n: int) -> np.ndarray:
-        """Table of the n-th iterated kernel (1-based) on the tensor grid."""
+        """Table of the n-th iterated kernel (1-based) on the tensor grid, built on first use."""
         if n < 1:
             raise ValueError("iterated-kernel order must be at least 1")
         while len(self._tables) < n:
-            nxt = _compose(self._tables[0], self._tables[-1], self.dz)
+            if self._tables:
+                nxt = _compose(self._tables[0], self._tables[-1], self.dz)
+            else:
+                nxt = _first_table(self.problem, self.z, self.quad_density)
             self._tables.append(nxt)
             self._tables_max.append(float(np.abs(nxt).max()))
         return self._tables[n - 1]
+
+    def _product(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ K.T``: running sums for a split kernel, else the product with the table."""
+        if self._factors is None:
+            return rows @ self._tables[0].T
+        return _running_sums(self._factors, rows)
 
     def _grow_integrals(self) -> None:
         """Append I_{n+1}: one trapezoid Volterra step on the rows of I_n.
@@ -185,16 +271,16 @@ class ResolventApprox:
         I_2 = dz^2 (D K w - K (diag(K) w) / 2) and I_{n+1} = dz D I_n with
         D = K - diag(K)/2.  Rows are vectors, so K acts as ``@ K.T``.
         """
-        first = self._tables[0]
-        diag = np.diagonal(first)
+        diag = self._diag
         if len(self._ints) == 1:
             w = self._data.copy()
             w[:, 0] *= 0.5
-            kw = w @ first.T
-            nxt = self.dz**2 * (kw @ first.T - 0.5 * diag * kw - 0.5 * ((diag * w) @ first.T))
+            kw = self._product(w)
+            nxt = self._product(kw) - 0.5 * diag * kw - 0.5 * self._product(diag * w)
+            nxt *= self.dz**2
         else:
             prev = self._ints[-1]
-            nxt = self.dz * (prev @ first.T - 0.5 * diag * prev)
+            nxt = self.dz * (self._product(prev) - 0.5 * diag * prev)
         self._ints.append(nxt)
         self._ints_max.append(float(np.abs(nxt).max()))
 
@@ -240,6 +326,7 @@ class ResolventApprox:
         count, _ = self._count(lam, self._table_bound)
         if self._last_resolvent is None or self._last_resolvent[0] != lam:
             self._last_resolvent = None  # free the old table before the new one
+            self.kernel_table(count)  # lam = 0 counts one term without reading K
             self._last_resolvent = (lam, _series(lam, count, self._tables))
         return self._last_resolvent[1]
 
@@ -257,7 +344,10 @@ class ResolventApprox:
         return ints[0], ints[1:]
 
     def _integrals(self, table: np.ndarray) -> np.ndarray:
-        """``_volterra_integrals`` of ``table`` against f~ and every a~_j, one row each."""
+        """``_volterra_integrals`` of ``table`` against f~ and every a~_j, one row each.
+
+        The reference the recursion is tested against, on the tables K_n.
+        """
         return np.array([self._volterra_integrals(table, v) for v in self._data])
 
     def _volterra_integrals(self, R: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -296,7 +386,7 @@ def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
     if t == s:
         return 0.0
     q = max(1, math.ceil(DEFAULT_QUAD_DENSITY * (t - s)))
-    first = _first_table(problem, np.linspace(s, t, q + 1))
+    first = _first_table(problem, np.linspace(s, t, q + 1), DEFAULT_QUAD_DENSITY)
     table = first
     for _ in range(n - 1):
         table = _compose(first, table, (t - s) / q)

@@ -239,6 +239,14 @@ def test_analyze_constructed_singular_case(tmp_path, capsys):
     assert "family(1)" in lines[1]
 
 
+def test_analyze_refuses_a_table_past_the_node_limit(capsys):
+    sqrt_ladder = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "sqrt_ladder.cfg"
+    code = main(["analyze", "--config", str(sqrt_ladder), "--density", "20000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "quad_density 20000" in err and "3200 MB" in err
+
+
 def test_list_problems(capsys):
     code = main(["list-problems"])
     assert code == 0

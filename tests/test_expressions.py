@@ -17,6 +17,7 @@ from lvie.expressions import (
     evaluate,
     is_difference,
     parse,
+    separable,
 )
 
 
@@ -268,3 +269,40 @@ _DIFFERENCE_CASES = [
 @pytest.mark.parametrize("text,expected", _DIFFERENCE_CASES, ids=[c[0] for c in _DIFFERENCE_CASES])
 def test_difference_structure(text, expected):
     assert is_difference(parse(text)) is expected
+
+
+# Signed sums of products of one-variable factors, and their ranks: one
+# pair per term, with no terms merged.
+_SEPARABLE_CASES = [
+    ("t-2*s^2", 2),
+    ("1+t-s", 3),
+    ("t*s", 1),
+    ("-t/s", 1),
+    ("2.5", 1),
+    ("t", 1),
+    ("s", 1),
+    ("-(t*s)/(2*-s)", 1),
+    ("1/(t*s)", 1),
+    ("t/(s/t)", 1),
+    ("exp(t)*cos(s)/(1+t^2) - -sqrt(s)*t + 3", 3),
+]
+
+
+@pytest.mark.parametrize("text,rank", _SEPARABLE_CASES, ids=[c[0] for c in _SEPARABLE_CASES])
+def test_separable_rank(text, rank):
+    pairs = separable(parse(text))
+    assert len(pairs) == rank
+    for u, v in pairs:
+        assert u.variables() <= {"t"} and v.variables() <= {"s"}
+
+
+@pytest.mark.parametrize("text", [c[0] for c in _SEPARABLE_CASES])
+def test_separable_factor_products_match_tree(text):
+    t, s = np.meshgrid(np.linspace(0.25, 2.0, 9), np.linspace(0.5, 3.0, 11))
+    split = sum(evaluate(u, t, s) * evaluate(v, t, s) for u, v in separable(parse(text)))
+    np.testing.assert_allclose(split, evaluate(parse(text), t, s), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("text", ["sqrt(t-s)", "exp(t*s)", "(t-s)^2", "(t+s)*t", "cos(t)/(t-s)"])
+def test_not_separable(text):
+    assert separable(parse(text)) is None

@@ -83,6 +83,30 @@ class TestScalarFunction:
     def test_difference_structure_read_from_source(self, fn, expected):
         assert fn.is_difference is expected
 
+    @pytest.mark.parametrize(
+        "fn, rank",
+        [
+            (ScalarFunction.from_expression("t-2*s^2", 2), 2),
+            (ScalarFunction(lambda t, s: t - s + 1, 2, "1+t-s"), 3),
+            (ScalarFunction.constant(1.0, arity=2), 1),
+            (ScalarFunction(lambda t, s: t - s, 2), None),  # "<callable>"
+            (ScalarFunction.from_expression("sqrt(t-s)", 2), None),
+            (ScalarFunction.from_expression("t", 1), None),
+        ],
+        ids=["expression", "callable-with-source", "constant", "callable", "sqrt", "arity-1"],
+    )
+    def test_separable_split_read_from_source(self, fn, rank):
+        pairs = fn.separable
+        assert (None if pairs is None else len(pairs)) == rank
+        if pairs is not None:
+            t = np.linspace(0.0, 1.0, 7)
+            s = t[::-1].copy()
+            for u, v in pairs:
+                assert (u.arity, v.arity) == (1, 1)
+                assert np.shape(u(t)) == np.shape(v(s)) == t.shape
+            split = sum(u(t) * v(s) for u, v in pairs)
+            np.testing.assert_allclose(split, fn(t, s), rtol=1e-14, atol=1e-15)
+
 
 class TestValidation:
     def test_model1_passes(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import warnings
 import tracemalloc
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lvie.expressions import EvalError
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.resolvent import (
     ResolventApprox,
@@ -253,7 +255,7 @@ class TestReducedTables:
         # Reference order: the row-panel product, then the trapezoid
         # corrections as one full n x n pass.
         cfg = ResolventApprox(builtin_problem(name), quad_density=150)
-        first, prev, dz = cfg._tables[0], cfg.kernel_table(3), cfg.dz
+        first, prev, dz = cfg.kernel_table(1), cfg.kernel_table(3), cfg.dz
         full = np.zeros_like(first)
         for r0 in range(0, first.shape[0], RESOLVENT_MODULE.COMPOSE_PANEL_ROWS):
             r1 = min(r0 + RESOLVENT_MODULE.COMPOSE_PANEL_ROWS, first.shape[0])
@@ -290,7 +292,7 @@ class TestPerLambdaCost:
         assert [r.classification for r in reports] == ["unique"] * 9
         assert classify(p, cfg, 3.5641).classification == "unique"
         assert np.all(np.isfinite(semi_analytic_solve(p, [0.0, 0.5, 1.0], cfg, 0.5)))
-        assert len(cfg._tables) == 1
+        assert len(cfg._tables) == 0
 
     @pytest.mark.parametrize("loads", [(), UNIT_ONE_LOAD["loads"]])
     def test_one_truncation_warning_per_call(self, loads):
@@ -306,6 +308,185 @@ class TestPerLambdaCost:
                 warnings.simplefilter("always")
                 semi_analytic_solve(p, [0.5], cfg)
             assert [w.category for w in caught] == [TruncationWarning]
+
+
+def _plain(fn):
+    """``fn`` as a plain callable: no source, so no split and the table path."""
+    return ScalarFunction(lambda *args: fn(*args), fn.arity)
+
+
+def _with_kernel(p, kernel):
+    return dataclasses.replace(p, kernel=kernel)
+
+
+SPLIT_PROBLEMS = {
+    "model1": builtin_problem("model1"),
+    "model2": builtin_problem("model2"),
+    "1+t-s": _with_kernel(builtin_problem("model1"), ScalarFunction.from_expression("1+t-s", 2)),
+    "unit": make_problem(**UNIT_ONE_LOAD),
+}
+
+
+class TestSplitKernel:
+    """A separable kernel's running sums against the table path of the same kernel."""
+
+    @pytest.fixture(scope="class")
+    def cfg_pairs(self):
+        pairs = {}
+        for name, p in SPLIT_PROBLEMS.items():
+            table_p = _with_kernel(p, _plain(p.kernel))
+            pairs[name] = (
+                (p, ResolventApprox(p, quad_density=128)),
+                (table_p, ResolventApprox(table_p, quad_density=128)),
+            )
+        return pairs
+
+    @staticmethod
+    def _assert_same(split, table, lam):
+        (p, cfg), (table_p, table_cfg) = split, table
+        assert cfg._factors is not None and table_cfg._factors is None
+        F, B = cfg.reduced_tables(lam)
+        F_ref, B_ref = table_cfg.reduced_tables(lam)
+        ints, expected = np.vstack([F, B]), np.vstack([F_ref, B_ref])
+        assert np.abs(ints - expected).max() <= 1e-12 * np.abs(expected).max()
+        rep, ref = classify(p, cfg, lam), classify(table_p, table_cfg, lam)
+        assert (rep.label, rep.rank) == (ref.label, ref.rank)
+        scale = np.abs(load_matrix(table_p, table_cfg, lam)[0]).max() ** len(p.loads)
+        assert abs(rep.det - ref.det) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("lam", [-10.0, -1.0, 0.0, 0.25, 3.5641, 10.0])
+    @pytest.mark.parametrize("name", list(SPLIT_PROBLEMS))
+    def test_matches_table_path(self, cfg_pairs, name, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            self._assert_same(*cfg_pairs[name], lam)
+
+    @pytest.mark.parametrize("name", list(SPLIT_PROBLEMS))
+    def test_matches_table_path_when_truncated(self, name):
+        p = SPLIT_PROBLEMS[name]
+        table_p = _with_kernel(p, _plain(p.kernel))
+        split, table = (
+            (q, ResolventApprox(q, quad_density=16)) for q in (p, table_p)
+        )
+        for _, cfg in (split, table):
+            with pytest.warns(TruncationWarning):
+                assert cfg.terms_needed(50.0) == (40, False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            self._assert_same(split, table, 50.0)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            # source and callable disagree by 1e-9 t s
+            ScalarFunction(lambda t, s: t - 2 * s**2 + 1e-9 * t * s, 2, "t-2*s^2"),
+            # each term is 1e8 times the kernel: the split cancels
+            ScalarFunction.from_expression("t*(1+1e8) - s - 1e8*t", 2),
+        ],
+        ids=["broken-source", "cancellation"],
+    )
+    def test_guard_keeps_the_table(self, kernel):
+        p = _with_kernel(builtin_problem("model1"), kernel)
+        table_p = _with_kernel(p, _plain(kernel))
+        cfg, table_cfg = ResolventApprox(p, quad_density=64), ResolventApprox(table_p, quad_density=64)
+        assert cfg._factors is None
+        for lam in (-1.0, 0.25, 3.5641):
+            ints = np.vstack(cfg.reduced_tables(lam))
+            assert ints.tobytes() == np.vstack(table_cfg.reduced_tables(lam)).tobytes()
+            assert classify(p, cfg, lam).det == classify(table_p, table_cfg, lam).det
+
+    def test_guard_checks_the_running_sums(self, monkeypatch):
+        # Sums off by 1e-9 relative, as cancellation between terms would leave
+        # them, while the kernel values on the three lines agree.
+        exact = RESOLVENT_MODULE._running_sums
+        monkeypatch.setattr(
+            RESOLVENT_MODULE, "_running_sums", lambda factors, rows: exact(factors, rows) * (1 + 1e-9)
+        )
+        assert ResolventApprox(builtin_problem("model1"), quad_density=64)._factors is None
+
+    def test_raising_kernel_reports_as_the_table_does(self):
+        # The factor 1/s raises at s = 0, and so does the kernel on the table.
+        p = _with_kernel(builtin_problem("model1"), ScalarFunction.from_expression("t/s", 2))
+        with pytest.raises(EvalError, match="division by zero"):
+            ResolventApprox(p, quad_density=16)
+
+        def picky(t, s):
+            if np.any(t > 0.9):
+                raise ValueError("kernel undefined past t = 0.9")
+            return t - 2 * s**2
+
+        q = _with_kernel(p, ScalarFunction(picky, 2, "t-2*s^2"))
+        with pytest.raises(ValueError, match="kernel undefined past t = 0.9"):
+            ResolventApprox(q, quad_density=16)
+
+    def test_kernel_table_built_on_first_use(self):
+        p = builtin_problem("model1")
+        cfg = ResolventApprox(p, quad_density=64)
+        assert cfg._tables == []
+        table = cfg.kernel_table(1)
+        assert table.tobytes() == RESOLVENT_MODULE._first_table(p, cfg.z, 64).tobytes()
+        assert np.array_equal(np.diagonal(table), cfg._diag)
+        assert np.array_equal(table[:, 0], cfg._col0)
+
+    def test_no_square_array(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel table was built")
+
+        monkeypatch.setattr(RESOLVENT_MODULE, "_first_table", refuse)
+        p = builtin_problem("model1")
+        tracemalloc.start()
+        try:
+            cfg = ResolventApprox(p)
+            reports = solvability_sweep(p, np.linspace(-10.0, 10.0, 41), cfg)
+            report = classify(p, cfg, 3.5641)
+            values = semi_analytic_solve(p, np.linspace(0.0, 1.0, 1025), cfg, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.label for r in reports] == ["unique"] * 41
+        assert report.label == "unique"
+        assert np.abs(values - np.cos(np.linspace(0.0, 1.0, 1025))).max() <= 1e-6
+        assert peak < cfg.z.size**2 * 8
+
+    def test_memory_linear_past_the_table_limit(self):
+        p = builtin_problem("model1")
+        tracemalloc.start()
+        try:
+            cfg = ResolventApprox(p, quad_density=20000)
+            reports = solvability_sweep(p, np.linspace(-10.0, 10.0, 41), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.label for r in reports] == ["unique"] * 41
+        n = cfg.z.size
+        assert n > RESOLVENT_MODULE.TABLE_MAX_NODES
+        assert peak < (RESOLVENT_MODULE.MAX_TERMS + 10) * (1 + len(p.loads)) * n * 8
+
+
+class TestTableLimit:
+    """The table path refuses a grid past ``TABLE_MAX_NODES`` before allocating it."""
+
+    def test_refused_with_density_and_bytes(self):
+        p = _with_kernel(builtin_problem("model1"), _plain(builtin_problem("model1").kernel))
+        density = RESOLVENT_MODULE.TABLE_MAX_NODES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"quad_density 4097 has 4098 nodes and needs 134 MB"):
+                ResolventApprox(p, quad_density=density)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4098**2 * 8 / 100
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(RESOLVENT_MODULE, "TABLE_MAX_NODES", 65)
+        p = _with_kernel(builtin_problem("model1"), _plain(builtin_problem("model1").kernel))
+        assert ResolventApprox(p, quad_density=64).kernel_table(1).shape == (65, 65)
+        with pytest.raises(ValueError, match="the limit is 65 nodes"):
+            ResolventApprox(p, quad_density=65)
+        split = ResolventApprox(builtin_problem("model1"), quad_density=65)
+        with pytest.raises(ValueError, match="the limit is 65 nodes"):
+            resolvent(split.problem, 0.5, 0.25, split)
 
 
 class TestUnitKernelIntegrals:
