@@ -27,28 +27,24 @@ inputs are normalized internally: K, a_j and f are divided by a0(t)
 on the raw data.
 
 Numerics: every integral is the composite trapezoid rule on a uniform
-tensor grid.  Every function takes ``lam`` and defaults it to
-``problem.lam``, and an optional shared ``cfg``, which must have been
-built for the same problem.  F and the b_j need only the lam-free
-integrals I_n(z_i) = int K_n(z_i, s) v(s) ds for v in f~ and every a~_j,
-and those follow a recursion on vectors: the diagonal of K_n is zero for
-n >= 2, so I_{n+1} = dz D I_n with D = K - diag(K)/2 (one more endpoint
-correction for I_2), the same discrete quantities composed tables give.
-K enters only as the product of the 1+m rows with K^T.  A kernel whose
-formula is a sum of r products u_r(t) v_r(s) (a degenerate kernel, read
-off its ``source`` and checked against its callable) gives that product
-as r running sums: O(terms * r * n) work and no n x n array.  Any other
-kernel is tabulated once on at most ``TABLE_MAX_NODES`` nodes, and the
-recursion costs O(terms * n^2).  At each lam, F and the b_j are sums of
-lam^n I_n, O(terms * n) work, and nothing is kept per lam.  Only the
-point evaluator ``resolvent(t, s)`` tabulates K and composes the tables
-K_n, when first called, and keeps the resolvent table of the last lam it
-was asked for.  Either series stops at the first term below
-``TERM_TOLERANCE`` (1e-12), measured by |lam|^n max|I_n| or
-|lam|^n max|K_n|, or at ``MAX_TERMS`` (40) terms with a
-:class:`TruncationWarning`.  Off-grid evaluations interpolate linearly
-(bilinear on the triangle), but f~ and a~_j are always evaluated
-exactly, so lam = 0 results carry no quadrature error at all.
+tensor grid.  Every function takes ``lam`` (default ``problem.lam``) and
+an optional shared ``cfg`` built for the same problem.  F and the b_j
+need only the lam-free I_n(z_i) = int K_n(z_i, s) v(s) ds for v in f~
+and every a~_j.  K_n has a zero diagonal for n >= 2, so they follow the
+vector recursion I_{n+1} = dz D I_n, D = K - diag(K)/2, in which K acts
+only as ``rows @ K.T``: r running sums when the kernel's formula is a
+sum of r products u_r(t) v_r(s) (read off its ``source``, checked
+against its callable), O(terms * r * n) work and no n x n array; else
+one table of K on at most ``TABLE_MAX_NODES`` nodes, O(terms * n^2).
+Per lam, the load system is the sum of lam^n I_n on the at most 2m grid
+nodes that interpolation at the m load points reads, O(terms * m^2)
+work, and nothing is kept.  Only the point evaluator ``resolvent(t, s)``
+composes tables K_n, on first call, and keeps the resolvent table of its
+last lam.  Either series stops at the first term below ``TERM_TOLERANCE``,
+measured by |lam|^n max|I_n| or |lam|^n max|K_n|, or at ``MAX_TERMS``
+with a :class:`TruncationWarning`.  Off-grid values interpolate linearly
+(bilinear on the triangle), but f~ and a~_j are evaluated exactly, so
+lam = 0 results carry no quadrature error at all.
 """
 
 from __future__ import annotations
@@ -61,19 +57,12 @@ from typing import Optional
 import numpy as np
 
 from .problems import Problem
-from .solvers import SolvabilityError, gauss_jordan, nullspace, rank_and_det
+# gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
+from .solvers import SolvabilityError, gauss_jordan, nullspace, rank_and_det  # noqa: F401
 
 __all__ = [
-    "ResolventApprox",
-    "SolvabilityReport",
-    "TruncationWarning",
-    "iterated_kernel",
-    "resolvent",
-    "reduced_coeffs",
-    "load_matrix",
-    "classify",
-    "semi_analytic_solve",
-    "solvability_sweep",
+    "ResolventApprox", "SolvabilityReport", "TruncationWarning", "iterated_kernel", "resolvent",
+    "reduced_coeffs", "load_matrix", "classify", "semi_analytic_solve", "solvability_sweep",
     "sweep_csv",
 ]
 
@@ -149,12 +138,11 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray):
 
     Returns ``((U, V), diag, col0)``: the rows u_r/a0 and v_r on the grid,
     and the callable's K/a0 on the diagonal and on column 0.  None keeps
-    the table: the kernel has no split (``ScalarFunction.separable``), a
-    factor or the callable raises (the table then reports it as it always
-    did), the split's values differ from the callable's by more than
-    ``SPLIT_TOL`` max|K| on the diagonal, on column 0 or on the last row,
-    or the running sums of ``data`` on the last row differ from the direct
-    sums by more than ``SPLIT_TOL`` times the sums of magnitudes.
+    the table: no split (``ScalarFunction.separable``), a raising factor
+    or callable (the table reports it), values off the callable's by more
+    than ``SPLIT_TOL`` max|K| on the diagonal, column 0 or last row, or
+    running sums of ``data`` off the direct sums on the last row by more
+    than ``SPLIT_TOL`` times the sums of magnitudes.
     """
     pairs = problem.kernel.separable
     if pairs is None:
@@ -179,6 +167,16 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray):
     if not all(np.all(np.abs(split - exact) <= tol) for split, exact, tol in checks):
         return None
     return factors, diag, col0
+
+
+def _bracket(z: np.ndarray, ts) -> np.ndarray:
+    """Sorted nodes that ``np.interp(ts, z, .)`` reads: the two around each point.
+
+    Node 0 lies strictly inside no bracket, so it changes no interpolated
+    value; it keeps the grid non-empty when there are no points.
+    """
+    j = np.searchsorted(z, np.atleast_1d(ts), side="right").clip(1, z.shape[0] - 1)
+    return np.unique(np.concatenate([[0], j - 1, j]))
 
 
 def _lam(problem: Problem, lam: Optional[float]) -> float:
@@ -208,16 +206,12 @@ class ResolventApprox:
 
     The grid has ``quad_density`` nodes per unit length.  The object
     keeps f~ and a~_j on the grid and at the load points, K on the
-    diagonal and on column 0, and the integrals I_n against f~ and every
-    a~_j, grown lazily by the vector recursion (at most ``MAX_TERMS``).
-    The recursion needs K only as the product ``rows @ K.T``.  For a
-    kernel of rank r (``ScalarFunction.separable``, checked against the
-    callable by ``_kernel_split``) that product is r running sums, O(r n)
-    work, and no table is built; otherwise the object tabulates K itself,
-    on at most ``TABLE_MAX_NODES`` nodes.  The tables K_n exist only
-    once the point evaluator has asked for them.  Each method takes the
-    lam it works at (default ``problem.lam``); per lam nothing is kept
-    but the resolvent table of the last lam :meth:`resolvent_table` built.
+    diagonal and on column 0 (or its split, ``_kernel_split``, or its
+    table), and the I_n against f~ and every a~_j, grown lazily by the
+    vector recursion (at most ``MAX_TERMS``), also stacked on the nodes
+    that interpolation at the load points reads.  The tables K_n exist
+    only once the point evaluator has asked for them, and per lam nothing
+    is kept but the resolvent table of the last lam it was asked for.
     """
 
     def __init__(self, problem: Problem, quad_density: int = DEFAULT_QUAD_DENSITY):
@@ -231,6 +225,8 @@ class ResolventApprox:
         self.quad_density = quad_density
         self._data = _tilde(problem, self.z)
         self._load_data = _tilde(problem, problem.load_points)
+        self._load_nodes = _bracket(self.z, problem.load_points)
+        self._load_ints = np.empty((MAX_TERMS, self._data.shape[0], self._load_nodes.shape[0]))
         self._tables: list[np.ndarray] = []
         self._tables_max: list[float] = []
         self._last_resolvent: Optional[tuple[float, np.ndarray]] = None
@@ -241,8 +237,8 @@ class ResolventApprox:
         self._factors, self._diag, self._col0 = split
         data = self._data
         first_ints = self._product(data) - 0.5 * (self._col0 * data[:, :1] + self._diag * data)
-        self._ints = [self.dz * first_ints]
-        self._ints_max = [float(np.abs(self._ints[0]).max())]
+        self._ints, self._ints_max = [], []  # I_n and max|I_n|, n = 1, 2, ...
+        self._append(self.dz * first_ints)
 
     def kernel_table(self, n: int) -> np.ndarray:
         """Table of the n-th iterated kernel (1-based) on the tensor grid, built on first use."""
@@ -266,10 +262,9 @@ class ResolventApprox:
     def _grow_integrals(self) -> None:
         """Append I_{n+1}: one trapezoid Volterra step on the rows of I_n.
 
-        K_n has a zero diagonal for n >= 2, so I_n = dz K_n w, where w is
-        the data with its first entry at half weight; then
-        I_2 = dz^2 (D K w - K (diag(K) w) / 2) and I_{n+1} = dz D I_n with
-        D = K - diag(K)/2.  Rows are vectors, so K acts as ``@ K.T``.
+        With w the data at half weight in its first entry, I_n = dz K_n w
+        for n >= 2, so I_2 = dz^2 (D K w - K (diag(K) w) / 2) and
+        I_{n+1} = dz D I_n, D = K - diag(K)/2, K acting as ``@ K.T``.
         """
         diag = self._diag
         if len(self._ints) == 1:
@@ -281,8 +276,12 @@ class ResolventApprox:
         else:
             prev = self._ints[-1]
             nxt = self.dz * (self._product(prev) - 0.5 * diag * prev)
-        self._ints.append(nxt)
-        self._ints_max.append(float(np.abs(nxt).max()))
+        self._append(nxt)
+
+    def _append(self, ints: np.ndarray) -> None:
+        self._load_ints[len(self._ints)] = ints[:, self._load_nodes]
+        self._ints.append(ints)
+        self._ints_max.append(float(np.abs(ints).max()))
 
     def _count(self, lam: float, bound) -> tuple[int, bool]:
         """First n with |lam|^n bound(n) below ``TERM_TOLERANCE``, or ``MAX_TERMS``."""
@@ -331,30 +330,29 @@ class ResolventApprox:
         return self._last_resolvent[1]
 
     def reduced_tables(self, lam: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Integral parts of F and of every b_j on the tensor grid.
+        """Integral parts ``(F_int, B_int)`` of F and of every b_j on the tensor grid.
 
-        Returns ``(F_int, B_int)`` with ``F_int[i] = int R(z_i, s) f~(s) ds``
-        and ``B_int[j, i]`` the same against a~_j.  The integrals are linear
-        in R, so this is the series of the I_n: O(terms * n) work and no
-        resolvent table.  The lam-free parts (f~ and a~_j themselves) are
-        added at evaluation time.
+        ``F_int[i] = int R(z_i, s) f~(s) ds`` and ``B_int[j, i]`` the same
+        against a~_j: the series of the I_n, O(terms * n) work.
         """
         lam = _lam(self.problem, lam)
         ints = _series(lam, self.terms_needed(lam)[0], self._ints)
         return ints[0], ints[1:]
 
-    def _integrals(self, table: np.ndarray) -> np.ndarray:
-        """``_volterra_integrals`` of ``table`` against f~ and every a~_j, one row each.
+    def _node_series(self, lam: float, ts) -> tuple[np.ndarray, np.ndarray]:
+        """``(nodes, reduced_tables)`` on the nodes interpolation at ``ts`` reads (None: the loads).
 
-        The reference the recursion is tested against, on the tables K_n.
+        ``np.interp`` on them uses each point's two nodes and slope, and terms
+        add in ``_series``'s order with Python's powers: the full tables' bits.
         """
-        return np.array([self._volterra_integrals(table, v) for v in self._data])
-
-    def _volterra_integrals(self, R: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Row-wise trapezoid of int_{t0}^{z_i} R(z_i, s) v(s) ds."""
-        full = R @ vals
-        corr = 0.5 * (R[:, 0] * vals[0] + np.diagonal(R) * vals)
-        return self.dz * (full - corr)
+        count = self.terms_needed(lam)[0]
+        if ts is None:
+            nodes, stack = self._load_nodes, self._load_ints[:count]
+        else:
+            nodes = _bracket(self.z, ts)
+            stack = np.array([ints[:, nodes] for ints in self._ints[:count]])
+        powers = np.array([lam**n for n in range(1, count + 1)])
+        return self.z[nodes], (powers[:, None, None] * stack).sum(axis=0)
 
 
 def _approx(problem: Problem, cfg: Optional[ResolventApprox]) -> ResolventApprox:
@@ -432,13 +430,15 @@ def resolvent(
     return _triangle_interp(table, cfg.z, cfg.dz, t, s)
 
 
-def _reduced(cfg: ResolventApprox, ts, tilde: np.ndarray, lam: Optional[float]):
-    """F(t, lam) and every b_j(t, lam) at ``ts``, whose f~, a~_j are ``tilde``; ``B[j]`` is b_j."""
-    F_int, B_int = cfg.reduced_tables(lam)
-    F = tilde[0] + np.interp(ts, cfg.z, F_int)
+def _reduced(cfg: ResolventApprox, ts, lam: Optional[float]):
+    """F(t, lam) and every b_j(t, lam) at ``ts`` (None: the load points); ``B[j]`` is b_j."""
+    tilde = cfg._load_data if ts is None else _tilde(cfg.problem, ts)
+    nodes, ints = cfg._node_series(_lam(cfg.problem, lam), ts)
+    ts = cfg.problem.load_points if ts is None else ts
+    F = tilde[0] + np.interp(ts, nodes, ints[0])
     B = tilde[1:].copy()
-    for j, row in enumerate(B_int):
-        B[j] += np.interp(ts, cfg.z, row)
+    for j, row in enumerate(ints[1:]):
+        B[j] += np.interp(ts, nodes, row)
     return F, B
 
 
@@ -452,7 +452,7 @@ def reduced_coeffs(
     cfg = _approx(problem, cfg)
     if not (problem.t0 <= t <= problem.T):
         raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
-    F, b = _reduced(cfg, float(t), _tilde(problem, float(t)), lam)
+    F, b = _reduced(cfg, float(t), lam)
     return float(F), b
 
 
@@ -463,7 +463,7 @@ def load_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load system (A, d): A_ij = delta_ij + b_j(t_i), d_i = F(t_i)."""
     cfg = _approx(problem, cfg)
-    d, B = _reduced(cfg, problem.load_points, cfg._load_data, lam)
+    d, B = _reduced(cfg, None, lam)
     return np.eye(len(problem.loads)) + B.T, d
 
 
@@ -508,24 +508,14 @@ def classify(
     if m1 == 0:  # nothing to tabulate, but a cfg of another problem is still refused
         if cfg is not None:
             _approx(problem, cfg)
-        return SolvabilityReport(
-            lam=lam_val,
-            det=1.0,
-            rank=0,
-            classification="unique",
-            load_values=np.empty(0),
-        )
-
-    A, d = load_matrix(problem, cfg, lam)
-    report = rank_and_det(A, RANK_TOL)
+        A, d = np.eye(0), np.empty(0)
+    else:
+        A, d = load_matrix(problem, cfg, lam)
+    report = rank_and_det(A, RANK_TOL, rhs=d)  # one elimination, the load values too
     if report.rank == m1:
-        c = gauss_jordan(A, d, tol_singular=RANK_TOL)
         return SolvabilityReport(
-            lam=lam_val,
-            det=report.det,
-            rank=report.rank,
-            classification="unique",
-            load_values=c,
+            lam=lam_val, det=report.det, rank=m1, classification="unique",
+            load_values=report.solution,
         )
 
     basis = nullspace(A.T, RANK_TOL)
@@ -533,12 +523,9 @@ def classify(
     defect = float(max(abs(basis @ d) / d_norm)) if d_norm else 0.0
     family = defect <= RANK_TOL
     return SolvabilityReport(
-        lam=lam_val,
-        det=report.det,
-        rank=report.rank,
+        lam=lam_val, det=report.det, rank=report.rank,
         classification="family" if family else "no_solution",
-        family_dim=m1 - report.rank if family else 0,
-        orthogonality_defect=defect,
+        family_dim=m1 - report.rank if family else 0, orthogonality_defect=defect,
     )
 
 
@@ -559,14 +546,12 @@ def semi_analytic_solve(
     cfg = _approx(problem, cfg)
     report = classify(problem, cfg, lam)
     if report.classification != "unique":
-        raise SolvabilityError(
-            f"load system is not uniquely solvable ({report.label})"
-        )
+        raise SolvabilityError(f"load system is not uniquely solvable ({report.label})")
 
     with warnings.catch_warnings():
         if problem.loads:  # classify has warned of a truncated series already
             warnings.simplefilter("ignore", TruncationWarning)
-        values, B = _reduced(cfg, ts, _tilde(problem, ts), lam)
+        values, B = _reduced(cfg, ts, lam)
     for b_j, c_j in zip(B, report.load_values):
         values = values - b_j * c_j
     return values

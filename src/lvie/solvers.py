@@ -3,8 +3,9 @@
 One full-pivot Gauss-Jordan core, ``_eliminate``, serves three callers:
 ``gauss_jordan``, the reference solver, eliminates ``[a | b]``;
 ``rank_and_det``, the solvability diagnostics, reads rank and
-determinant off the pivots and the swap parity; ``nullspace`` reads a
-basis off the reduced matrix.  The core works on the transpose, so a
+determinant off the pivots and the swap parity, and eliminates an
+optional right-hand side with them; ``nullspace`` reads a basis off the
+reduced matrix.  The core works on the transpose, so a
 step's columns are contiguous rows, and skips the columns left of the
 pivot, exact zeros in its row: n^3/2 multiply-subtracts, 2n^3/3 search reads.
 
@@ -12,14 +13,14 @@ pivot, exact zeros in its row: n^3/2 multiply-subtracts, 2n^3/3 search reads.
 plus a handful of load columns) by superposition: one forward
 substitution for the right-hand side, one per load column, and a small
 consistency solve for the load values.  The substitution is blocked:
-one numpy triangular solve per block of ``BLOCK_ROWS`` (64) rows, and
-it never needs the materialized matrix.  In general each block pulls
-its far field, the weights recomputed in panels of at most
-``PANEL_POINTS`` (16384) kernel points: O(m N^2) time,
-O(N/64 + N^2/16384) kernel calls and O(m N) memory.  On a lag table
-(``assembly``) the weights form a Toeplitz matrix, and each solved
-block pushes its part of the far field ahead in dyadic squares, the
-large ones by FFT: O(m N log^2 N) time, N kernel points in all and
+one ``np.linalg.solve`` (a general LU with partial pivoting) per block
+of ``BLOCK_ROWS`` (64) rows, and it never needs the materialized
+matrix.  In general each block pulls its far field, the weights
+recomputed in panels of at most ``PANEL_POINTS`` (16384) kernel points:
+O(m N^2) time, O(N/64 + N^2/16384) kernel calls and O(m N) memory.  On
+a lag table (``assembly``) the weights form a Toeplitz matrix, and each
+solved block pushes its part of the far field ahead in dyadic squares,
+the large ones by FFT: O(m N log^2 N) time, N kernel points in all and
 O(m N) memory.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -59,13 +61,22 @@ class SolvabilityError(ValueError):
     """The structured path found the system unsolvable as posed."""
 
 
-def _as_square(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _transposed(a, b=None) -> np.ndarray:
+    """``[a | b]`` (``b`` optional) stored as its transpose, the layout of ``_eliminate``."""
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    return a
+    n = a.shape[0]
+    at = np.empty((n + (b is not None), n))
+    at[:n] = a.T
+    if b is not None:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (n,):
+            raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
+        at[n] = b
+    return at
 
 
 def _eliminate(at: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int]:
@@ -75,9 +86,10 @@ def _eliminate(at: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int
     changes are the row block ``at[k:]``, updated ``UPDATE_ROWS`` rows at a
     time through one buffer.  The pivot is the first maximum of
     ``|A[k:, k:]|`` in row-major order: its first row, then the first
-    column in that row.  Elimination stops at the first pivot below
-    ``tol * max|A|``.  Returns the raw pivots, the column order of ``A``
-    and the number of swaps; callers read ``aug[:, rank:]`` only.
+    column in that row; the last step has one candidate and no search.
+    Elimination stops at the first pivot below ``tol * max|A|``.  Returns
+    the raw pivots, the column order of ``A`` and the number of swaps;
+    callers read ``aug[:, rank:]`` only.
     """
     n = at.shape[1]
     scale = np.abs(at[:n]).max(initial=0.0)
@@ -86,19 +98,20 @@ def _eliminate(at: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int
     swaps = 0
     prod = np.empty((min(UPDATE_ROWS, at.shape[0]), n))
     for k in range(n):
-        sub = at[k:n, k:]  # sub[j, i] = aug[k+i, k+j]; max and min read it without a copy
-        pi = int(np.argmax(np.maximum(sub.max(axis=0), -sub.min(axis=0))))
-        pj = int(np.argmax(np.abs(sub[:, pi]))) + k
-        pi += k
+        pi = pj = k
+        if k < n - 1:
+            sub = at[k:n, k:]  # sub[j, i] = aug[k+i, k+j]; max and min read it without a copy
+            pi += int(np.maximum(sub.max(axis=0), -sub.min(axis=0)).argmax())
+            pj += int(np.abs(at[k:n, pi]).argmax())
         piv = at[pj, pi]
         if piv == 0.0 or abs(piv) < tol * scale:  # piv == 0 stops a zero A
             break
         if pi != k:
-            at[k:, [k, pi]] = at[k:, [pi, k]]
+            at[k:, k], at[k:, pi] = at[k:, pi].copy(), at[k:, k].copy()
             swaps += 1
         if pj != k:
-            at[[k, pj]] = at[[pj, k]]
-            cols[[k, pj]] = cols[[pj, k]]
+            at[k], at[pj] = at[pj].copy(), at[k].copy()
+            cols[k], cols[pj] = cols[pj], cols[k]
             swaps += 1
         pivots.append(float(piv))
         at[k:, k] /= piv
@@ -106,8 +119,15 @@ def _eliminate(at: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int
         fac[k] = 0.0
         for j0 in range(k, at.shape[0], UPDATE_ROWS):
             j1 = min(j0 + UPDATE_ROWS, at.shape[0])
-            at[j0:j1] -= np.multiply.outer(at[j0:j1, k], fac, out=prod[: j1 - j0])
+            at[j0:j1] -= np.multiply(at[j0:j1, k, None], fac, out=prod[: j1 - j0])
     return pivots, cols, swaps
+
+
+def _solution(at: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """x of a x = b from a full-rank elimination of ``[a | b]``."""
+    x = np.empty(at.shape[1])
+    x[cols] = at[-1]
+    return x
 
 
 def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
@@ -117,12 +137,8 @@ def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
     remaining submatrix; a pivot below ``tol_singular`` relative to the
     largest initial entry raises :class:`SingularMatrixError`.
     """
-    a = _as_square(a)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
-    at = np.column_stack([a, b]).T.copy()
+    at = _transposed(a, b)
+    n = at.shape[1]
     pivots, cols, _ = _eliminate(at, tol_singular)
     k = len(pivots)
     if k < n:
@@ -130,13 +146,9 @@ def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
         piv = rest.flat[np.argmax(np.abs(rest))]
         if piv == 0.0 and k == 0:
             raise SingularMatrixError("matrix is zero", step=0)
-        raise SingularMatrixError(
-            f"matrix is singular (pivot {piv:.3e} at elimination step {k})",
-            step=k,
-        )
-    x = np.empty(n)
-    x[cols] = at[n]
-    return x
+        msg = f"matrix is singular (pivot {piv:.3e} at elimination step {k})"
+        raise SingularMatrixError(msg, step=k)
+    return _solution(at, cols)
 
 
 def nullspace(a, tol: float) -> np.ndarray:
@@ -144,7 +156,7 @@ def nullspace(a, tol: float) -> np.ndarray:
 
     The rank is decided as in :func:`rank_and_det`.
     """
-    at = np.ascontiguousarray(_as_square(a).T)
+    at = _transposed(a)
     n = at.shape[0]
     pivots, cols, _ = _eliminate(at, tol)
     rank = len(pivots)
@@ -162,36 +174,39 @@ class RankReport:
 
     ``det`` is reported as 0 whenever the rank is deficient.  The
     (sign, log10-magnitude) pair carries the determinant through
-    under/overflow for large matrices.
+    under/overflow for large matrices.  ``solution`` is x of a x = rhs, at full rank.
     """
 
     rank: int
     det: float
     det_sign: int
     det_log10: float
+    solution: Optional[np.ndarray] = None
 
 
-def rank_and_det(a, tol: float = 1e-10) -> RankReport:
+def rank_and_det(a, tol: float = 1e-10, rhs=None) -> RankReport:
     """Rank and determinant via Gauss-Jordan elimination with full pivoting.
 
     A pivot counts toward the rank when its magnitude is at least
-    ``tol`` times the largest entry of the input matrix.
+    ``tol`` times the largest entry of the input matrix.  Given ``rhs``,
+    the one elimination runs on ``[a | rhs]``, whose pivots do not read
+    ``rhs``: the rank and det of ``a``, and :func:`gauss_jordan`'s bits.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    at = np.ascontiguousarray(_as_square(a).T)
-    n = at.shape[0]
-    pivots, _, swaps = _eliminate(at, tol)
+    at = _transposed(a, rhs)
+    n = at.shape[1]
+    pivots, cols, swaps = _eliminate(at, tol)
     rank = len(pivots)
     if rank < n:
-        det, det_sign, det_log10 = 0.0, 0, -math.inf
-    else:
-        det = float((-1) ** swaps * math.prod(pivots))  # may under/overflow
-        det_sign = (-1) ** (swaps + sum(p < 0 for p in pivots))
-        det_log10 = 0.0
-        for piv in pivots:
-            det_log10 += math.log10(abs(piv))
-    return RankReport(rank=rank, det=det, det_sign=det_sign, det_log10=det_log10)
+        return RankReport(rank=rank, det=0.0, det_sign=0, det_log10=-math.inf)
+    det = float((-1) ** swaps * math.prod(pivots))  # may under/overflow
+    det_sign = (-1) ** (swaps + sum(p < 0 for p in pivots))
+    det_log10 = 0.0
+    for piv in pivots:
+        det_log10 += math.log10(abs(piv))
+    solution = None if rhs is None else _solution(at, cols)
+    return RankReport(rank, det, det_sign, det_log10, solution)
 
 
 def _pull(system, B, X, Y, check_pivots) -> None:

@@ -150,6 +150,34 @@ def test_analyze_sweep_row_count(capsys):
     assert len(lines) == 12
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SQRT_LADDER = str(Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "sqrt_ladder.cfg")
+SWEEP = ["--lambda-from", "-10", "--lambda-to", "10", "--steps", "41"]
+# analyze_<name>.stdout holds the stdout of ``lvie analyze ARGS``, written before the load
+# system was restricted to the nodes interpolation reads; every later change keeps the bytes.
+GOLDEN_ANALYZE = {
+    "model1": ["--builtin", "model1"],
+    "model2": ["--builtin", "model2"],
+    "model1_sweep": ["--builtin", "model1", *SWEEP],
+    "model2_sweep": ["--builtin", "model2", *SWEEP],
+    "model1_lambda50": ["--builtin", "model1", "--lambda", "50"],
+    "sqrt_ladder": ["--config", SQRT_LADDER],
+    "sqrt_ladder_sweep": ["--config", SQRT_LADDER, "--density", "64",
+                          "--lambda-from", "-4", "--lambda-to", "4", "--steps", "9"],
+    "family": ["--config", str(FIXTURES / "family.cfg"), "--density", "64"],
+    "no_solution": ["--config", str(FIXTURES / "no_solution.cfg"), "--density", "64"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_analyze_stdout_matches_golden(capsys, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # model1 at lambda 50 is truncated
+        assert main(["analyze", *GOLDEN_ANALYZE[name]]) == 0
+    golden = (FIXTURES / f"analyze_{name}.stdout").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
 def test_analyze_non_finite_lambda(capsys, monkeypatch, lam):
     built = []

@@ -1,16 +1,21 @@
 import dataclasses
 import importlib
+import math
 import warnings
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lvie.config import parse_problem_config
 from lvie.expressions import EvalError
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.resolvent import (
+    RANK_TOL,
     ResolventApprox,
+    SolvabilityReport,
     TruncationWarning,
     classify,
     iterated_kernel,
@@ -21,11 +26,13 @@ from lvie.resolvent import (
     solvability_sweep,
     sweep_csv,
 )
-from lvie.solvers import SolvabilityError
+from lvie.solvers import SolvabilityError, gauss_jordan, nullspace, rank_and_det
 from lvie.study import solve_collocation
 
 # The package re-exports a function named ``resolvent`` over its submodule.
 RESOLVENT_MODULE = importlib.import_module("lvie.resolvent")
+SOLVERS_MODULE = importlib.import_module("lvie.solvers")
+TESTS = Path(__file__).resolve().parent
 ONE = ScalarFunction.constant(1.0)
 ONE2 = ScalarFunction.constant(1.0, arity=2)
 
@@ -181,6 +188,16 @@ class TestReducedCoeffs:
 UNIT_ONE_LOAD = dict(loads=(LoadTerm(0.5, ScalarFunction.from_expression("t+1", 1)),))
 
 
+def volterra_integrals(cfg, R):
+    """Row-wise trapezoid of int_{t0}^{z_i} R(z_i, s) v(s) ds, one row per v in f~ and every a~_j.
+
+    The reference the recursion for the I_n is tested against, on tables.
+    """
+    return np.array(
+        [cfg.dz * (R @ v - 0.5 * (R[:, 0] * v[0] + np.diagonal(R) * v)) for v in cfg._data]
+    )
+
+
 class TestReducedTables:
     """The lam-free integrals I_n against the integrals of the resolvent table."""
 
@@ -194,17 +211,12 @@ class TestReducedTables:
         return {name: ResolventApprox(p, quad_density=128) for name, p in problems.items()}
 
     @staticmethod
-    def _oracle(cfg, lam):
-        R = cfg.resolvent_table(lam)
-        return np.array([cfg._volterra_integrals(R, v) for v in cfg._data])
-
-    @staticmethod
     def _assert_close(cfg, lam):
         with warnings.catch_warnings():
             # K == 1 needs more than MAX_TERMS terms at |lam| >= 10
             warnings.simplefilter("ignore", TruncationWarning)
             F_int, B_int = cfg.reduced_tables(lam)
-            expected = TestReducedTables._oracle(cfg, lam)
+            expected = volterra_integrals(cfg, cfg.resolvent_table(lam))
         ints = np.vstack([F_int[None, :], B_int])
         assert ints.shape == expected.shape
         assert np.abs(ints - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -225,7 +237,7 @@ class TestReducedTables:
             count = cfg.terms_needed(lam)[0]
             F_int, B_int = cfg.reduced_tables(lam)
         expected = sum(
-            lam**n * cfg._integrals(cfg.kernel_table(n)) for n in range(1, count + 1)
+            lam**n * volterra_integrals(cfg, cfg.kernel_table(n)) for n in range(1, count + 1)
         )
         ints = np.vstack([F_int[None, :], B_int])
         assert np.abs(ints - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -807,3 +819,189 @@ def test_cfg_of_another_problem_rejected(name):
     cfg = ResolventApprox(builtin_problem("model1"), quad_density=16)
     with pytest.raises(ValueError, match="another problem"):
         _CFG_CALLS[name](builtin_problem("model2"), cfg)
+
+
+def full_grid_reduced(cfg, ts, lam):
+    """F and every b_j at ``ts`` from the full tables: ``_series`` on every node, then np.interp."""
+    ints = RESOLVENT_MODULE._series(lam, cfg.terms_needed(lam)[0], cfg._ints)
+    tilde = RESOLVENT_MODULE._tilde(cfg.problem, ts)
+    F = tilde[0] + np.interp(ts, cfg.z, ints[0])
+    B = tilde[1:].copy()
+    for j, row in enumerate(ints[1:]):
+        B[j] += np.interp(ts, cfg.z, row)
+    return F, B
+
+
+def full_grid_load_system(cfg, lam):
+    d, B = full_grid_reduced(cfg, cfg.problem.load_points, lam)
+    return np.eye(len(cfg.problem.loads)) + B.T, d
+
+
+def two_elimination_classify(cfg, lam):
+    """The classifier on the full-grid load system, by two eliminations: rank, then solve."""
+    m1 = len(cfg.problem.loads)
+    A, d = full_grid_load_system(cfg, lam)
+    rank = rank_and_det(A, RANK_TOL)
+    if rank.rank == m1:
+        c = gauss_jordan(A, d, tol_singular=RANK_TOL)
+        return SolvabilityReport(lam, rank.det, rank.rank, "unique", load_values=c)
+    basis = nullspace(A.T, RANK_TOL)
+    d_norm = float(np.linalg.norm(d))
+    defect = float(max(abs(basis @ d) / d_norm)) if d_norm else 0.0
+    family = defect <= RANK_TOL
+    label = "family" if family else "no_solution"
+    dim = m1 - rank.rank if family else 0
+    return SolvabilityReport(lam, rank.det, rank.rank, label, dim, orthogonality_defect=defect)
+
+
+def assert_same_bits(got, want):
+    """Arrays byte for byte (shape and dtype too), everything else by repr, so -0.0 != 0.0."""
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    else:
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def assert_same_report(got, want):
+    for field in dataclasses.fields(SolvabilityReport):
+        assert_same_bits(getattr(got, field.name), getattr(want, field.name))
+
+
+def _loads(*pairs):
+    return tuple(LoadTerm(t, ScalarFunction.from_expression(c, 1)) for t, c in pairs)
+
+
+ORACLE_PROBLEMS = {
+    "model1": builtin_problem("model1"),
+    "model2": builtin_problem("model2"),
+    # a parsed file: the sqrt kernel takes the table path, and there are three loads
+    "sqrt_ladder": parse_problem_config(
+        (TESTS.parent / "bench" / "fixtures" / "sqrt_ladder.cfg").read_text()
+    ),
+    "unit": make_problem(**UNIT_ONE_LOAD),
+    # loads at t0, on an interior node (at densities 64 and 512) and at T
+    "ends_and_node": dataclasses.replace(
+        builtin_problem("model1"), loads=_loads((0.0, "t+1"), (0.5, "1-t"), (1.0, "t^2/2"))
+    ),
+}
+
+
+class TestLoadSystemOracle:
+    """Per lam, the series runs on the nodes interpolation reads; the bits are the full grid's."""
+
+    @pytest.fixture(scope="class")
+    def cfgs(self):
+        return {}
+
+    def _cfg(self, cfgs, name, density):
+        key = (name, density)
+        if key not in cfgs:
+            cfgs[key] = ResolventApprox(ORACLE_PROBLEMS[name], quad_density=density)
+        return cfgs[key]
+
+    @staticmethod
+    def _checked(call, converged):
+        """``call()``, which must warn once exactly when the series is truncated."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        assert [w.category for w in caught] == ([] if converged else [TruncationWarning])
+        return result
+
+    @pytest.mark.parametrize("lam", [0.0, -3.5, 0.25, 3.5641, 10.0, 50.0])
+    @pytest.mark.parametrize("density", [1, 64, 512])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_bytes_match_the_full_grid(self, cfgs, name, density, lam):
+        cfg = self._cfg(cfgs, name, density)
+        p = cfg.problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            converged = cfg.terms_needed(lam)[1]
+            A_ref, d_ref = full_grid_load_system(cfg, lam)
+            report_ref = two_elimination_classify(cfg, lam)
+            points = [p.t0, p.T, float(cfg.z[len(cfg.z) // 2]), 0.37, *p.load_points]
+            reduced_ref = [full_grid_reduced(cfg, float(t), lam) for t in points]
+        if (name, lam) == ("unit", 50.0):
+            assert not converged  # K == 1 needs more than MAX_TERMS terms
+        A, d = self._checked(lambda: load_matrix(p, cfg, lam), converged)
+        assert_same_bits(A, A_ref)
+        assert_same_bits(d, d_ref)
+        assert_same_report(self._checked(lambda: classify(p, cfg, lam), converged), report_ref)
+        for t, (F_ref, b_ref) in zip(points, reduced_ref):
+            F, b = self._checked(lambda: reduced_coeffs(p, t, cfg, lam), converged)
+            assert_same_bits(F, float(F_ref))
+            assert_same_bits(b, b_ref)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_seeded_lambdas(self, cfgs, name):
+        # Random lam: lam**n and np.power(lam, n) differ in the last bit for many of them.
+        cfg = self._cfg(cfgs, name, 64)
+        p = cfg.problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for lam in np.random.default_rng(15).uniform(-10.0, 10.0, 100).tolist():
+                A, d = full_grid_load_system(cfg, lam)
+                assert_same_bits(load_matrix(p, cfg, lam)[0], A)
+                assert_same_report(classify(p, cfg, lam), two_elimination_classify(cfg, lam))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_semi_analytic_matches_the_full_grid(self, cfgs, name):
+        cfg = self._cfg(cfgs, name, 64)
+        p = cfg.problem
+        ts = np.linspace(p.t0, p.T, 97)
+        values, B = full_grid_reduced(cfg, ts, p.lam)
+        assert semi_analytic_solve(p, ts[:0], cfg).shape == (0,)
+        for b_j, c_j in zip(B, two_elimination_classify(cfg, p.lam).load_values):
+            values = values - b_j * c_j
+        assert_same_bits(semi_analytic_solve(p, ts, cfg), values)
+
+
+def trio(lam, f):
+    """ROADMAP item 4's singular trio: a0 = K = 1 and a1 = -e^{-lam/2} make A(lam) singular."""
+    return make_problem(
+        lam=lam,
+        loads=(LoadTerm(0.5, ScalarFunction.constant(-math.exp(-lam / 2))),),
+        rhs=ScalarFunction.constant(f),
+    )
+
+
+class TestOneElimination:
+    """In the unique case classify eliminates ``[A | d]`` once; every other report keeps its fields."""
+
+    @pytest.mark.parametrize("name", ["model1", "model2", "sqrt_ladder"])
+    def test_unique_case_eliminates_once(self, monkeypatch, name):
+        calls = []
+        original = SOLVERS_MODULE._eliminate
+
+        def spy(at, tol):
+            calls.append(at.shape)
+            return original(at, tol)
+
+        monkeypatch.setattr(SOLVERS_MODULE, "_eliminate", spy)
+        p = ORACLE_PROBLEMS[name]
+        cfg = ResolventApprox(p, quad_density=64)
+        m = len(p.loads)
+        for lam in (-2.0, 0.0, p.lam, 3.5):
+            calls.clear()
+            assert classify(p, cfg, lam).classification == "unique"
+            assert calls == [(m + 1, m)]  # [A | d], stored transposed
+
+    @pytest.mark.parametrize(
+        "problem",
+        [parse_problem_config((TESTS / "fixtures" / f"{name}.cfg").read_text())
+         for name in ("family", "no_solution")]
+        + [
+            make_problem(
+                lam=0.0,
+                loads=_loads((0.3, "(t-0.5)/0.2"), (0.5, "(0.3-t)/0.2")),
+                rhs=ScalarFunction.constant(0.0),
+            )
+        ]
+        + [trio(lam, f) for lam in (0.25, 1.0) for f in (0.0, 1.0)],
+        ids=["family", "no_solution", "family2"]
+        + [f"trio-{lam}-{f}" for lam in (0.25, 1.0) for f in (0.0, 1.0)],
+    )
+    @pytest.mark.parametrize("density", [64, 512, 2048])
+    def test_every_report_field_kept(self, problem, density):
+        cfg = ResolventApprox(problem, quad_density=density)
+        assert_same_report(classify(problem, cfg), two_elimination_classify(cfg, problem.lam))
