@@ -13,20 +13,23 @@ Apart from the load columns v_j the matrix is lower triangular; row 0
 has no integral term.  By default the matrix stays implicit: the node
 values of the coefficients are stored and ``CollocationSystem.weights``
 recomputes the weights of any rows and columns on demand (O(N) memory).
-The structured solver and the residual read them in panels of at most
-``BLOCK_ROWS`` rows and ``PANEL_POINTS`` kernel points.  ``mode="dense"``
-also materializes the matrix, for the Gauss-Jordan reference path, on
-grids of at most ``DENSE_MAX_NODES`` nodes.
+The structured solver reads each block's near triangle from ``near`` and
+has ``integral`` add the squares of its far field.  ``integral``, and so
+``residual``, reads the weights in panels of at most ``BLOCK_ROWS`` rows
+and ``PANEL_POINTS`` kernel points; a kernel failure names the earliest
+failing row (``AssemblyError.row``).  ``mode="dense"`` also materializes
+the matrix, for the Gauss-Jordan reference path, on grids of at most
+``DENSE_MAX_NODES`` nodes.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
 i - p only.  A streaming system then evaluates K(tau_{j+1}, (tau_0 + tau_1)/2),
-j = 0..N-1, once on first use (``lag_weights``) and copies every panel
-out of that table; ``integral`` applies a rectangle with both sides past
-``PANEL_MAX_SIDE`` as a Toeplitz matrix, by one FFT convolution, so
-``residual`` costs O(N log N).  A kernel failure there leaves the direct
-path, which names the row as before; dense assembly and ``quad_weight``
-evaluate every pair.
+j = 0..N-1, once on first use (``lag_weights``), copies every panel out
+of that table and builds one near triangle for every block; ``integral``
+applies a rectangle with both sides past ``PANEL_MAX_SIDE`` as a Toeplitz
+matrix, by one FFT convolution, so ``residual`` costs O(N log N).  A
+kernel failure there leaves the direct path, which names the row as
+before; dense assembly and ``quad_weight`` evaluate every pair.
 """
 
 from __future__ import annotations
@@ -57,7 +60,11 @@ PANEL_MAX_SIDE = 256
 
 
 class AssemblyError(RuntimeError):
-    """A coefficient or kernel evaluation failed; the message names the row and t."""
+    """A coefficient or kernel evaluation failed at ``row`` (None: the dense-size refusal)."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 def check_dense_size(n: int) -> None:
@@ -107,6 +114,7 @@ class CollocationSystem:
     _lag: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _lags: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # read-only, row i = J_1^i .. J_N^i
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _near: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         tau = self.grid.nodes
@@ -138,7 +146,8 @@ class CollocationSystem:
             kvals = self.problem.kernel(t, s)
         except EvalError as err:
             if i1 - i0 == 1:
-                raise AssemblyError(f"kernel failed at row {i0}, t={tau[i0]:.6g}: {err}") from err
+                msg = f"kernel failed at row {i0}, t={tau[i0]:.6g}: {err}"
+                raise AssemblyError(msg, i0) from err
             for i in range(i0, i1):  # locate the failing row
                 self.weights(i, i + 1, k0, k1)
             raise
@@ -171,13 +180,31 @@ class CollocationSystem:
         """Weights J_1^i .. J_i^i of row i (empty for row 0)."""
         return self.weights(i, i + 1, 0, i)[0]
 
+    def near(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0 <= i < i1 of the matrix less a0 and the loads, on columns i0 - 1 .. i1 - 1.
+
+        Read-only.  Column 0 couples x_{i0-1}; the rest is lower triangular.
+        The last block built is kept: on a lag system a block depends on
+        i1 - i0 only, so a block no longer than it is its leading part.
+        """
+        k = i1 - i0
+        if self._near is None or self._near.shape[0] < k or self.lag_weights() is None:
+            J = self.weights(i0, i1, i0 - 1, i1 - 1)
+            block = np.zeros((k, k + 1))
+            block[:, :k] -= J
+            block[:, 1:] -= J
+            block.flags.writeable = False
+            self._near = block
+        return self._near[:k, : k + 1]
+
     def integral(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int, k1: int) -> None:
         """Add sum_{k0 <= k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, to out[i - i0].
 
         The rows are i0 <= i < i0 + len(out).  The weights come in panels
         of ``BLOCK_ROWS`` rows and ``PANEL_POINTS`` points, except on a lag
         system when both sides of the rectangle exceed ``PANEL_MAX_SIDE``:
-        then they form a Toeplitz matrix, applied by FFT.
+        then they form a Toeplitz matrix, applied by FFT.  A kernel failure
+        raises the :class:`AssemblyError` of the earliest failing row.
         """
         i1 = i0 + out.shape[0]
         if min(i1 - i0, k1 - k0) > PANEL_MAX_SIDE and self.lag_weights() is not None:
@@ -186,9 +213,15 @@ class CollocationSystem:
         width = PANEL_POINTS // BLOCK_ROWS
         for r0 in range(i0, i1, BLOCK_ROWS):
             r1 = min(r0 + BLOCK_ROWS, i1)
+            errors = []
             for c0 in range(k0, min(k1, r1 - 1), width):
                 c1 = min(c0 + width, k1, r1 - 1)
-                out[r0 - i0 : r1 - i0] += self.weights(r0, r1, c0, c1) @ y[c0:c1]
+                try:
+                    out[r0 - i0 : r1 - i0] += self.weights(r0, r1, c0, c1) @ y[c0:c1]
+                except AssemblyError as err:
+                    errors.append(err)
+            if errors:  # a later column panel may fail in an earlier row
+                raise min(errors, key=lambda err: err.row)
 
     def _toeplitz_product(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int) -> None:
         """Add sum_c w[i0 + r - 1 - k0 - c] y[c] to out[r], w = 0 outside 0..N-1.
@@ -238,7 +271,7 @@ def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
             try:
                 fn(float(t))
             except EvalError as err:
-                raise AssemblyError(f"{label} failed at row {i}, t={t:.6g}: {err}") from err
+                raise AssemblyError(f"{label} failed at row {i}, t={t:.6g}: {err}", i) from err
         raise
 
 

@@ -12,16 +12,14 @@ pivot, exact zeros in its row: n^3/2 multiply-subtracts, 2n^3/3 search reads.
 ``structured_solve`` exploits the collocation shape (lower triangular
 plus a handful of load columns) by superposition: one forward
 substitution for the right-hand side, one per load column, and a small
-consistency solve for the load values.  The substitution is blocked:
-one ``np.linalg.solve`` (a general LU with partial pivoting) per block
-of ``BLOCK_ROWS`` (64) rows, and it never needs the materialized
-matrix.  In general each block pulls its far field, the weights
-recomputed in panels of at most ``PANEL_POINTS`` (16384) kernel points:
-O(m N^2) time, O(N/64 + N^2/16384) kernel calls and O(m N) memory.  On
-a lag table (``assembly``) the weights form a Toeplitz matrix, and each
-solved block pushes its part of the far field ahead in dyadic squares,
-the large ones by FFT: O(m N log^2 N) time, N kernel points in all and
-O(m N) memory.
+consistency solve for the load values.  The substitution never builds
+the matrix and has one schedule for every system: one ``np.linalg.solve``
+(a general LU with partial pivoting) per block of ``BLOCK_ROWS`` (64)
+rows, each solved block pushing its far field ahead in dyadic squares.
+``CollocationSystem.integral`` decides how a square is applied: in
+panels of at most ``PANEL_POINTS`` (16384) kernel points, O(m N^2) time
+and O(N/64 + N^2/16384) kernel calls, or on a lag table by windows and
+FFTs, O(m N log^2 N) time and N kernel points.  Memory is O(m N).
 """
 
 from __future__ import annotations
@@ -209,61 +207,6 @@ def rank_and_det(a, tol: float = 1e-10, rhs=None) -> RankReport:
     return RankReport(rank, det, det_sign, det_log10, solution)
 
 
-def _pull(system, B, X, Y, check_pivots) -> None:
-    """Forward substitution that gathers each block's far field just before solving it.
-
-    The kernel may fail at any row, so each block checks its own rows'
-    kernel failures and pivots in row order.
-    """
-    a0, n = system.a0_values, system.size
-    for r0 in range(1, n, BLOCK_ROWS):
-        r1 = min(r0 + BLOCK_ROWS, n)
-        acc = np.zeros((r1 - r0, Y.shape[1]))
-        try:
-            system.integral(acc, r0, Y, 0, r0 - 1)
-            J = system.weights(r0, r1, r0 - 1, r1 - 1)  # row k: J_{r0}..J_{r0+k}
-        except AssemblyError:
-            for i in range(r0, r1):  # the earlier row's failure wins
-                check_pivots(i, a0[i] - system.row_weights(i)[-1:])
-            raise
-        # Row k couples X[r0+j] through J[k, j] + J[k, j+1] (j < k) and J[k, k].
-        T = np.diag(a0[r0:r1]) - J
-        T[:, :-1] -= J[:, 1:]
-        check_pivots(r0, T.diagonal())
-        X[r0:r1] = np.linalg.solve(T, B[r0:r1] + acc + J[:, :1] * X[r0 - 1])
-        Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
-
-
-def _push(system, B, X, Y) -> None:
-    """Forward substitution on a lag system that adds each block's far field into B ahead.
-
-    Once block b (rows r0..r1-1) is solved, Y[:r1 - 1] is known, and its
-    last M = BLOCK_ROWS * 2^v entries, 2^v the largest power of two
-    dividing b + 1, are pushed into the next M rows of B.  These squares
-    tile the strict lower triangle of blocks (the dyadic splitting of
-    Hairer, Lubich and Schlichte, 1985), so every pair of a row and an
-    earlier column outside the row's own block is added once.  A square
-    is a Toeplitz product, by FFT past ``PANEL_MAX_SIDE``: O(N log^2 N)
-    in all.  The near triangle J, and so T less its diagonal a0, is the
-    same for every block.
-    """
-    a0, n = system.a0_values, system.size
-    rows = min(BLOCK_ROWS, n - 1)
-    J = system.weights(1, 1 + rows, 0, rows)
-    T_off = -J
-    T_off[:, :-1] -= J[:, 1:]
-    for b, r0 in enumerate(range(1, n, BLOCK_ROWS)):
-        r1 = min(r0 + BLOCK_ROWS, n)
-        k = r1 - r0
-        T = T_off[:k, :k].copy()
-        T.flat[:: k + 1] += a0[r0:r1]
-        X[r0:r1] = np.linalg.solve(T, B[r0:r1] + J[:k, :1] * X[r0 - 1])
-        Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
-        if r1 < n:
-            m = BLOCK_ROWS * ((b + 1) & -(b + 1))
-            system.integral(B[r1 : r1 + m], r1, Y, r1 - 1 - m, r1 - 1)
-
-
 def structured_solve(system) -> np.ndarray:
     """Solve a collocation system via its triangular-plus-load-columns shape.
 
@@ -271,37 +214,60 @@ def structured_solve(system) -> np.ndarray:
     side and once against the negated entries of each load column, then
     solves the small load consistency system and superposes.  Rows after
     row 0 go in blocks of ``BLOCK_ROWS``, each one ``np.linalg.solve``.
+    Once block b (rows r0..r1-1) is solved, the last M = BLOCK_ROWS * 2^v
+    pair sums in Y[:r1 - 1], 2^v the largest power of two dividing b + 1,
+    are pushed into the next M rows of B.  These squares tile the strict
+    lower triangle of blocks (the dyadic splitting of Hairer, Lubich and
+    Schlichte, 1985): every pair of a row and an earlier column outside
+    the row's own block is added once.
+
     The first row at fault raises: :class:`SolvabilityError` for a
     triangular pivot below ``SINGULAR_TOL`` relative to max|a0|,
-    :class:`AssemblyError` for a kernel failure.  On a lag table the
-    kernel has been evaluated already and every pivot is a0[i] - w[0],
-    so the pivots are checked once, before the first block.  Agrees with
-    :func:`gauss_jordan` on the materialized matrix to rounding.
+    :class:`AssemblyError` for a kernel failure.  A failing square records
+    its earliest failing row; the block that reaches that row checks the
+    pivots before it, then raises.  Agrees with :func:`gauss_jordan` on
+    the materialized matrix to rounding.
     """
     n = system.size
     m1 = len(system.load_columns)
-    B = np.empty((n, 1 + m1))
-    B[:, 0] = system.rhs
-    B[:, 1:] = -system.load_entries
+    B = np.column_stack([system.rhs, -system.load_entries])
 
     a0 = system.a0_values
     tiny = SINGULAR_TOL * (float(np.abs(a0).max()) or 1.0)
 
     def check_pivots(r0, d):
-        bad = np.flatnonzero(np.abs(d) < tiny)
-        if bad.size:
-            raise SolvabilityError(f"zero diagonal entry in the triangular part at row {r0 + bad[0]}")
+        if np.abs(d).min(initial=np.inf) < tiny:
+            bad = np.flatnonzero(np.abs(d) < tiny)[0]
+            raise SolvabilityError(f"zero diagonal entry in the triangular part at row {r0 + bad}")
 
     X = np.empty_like(B)
     Y = np.empty((n - 1, 1 + m1))  # pair sums X[q] + X[q+1]
     check_pivots(0, a0[:1])
     X[0] = B[0] / a0[0]
-    w = system.lag_weights()
-    if w is None:
-        _pull(system, B, X, Y, check_pivots)
-    else:
-        check_pivots(1, a0[1:] - w[0])  # every later pivot is a0[i] - w[0]
-        _push(system, B, X, Y)
+    fault = None  # the earliest kernel failure met so far
+    for b, r0 in enumerate(range(1, n, BLOCK_ROWS)):
+        r1 = min(r0 + BLOCK_ROWS, n if fault is None else fault.row)
+        try:
+            near = system.near(r0, r1)
+        except AssemblyError as err:
+            fault, r1 = err, err.row
+            near = system.near(r0, r1)
+        k = r1 - r0
+        T = near[:, 1:].copy()
+        d = T.reshape(-1)[:: k + 1]  # the diagonal, a view
+        d += a0[r0:r1]
+        check_pivots(r0, d)
+        if fault is not None and fault.row == r1:
+            raise fault
+        X[r0:r1] = np.linalg.solve(T, B[r0:r1] - near[:, :1] * X[r0 - 1])
+        Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
+        if r1 < n:
+            m = BLOCK_ROWS * ((b + 1) & -(b + 1))
+            try:
+                system.integral(B[r1 : r1 + m], r1, Y, r1 - 1 - m, r1 - 1)
+            except AssemblyError as err:
+                if fault is None or err.row < fault.row:
+                    fault = err
     if m1 == 0:
         return X[:, 0]
 

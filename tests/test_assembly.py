@@ -174,6 +174,45 @@ class TestAssemble:
         assert calls == [n_last * (n_last + 1) // 2]  # pairs 1 <= p <= i <= N
 
 
+FAILS_AT_HALF = ScalarFunction.from_expression("1/(t-0.5)", 1)
+
+
+class TestFailureRow:
+    """``AssemblyError.row`` is the row the message names; the dense-size refusal has none."""
+
+    @pytest.mark.parametrize(
+        "label, fields",
+        [
+            ("a0", {"a0": FAILS_AT_HALF}),
+            ("f", {"rhs": FAILS_AT_HALF}),
+            ("a2", {"loads": [LoadTerm(0.25, ONE), LoadTerm(0.75, FAILS_AT_HALF)]}),
+        ],
+        ids=["a0", "f", "a_j"],
+    )
+    def test_coefficient_failure(self, label, fields):
+        p = make_problem(**fields)
+        g = build_grid(p, 0.3)  # a node at t = 0.5
+        row = int(np.flatnonzero(g.nodes == 0.5)[0])
+        with pytest.raises(AssemblyError, match=rf"^{label} failed at row {row}, t=0.5:") as info:
+            assemble(p, g)
+        assert info.value.row == row
+
+    @pytest.mark.parametrize("mode", ["streaming", "dense"])
+    def test_kernel_failure(self, mode):
+        base = builtin_problem("model1")
+        p = dataclasses.replace(base, kernel=ScalarFunction.from_expression("sqrt(0.7-t)+s", 2))
+        g = build_grid(p, Fraction(1, 8))
+        with pytest.raises(AssemblyError, match=r"^kernel failed at row 8,") as info:
+            structured_solve(assemble(p, g, mode=mode))
+        assert info.value.row == 8
+
+    def test_dense_refusal_has_no_row(self):
+        p = builtin_problem("model1")
+        with pytest.raises(AssemblyError, match="needs a") as info:
+            assemble(p, build_grid(p, Fraction(1, 4096)), mode="dense")
+        assert info.value.row is None
+
+
 class TestDenseLimit:
     @pytest.mark.parametrize("name", ["model1", "model2"])
     def test_limit_admits_h_1_2048(self, name):

@@ -178,6 +178,16 @@ def test_analyze_stdout_matches_golden(capsys, name):
     assert capsys.readouterr().out.encode() == golden
 
 
+# study_<name>.stdout holds the stdout of ``lvie study --builtin NAME --h0 1/8 --levels 10
+# --no-timing``, written while lag systems and all others had separate substitution loops.
+@pytest.mark.parametrize("name", ["model1", "model2"])
+def test_study_stdout_matches_golden(capsys, name):
+    argv = ["study", "--builtin", name, "--h0", "1/8", "--levels", "10", "--no-timing"]
+    assert main(argv) == 0
+    golden = (FIXTURES / f"study_{name}.stdout").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
 def test_analyze_non_finite_lambda(capsys, monkeypatch, lam):
     built = []

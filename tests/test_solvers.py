@@ -381,9 +381,11 @@ class TestStructuredSolve:
         x = structured_solve(system)
         assert system.residual(x) <= 1e-12 * np.abs(system.rhs).max()
 
-    def test_memory_beyond_state_is_bounded(self):
-        # Past its O(m N) arrays B, X and Y the solve holds only panels.
-        p = parse_problem_config(SQRT_LADDER_CONFIG)
+    @pytest.mark.parametrize("name", ["sqrt_ladder", "model1"])
+    def test_memory_beyond_state_is_bounded(self, name):
+        # Past its O(m N) arrays B, X and Y the solve holds only panels, on
+        # a lag system (sqrt_ladder) and on the panel path (model1) alike.
+        p = parse_problem_config(SQRT_LADDER_CONFIG) if name == "sqrt_ladder" else builtin_problem(name)
         system = assemble(p, build_grid(p, Fraction(1, 8192)))
         state = 3 * system.size * (1 + len(system.load_columns)) * 8
         tracemalloc.start()
@@ -420,7 +422,9 @@ class CountingSqrtKernel:
 R = BLOCK_ROWS
 BLOCK_CASES = [
     (n, m)
-    for n in (2, R, R + 1, R + 2, 2 * R + 1, 5 * R + 2)  # 5R+2: two far panels
+    # 5R+2: two far panels; 9R+2: the square pushed after block 7 is 512
+    # columns wide, two column panels.
+    for n in (2, R, R + 1, R + 2, 2 * R + 1, 5 * R + 2, 9 * R + 2)
     for m in (0, 1, 3)
     if m <= n - 2
 ]
@@ -484,22 +488,30 @@ class TestBlockedErrorLocation:
     NODES = GRID.nodes
     MIDS = 0.5 * (NODES[:-1] + NODES[1:])
 
-    def solve(self, a0=None, kernel=None):
+    # Rows 513..699 of WIDE take their whole far field from the square pushed
+    # after block 7: columns 0..511, in two column panels of 256.
+    WIDE = uniform_grid(700)
+    WIDE_MIDS = 0.5 * (WIDE.nodes[:-1] + WIDE.nodes[1:])
+
+    def system(self, a0=None, kernel=None, grid=GRID):
         p = Problem(
             t0=0.0, T=1.0, lam=0.0, loads=(),
             a0=a0 or ScalarFunction(lambda t: 2.0 + t, 1),
             kernel=kernel or ScalarFunction(lambda t, s: t + s, 2),
             rhs=ScalarFunction.constant(1.0),
         )
-        return structured_solve(assemble(p, self.GRID))
+        return assemble(p, grid)
+
+    def solve(self, a0=None, kernel=None, grid=GRID):
+        return structured_solve(self.system(a0, kernel, grid))
 
     def zero_pivots_at(self, rows):
         """An a0 that vanishes exactly at the given nodes."""
         roots = [self.NODES[i] for i in rows]
         return ScalarFunction(lambda t: np.prod([t - r for r in roots], axis=0), 1)
 
-    def kernel_error(self, row):
-        expected = f"kernel failed at row {row}, t={self.NODES[row]:.6g}:"
+    def kernel_error(self, row, grid=GRID):
+        expected = f"kernel failed at row {row}, t={grid.nodes[row]:.6g}:"
         return pytest.raises(AssemblyError, match=re.escape(expected))
 
     def pivot_error(self, row):
@@ -547,3 +559,28 @@ class TestBlockedErrorLocation:
                 a0=self.zero_pivots_at([95]),
                 kernel=failing_kernel(lambda t, s: t >= self.NODES[95]),
             )
+
+    def wide_bad(self, early, late):
+        """Row ``early`` fails only in the second column panel of the square, ``late`` in the first."""
+        nodes, mids = self.WIDE.nodes, self.WIDE_MIDS
+        return lambda t, s: ((t >= nodes[late]) & (s < mids[5])) | (
+            (t >= nodes[early]) & (s > mids[300]) & (s < mids[310])
+        )
+
+    def test_earliest_row_wins_across_column_panels_of_a_square(self):
+        with self.kernel_error(530, self.WIDE):
+            self.solve(kernel=failing_kernel(self.wide_bad(530, 540)), grid=self.WIDE)
+
+    def test_near_triangle_failure_wins_over_a_square_ahead(self):
+        # The square pushed after block 3 (rows 257..512, columns 0..255)
+        # records row 500; row 300 fails later, in block 4's near triangle.
+        nodes, mids = self.WIDE.nodes, self.WIDE_MIDS
+        bad = lambda t, s: ((t >= nodes[500]) & (s < mids[5])) | ((t >= nodes[300]) & (s > mids[280]))
+        with self.kernel_error(300, self.WIDE):
+            self.solve(kernel=failing_kernel(bad), grid=self.WIDE)
+
+    def test_residual_names_the_earliest_row(self):
+        system = self.system(kernel=failing_kernel(self.wide_bad(530, 540)), grid=self.WIDE)
+        with self.kernel_error(530, self.WIDE) as info:
+            system.residual(np.ones(system.size))
+        assert info.value.row == 530
