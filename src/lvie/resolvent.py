@@ -36,23 +36,29 @@ only as ``rows @ K.T``: r running sums when the kernel's formula is a
 sum of r products u_r(t) v_r(s) (read off its ``source``, checked
 against its callable), O(terms * r * n) work and no n x n array; else
 one table of K on at most ``TABLE_MAX_NODES`` nodes, O(terms * n^2).
-Per lam, the load system is the sum of lam^n I_n on the at most 2m grid
-nodes that interpolation at the m load points reads, O(terms * m^2)
-work, and nothing is kept.  Only the point evaluator ``resolvent(t, s)``
+A sweep over L lams is one pass: the I_n grow once, to the term count
+of the largest |lam|; every lam's count is read off the stored max|I_n|;
+the L load systems are one stack, the sums of lam^n I_n on the at most
+2m grid nodes that interpolation at the m load points reads,
+O(L * terms * m^2) work; and one ``rank_and_det`` call eliminates them
+all.  ``classify`` and ``load_matrix`` are the sweep of one lam, and
+nothing per lam is kept.  Only the point evaluator ``resolvent(t, s)``
 composes tables K_n, on first call, and keeps the resolvent table of its
 last lam.  Either series stops at the first term below ``TERM_TOLERANCE``,
 measured by |lam|^n max|I_n| or |lam|^n max|K_n|, or at ``MAX_TERMS``
-with a :class:`TruncationWarning`.  Off-grid values interpolate linearly
-(bilinear on the triangle), but f~ and a~_j are evaluated exactly, so
-lam = 0 results carry no quadrature error at all.
+with a :class:`TruncationWarning` that names the first caller outside
+lvie.  Off-grid values interpolate linearly (bilinear on the triangle),
+but f~ and a~_j are evaluated exactly, so lam = 0 results carry no
+quadrature error at all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +79,7 @@ RANK_TOL = 1e-10  # classify's rank, pivot and orthogonality tolerance
 COMPOSE_PANEL_ROWS = 64  # rows per matrix product in _compose
 TABLE_MAX_NODES = 4097  # largest grid a kernel table is built on (134 MB)
 SPLIT_TOL = 1e-12  # relative agreement a kernel split must show with the callable
+_PACKAGE = __name__.partition(".")[0]
 
 
 class TruncationWarning(UserWarning):
@@ -169,14 +176,39 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray):
     return factors, diag, col0
 
 
-def _bracket(z: np.ndarray, ts) -> np.ndarray:
-    """Sorted nodes that ``np.interp(ts, z, .)`` reads: the two around each point.
+class _Interp(NamedTuple):
+    """``np.interp(ts, z, y)`` at fixed points ``ts``, on the grid nodes it reads.
 
-    Node 0 lies strictly inside no bracket, so it changes no interpolated
-    value; it keeps the grid non-empty when there are no points.
+    ``nodes`` are the sorted grid indices read (node 0 first, which lies
+    strictly inside no bracket and keeps the set non-empty).  Each point
+    has its bracket ``lo``, ``hi`` (positions in ``nodes``), ``dt`` = t - z_lo
+    and ``dz`` = z_hi - z_lo.  Called on rows ``y`` over ``nodes`` it does
+    np.interp's own arithmetic for finite values: ``slope*(t - z_lo) + y_lo``
+    with ``slope = (y_hi - y_lo)/dz``, and the node's value as is for a
+    point on z_lo or at the last node (``exact``, at position ``pick``).
     """
-    j = np.searchsorted(z, np.atleast_1d(ts), side="right").clip(1, z.shape[0] - 1)
-    return np.unique(np.concatenate([[0], j - 1, j]))
+
+    nodes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    dt: np.ndarray
+    dz: np.ndarray
+    pick: np.ndarray
+    exact: np.ndarray
+
+    @classmethod
+    def at(cls, z: np.ndarray, ts) -> "_Interp":
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        j = np.searchsorted(z, ts, side="right").clip(1, z.shape[0] - 1)
+        nodes, pos = np.unique(np.concatenate([[0], j - 1, j]), return_inverse=True)
+        lo, hi = pos[1 : 1 + ts.size], pos[1 + ts.size :]
+        z_lo, z_hi = z[j - 1], z[j]
+        on_lo = ts == z_lo
+        return cls(nodes, lo, hi, ts - z_lo, z_hi - z_lo, np.where(on_lo, lo, hi), on_lo | (ts == z_hi))
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        y_lo, y_hi, y_on = (np.take(y, at, axis=-1) for at in (self.lo, self.hi, self.pick))
+        return np.where(self.exact, y_on, (y_hi - y_lo) / self.dz * self.dt + y_lo)
 
 
 def _lam(problem: Problem, lam: Optional[float]) -> float:
@@ -193,12 +225,30 @@ def _tilde(problem: Problem, ts) -> np.ndarray:
     return np.array(data) / problem.a0(ts)
 
 
-def _series(lam: float, count: int, terms: list) -> np.ndarray:
-    """lam terms[0] + lam^2 terms[1] + ... + lam^count terms[count - 1]."""
-    total = np.zeros_like(terms[0])
-    for n in range(1, count + 1):
-        total += lam**n * terms[n - 1]
+def _series(powers: np.ndarray, terms) -> np.ndarray:
+    """Row l: powers[l, 0] terms[0] + powers[l, 1] terms[1] + ..., summed from zero in order.
+
+    A sum from zero is never -0.0, so a row's zero-padded powers past its
+    own count change none of its bits: each row is its own series.
+    """
+    shape = (-1,) + (1,) * np.ndim(terms[0])
+    total = np.zeros((powers.shape[0],) + np.shape(terms[0]))
+    for column, term in zip(powers.T, terms):
+        total += column.reshape(shape) * term
     return total
+
+
+def _warn_truncated(lam: float) -> None:
+    """A :class:`TruncationWarning` for ``lam``, naming the first caller outside lvie."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        f"resolvent series truncated at {MAX_TERMS} terms above "
+        f"tolerance {TERM_TOLERANCE:g} (lam={lam:g})",
+        TruncationWarning,
+        stacklevel=level,
+    )
 
 
 class ResolventApprox:
@@ -225,8 +275,8 @@ class ResolventApprox:
         self.quad_density = quad_density
         self._data = _tilde(problem, self.z)
         self._load_data = _tilde(problem, problem.load_points)
-        self._load_nodes = _bracket(self.z, problem.load_points)
-        self._load_ints = np.empty((MAX_TERMS, self._data.shape[0], self._load_nodes.shape[0]))
+        self._load_interp = _Interp.at(self.z, problem.load_points)
+        self._load_ints = np.empty((MAX_TERMS, self._data.shape[0], self._load_interp.nodes.size))
         self._tables: list[np.ndarray] = []
         self._tables_max: list[float] = []
         self._last_resolvent: Optional[tuple[float, np.ndarray]] = None
@@ -279,33 +329,41 @@ class ResolventApprox:
         self._append(nxt)
 
     def _append(self, ints: np.ndarray) -> None:
-        self._load_ints[len(self._ints)] = ints[:, self._load_nodes]
+        self._load_ints[len(self._ints)] = ints[:, self._load_interp.nodes]
         self._ints.append(ints)
         self._ints_max.append(float(np.abs(ints).max()))
 
-    def _count(self, lam: float, bound) -> tuple[int, bool]:
-        """First n with |lam|^n bound(n) below ``TERM_TOLERANCE``, or ``MAX_TERMS``."""
-        if lam == 0.0:
-            return 1, True
-        for n in range(1, MAX_TERMS + 1):
-            if abs(lam) ** n * bound(n) < TERM_TOLERANCE:
-                return n, True
-        warnings.warn(
-            f"resolvent series truncated at {MAX_TERMS} terms above "
-            f"tolerance {TERM_TOLERANCE:g} (lam={lam:g})",
-            TruncationWarning,
-            stacklevel=4,
-        )
-        return MAX_TERMS, False
+    def _powers(self, lams: list, maxima: list, grow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zero-padded powers ``lam**n``, term counts and convergence of every lam in ``lams``.
 
-    def _int_bound(self, n: int) -> float:
-        while len(self._ints) < n:
-            self._grow_integrals()
-        return self._ints_max[n - 1]
+        ``maxima`` holds max|I_n| or max|K_n|, n = 1, 2, ...; ``grow()``
+        appends the next one.  They grow once, to the count of the largest
+        |lam| (at most ``MAX_TERMS``).  Each lam's count is then the first n
+        with ``abs(lam)**n * maxima[n-1]`` below ``TERM_TOLERANCE``, in
+        Python's powers, and its row of powers is zero from there on.  A
+        lam without one keeps ``MAX_TERMS`` terms and gets a
+        :class:`TruncationWarning`, in the order of ``lams``.
+        """
+        mag = max(map(abs, lams), default=0.0)
+        while not maxima or (
+            len(maxima) < MAX_TERMS and not mag ** len(maxima) * maxima[-1] < TERM_TOLERANCE
+        ):
+            grow()
+        terms = len(maxima)
+        powers = np.array([lam**n for lam in lams for n in range(1, terms + 1)])
+        powers = powers.reshape(len(lams), terms)
+        below = np.abs(powers) * maxima < TERM_TOLERANCE
+        converged = below.any(axis=1)
+        counts = np.where(converged, below.argmax(axis=1) + 1, terms)
+        for lam, ok in zip(lams, converged):
+            if not ok:
+                _warn_truncated(lam)
+        powers[np.arange(terms) >= counts[:, None]] = 0.0
+        return powers[:, : counts.max(initial=1)], counts, converged
 
-    def _table_bound(self, n: int) -> float:
-        self.kernel_table(n)
-        return self._tables_max[n - 1]
+    def _int_powers(self, lams: list):
+        """``_powers`` counted by the I_n."""
+        return self._powers(lams, self._ints_max, self._grow_integrals)
 
     def terms_needed(self, lam: float) -> tuple[int, bool]:
         """Series length of F and the b_j at ``lam``, counted by |lam|^n max|I_n|.
@@ -313,7 +371,8 @@ class ResolventApprox:
         Returns (count, converged); ``converged`` is False, with a
         :class:`TruncationWarning`, when the ``MAX_TERMS`` budget ran out first.
         """
-        return self._count(lam, self._int_bound)
+        _, counts, converged = self._int_powers([float(lam)])
+        return int(counts[0]), bool(converged[0])
 
     def resolvent_table(self, lam: Optional[float] = None) -> np.ndarray:
         """Resolvent values on the tensor grid (lower triangle); kept for the last lam.
@@ -322,11 +381,11 @@ class ResolventApprox:
         with the data as the I_n can.
         """
         lam = _lam(self.problem, lam)
-        count, _ = self._count(lam, self._table_bound)
+        grow = lambda: self.kernel_table(len(self._tables) + 1)  # noqa: E731
+        powers, _, _ = self._powers([lam], self._tables_max, grow)
         if self._last_resolvent is None or self._last_resolvent[0] != lam:
             self._last_resolvent = None  # free the old table before the new one
-            self.kernel_table(count)  # lam = 0 counts one term without reading K
-            self._last_resolvent = (lam, _series(lam, count, self._tables))
+            self._last_resolvent = (lam, _series(powers, self._tables)[0])
         return self._last_resolvent[1]
 
     def reduced_tables(self, lam: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -335,24 +394,9 @@ class ResolventApprox:
         ``F_int[i] = int R(z_i, s) f~(s) ds`` and ``B_int[j, i]`` the same
         against a~_j: the series of the I_n, O(terms * n) work.
         """
-        lam = _lam(self.problem, lam)
-        ints = _series(lam, self.terms_needed(lam)[0], self._ints)
+        powers, _, _ = self._int_powers([_lam(self.problem, lam)])
+        ints = _series(powers, self._ints)[0]
         return ints[0], ints[1:]
-
-    def _node_series(self, lam: float, ts) -> tuple[np.ndarray, np.ndarray]:
-        """``(nodes, reduced_tables)`` on the nodes interpolation at ``ts`` reads (None: the loads).
-
-        ``np.interp`` on them uses each point's two nodes and slope, and terms
-        add in ``_series``'s order with Python's powers: the full tables' bits.
-        """
-        count = self.terms_needed(lam)[0]
-        if ts is None:
-            nodes, stack = self._load_nodes, self._load_ints[:count]
-        else:
-            nodes = _bracket(self.z, ts)
-            stack = np.array([ints[:, nodes] for ints in self._ints[:count]])
-        powers = np.array([lam**n for n in range(1, count + 1)])
-        return self.z[nodes], (powers[:, None, None] * stack).sum(axis=0)
 
 
 def _approx(problem: Problem, cfg: Optional[ResolventApprox]) -> ResolventApprox:
@@ -430,16 +474,28 @@ def resolvent(
     return _triangle_interp(table, cfg.z, cfg.dz, t, s)
 
 
-def _reduced(cfg: ResolventApprox, ts, lam: Optional[float]):
-    """F(t, lam) and every b_j(t, lam) at ``ts`` (None: the load points); ``B[j]`` is b_j."""
-    tilde = cfg._load_data if ts is None else _tilde(cfg.problem, ts)
-    nodes, ints = cfg._node_series(_lam(cfg.problem, lam), ts)
-    ts = cfg.problem.load_points if ts is None else ts
-    F = tilde[0] + np.interp(ts, nodes, ints[0])
-    B = tilde[1:].copy()
-    for j, row in enumerate(ints[1:]):
-        B[j] += np.interp(ts, nodes, row)
-    return F, B
+def _reduced(cfg: ResolventApprox, lams: list, ts=None) -> tuple[np.ndarray, np.ndarray]:
+    """F(t, lam) and every b_j(t, lam) at ``ts`` (None: the load points), one row per lam.
+
+    Returns ``(F, B)`` of shapes (L, k) and (L, m, k), ``B[:, j]`` being
+    b_j: the series of the I_n on the nodes interpolation at ``ts`` reads,
+    interpolated there, plus f~ and a~_j.
+    """
+    powers, _, _ = cfg._int_powers(lams)
+    if ts is None:
+        tilde, interp, ints = cfg._load_data, cfg._load_interp, cfg._load_ints
+    else:
+        tilde, interp = _tilde(cfg.problem, ts), _Interp.at(cfg.z, ts)
+        tilde = tilde.reshape(tilde.shape[0], interp.lo.size)
+        ints = [np.take(I, interp.nodes, axis=1) for I in cfg._ints[: powers.shape[1]]]
+    values = tilde + interp(_series(powers, ints))
+    return values[:, 0], values[:, 1:]
+
+
+def _load_systems(cfg: ResolventApprox, lams: list) -> tuple[np.ndarray, np.ndarray]:
+    """The load systems (A, d) of every lam: A[l]_ij = delta_ij + b_j(t_i), d[l]_i = F(t_i)."""
+    d, B = _reduced(cfg, lams)
+    return np.eye(len(cfg.problem.loads)) + B.transpose(0, 2, 1), d
 
 
 def reduced_coeffs(
@@ -452,8 +508,8 @@ def reduced_coeffs(
     cfg = _approx(problem, cfg)
     if not (problem.t0 <= t <= problem.T):
         raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
-    F, b = _reduced(cfg, float(t), lam)
-    return float(F), b
+    F, B = _reduced(cfg, [_lam(problem, lam)], float(t))
+    return float(F[0, 0]), B[0, :, 0].copy()
 
 
 def load_matrix(
@@ -463,8 +519,8 @@ def load_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load system (A, d): A_ij = delta_ij + b_j(t_i), d_i = F(t_i)."""
     cfg = _approx(problem, cfg)
-    d, B = _reduced(cfg, None, lam)
-    return np.eye(len(problem.loads)) + B.T, d
+    A, d = _load_systems(cfg, [_lam(problem, lam)])
+    return A[0], d[0]
 
 
 @dataclass(frozen=True)
@@ -503,30 +559,7 @@ def classify(
     orthogonality against the null space of the adjoint: orthogonal
     means a parametric family, anything else means no solution.
     """
-    lam_val = _lam(problem, lam)
-    m1 = len(problem.loads)
-    if m1 == 0:  # nothing to tabulate, but a cfg of another problem is still refused
-        if cfg is not None:
-            _approx(problem, cfg)
-        A, d = np.eye(0), np.empty(0)
-    else:
-        A, d = load_matrix(problem, cfg, lam)
-    report = rank_and_det(A, RANK_TOL, rhs=d)  # one elimination, the load values too
-    if report.rank == m1:
-        return SolvabilityReport(
-            lam=lam_val, det=report.det, rank=m1, classification="unique",
-            load_values=report.solution,
-        )
-
-    basis = nullspace(A.T, RANK_TOL)
-    d_norm = float(np.linalg.norm(d))
-    defect = float(max(abs(basis @ d) / d_norm)) if d_norm else 0.0
-    family = defect <= RANK_TOL
-    return SolvabilityReport(
-        lam=lam_val, det=report.det, rank=report.rank,
-        classification="family" if family else "no_solution",
-        family_dim=m1 - report.rank if family else 0, orthogonality_defect=defect,
-    )
+    return solvability_sweep(problem, [lam], cfg)[0]
 
 
 def semi_analytic_solve(
@@ -551,8 +584,9 @@ def semi_analytic_solve(
     with warnings.catch_warnings():
         if problem.loads:  # classify has warned of a truncated series already
             warnings.simplefilter("ignore", TruncationWarning)
-        values, B = _reduced(cfg, ts, lam)
-    for b_j, c_j in zip(B, report.load_values):
+        values, B = _reduced(cfg, [report.lam], ts)
+    values = values[0]
+    for b_j, c_j in zip(B[0], report.load_values):
         values = values - b_j * c_j
     return values
 
@@ -562,9 +596,39 @@ def solvability_sweep(
     lambdas,
     cfg: Optional[ResolventApprox] = None,
 ) -> list[SolvabilityReport]:
-    """Classify at every lam in ``lambdas``, reusing one set of kernel tables."""
-    cfg = _approx(problem, cfg)
-    return [classify(problem, cfg, lam=lam) for lam in lambdas]
+    """:func:`classify` at every lam in ``lambdas`` (None: the problem's), in one pass.
+
+    Every lam is checked before any work.  The load systems of all lams
+    are built as one stack from the shared I_n and eliminated by one
+    ``rank_and_det`` call.  A problem without loads needs no tables, but
+    a cfg of another problem is still refused.
+    """
+    lams = [_lam(problem, lam) for lam in lambdas]
+    m1 = len(problem.loads)
+    if m1:
+        A, d = _load_systems(_approx(problem, cfg), lams)
+    else:
+        if cfg is not None:
+            _approx(problem, cfg)
+        A, d = np.zeros((len(lams), 0, 0)), np.zeros((len(lams), 0))
+    reports = []
+    # one elimination of the whole stack: ranks, dets and the load values
+    for i, (lam, rep) in enumerate(zip(lams, rank_and_det(A, RANK_TOL, rhs=d))):
+        if rep.rank == m1:
+            reports.append(SolvabilityReport(
+                lam=lam, det=rep.det, rank=m1, classification="unique", load_values=rep.solution,
+            ))
+            continue
+        basis = nullspace(A[i].T, RANK_TOL)
+        d_norm = float(np.linalg.norm(d[i]))
+        defect = float(max(abs(basis @ d[i]) / d_norm)) if d_norm else 0.0
+        family = defect <= RANK_TOL
+        reports.append(SolvabilityReport(
+            lam=lam, det=rep.det, rank=rep.rank,
+            classification="family" if family else "no_solution",
+            family_dim=m1 - rep.rank if family else 0, orthogonality_defect=defect,
+        ))
+    return reports
 
 
 def sweep_csv(reports) -> str:

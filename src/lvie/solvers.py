@@ -8,6 +8,10 @@ optional right-hand side with them; ``nullspace`` reads a basis off the
 reduced matrix.  The core works on the transpose, so a
 step's columns are contiguous rows, and skips the columns left of the
 pivot, exact zeros in its row: n^3/2 multiply-subtracts, 2n^3/3 search reads.
+It takes a stack of matrices: each member picks its own pivots and stops
+at its own rank, with the bits of its own elimination.  ``rank_and_det``
+eliminates a whole stack (the load systems of a lambda sweep) in one
+call; the other callers pass a stack of one.
 
 ``structured_solve`` exploits the collocation shape (lower triangular
 plus a handful of load columns) by superposition: one forward
@@ -59,72 +63,105 @@ class SolvabilityError(ValueError):
     """The structured path found the system unsolvable as posed."""
 
 
-def _transposed(a, b=None) -> np.ndarray:
-    """``[a | b]`` (``b`` optional) stored as its transpose, the layout of ``_eliminate``."""
+def _transposed(a, b=None, stacked: bool = False) -> np.ndarray:
+    """``[a | b]`` (``b`` optional) stored as its transpose, the layout of ``_eliminate``.
+
+    ``a`` is one square matrix and ``b`` one vector, or with ``stacked`` a
+    stack (L, n, n) and a stack (L, n); the result has the stack axis
+    either way, of length 1 for one matrix.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 + stacked or a.shape[-2] != a.shape[-1]:
+        kind = "a stack of square matrices" if stacked else "a square matrix"
+        raise ValueError(f"expected {kind}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
-    at = np.empty((n + (b is not None), n))
-    at[:n] = a.T
+    n = a.shape[-1]
+    stack = a if stacked else a[None]
+    at = np.empty((stack.shape[0], n + (b is not None), n))
+    at[:, :n] = stack.transpose(0, 2, 1)
     if b is not None:
         b = np.asarray(b, dtype=float)
-        if b.shape != (n,):
+        if b.shape != a.shape[:-1]:
             raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
-        at[n] = b
+        at[:, n] = b
     return at
 
 
-def _eliminate(at: np.ndarray, tol: float) -> tuple[list[float], np.ndarray, int]:
-    """Full-pivot Gauss-Jordan elimination of ``aug = [A | R]``, stored as ``at = aug.T``.
+def _eliminate(at: np.ndarray, tol: float):
+    """Full-pivot Gauss-Jordan elimination of a stack of ``aug = [A | R]``, stored as ``at[l] = aug_l.T``.
 
-    ``at`` is C-contiguous, so the columns ``k:`` of ``aug`` that step k
-    changes are the row block ``at[k:]``, updated ``UPDATE_ROWS`` rows at a
-    time through one buffer.  The pivot is the first maximum of
+    ``at`` is C-contiguous, so the columns ``k+1:`` of each ``aug`` that
+    step k updates are the row block ``at[l, k+1:]``; the members still
+    going are updated together, ``UPDATE_ROWS`` rows at a time through one
+    buffer.  Each member's pivot is the first maximum of its
     ``|A[k:, k:]|`` in row-major order: its first row, then the first
     column in that row; the last step has one candidate and no search.
-    Elimination stops at the first pivot below ``tol * max|A|``.  Returns
-    the raw pivots, the column order of ``A`` and the number of swaps;
-    callers read ``aug[:, rank:]`` only.
+    Each member swaps through views and stops at its first pivot below
+    ``tol * max|A|``; the others go on in a compacted copy, written back at
+    the end.  Returns, per member, the raw pivots (their count is the
+    rank), the column order of A and the number of swaps; callers read
+    ``aug[:, rank:]`` only, and the pivot columns are left unfinished.
     """
-    n = at.shape[1]
-    scale = np.abs(at[:n]).max(initial=0.0)
-    cols = np.arange(n)
-    pivots: list[float] = []
-    swaps = 0
-    prod = np.empty((min(UPDATE_ROWS, at.shape[0]), n))
+    count, width, n = at.shape
+    scales = (tol * np.abs(at[:, :n]).max(axis=(1, 2), initial=0.0)).tolist()
+    pivots: list[list[float]] = [[] for _ in range(count)]
+    cols = [list(range(n)) for _ in range(count)]
+    swaps = [0] * count
+    live = list(range(count))  # the members still eliminating, in ``work`` order
+    work = at  # their rows: ``at`` itself until a member stops
+    prod = np.empty((count, min(UPDATE_ROWS, width), n))
     for k in range(n):
-        pi = pj = k
+        rows = [0] * len(live)  # each member's pivot row, less k
         if k < n - 1:
-            sub = at[k:n, k:]  # sub[j, i] = aug[k+i, k+j]; max and min read it without a copy
-            pi += int(np.maximum(sub.max(axis=0), -sub.min(axis=0)).argmax())
-            pj += int(np.abs(at[k:n, pi]).argmax())
-        piv = at[pj, pi]
-        if piv == 0.0 or abs(piv) < tol * scale:  # piv == 0 stops a zero A
-            break
-        if pi != k:
-            at[k:, k], at[k:, pi] = at[k:, pi].copy(), at[k:, k].copy()
-            swaps += 1
-        if pj != k:
-            at[k], at[pj] = at[pj].copy(), at[k].copy()
-            cols[k], cols[pj] = cols[pj], cols[k]
-            swaps += 1
-        pivots.append(float(piv))
-        at[k:, k] /= piv
-        fac = at[k].copy()
-        fac[k] = 0.0
-        for j0 in range(k, at.shape[0], UPDATE_ROWS):
-            j1 = min(j0 + UPDATE_ROWS, at.shape[0])
-            at[j0:j1] -= np.multiply(at[j0:j1, k, None], fac, out=prod[: j1 - j0])
-    return pivots, cols, swaps
+            sub = work[:, k:n, k:]  # sub[l, j, i] = aug_l[k+i, k+j]; read without a copy
+            top, low = sub.max(axis=1), sub.min(axis=1)
+            np.maximum(top, np.negative(low, out=low), out=top)
+            rows = top.argmax(axis=1).tolist()
+        go = []
+        for i, a in enumerate(work):
+            p = k + rows[i]
+            q = k + int(np.abs(a[k:n, p]).argmax()) if k < n - 1 else k
+            piv = float(a[q, p])
+            member = live[i]
+            if piv == 0.0 or abs(piv) < scales[member]:  # piv == 0 stops a zero A
+                continue
+            if p != k:
+                held = a[k:, k].copy()
+                a[k:, k] = a[k:, p]
+                a[k:, p] = held
+                swaps[member] += 1
+            if q != k:
+                held = a[k].copy()
+                a[k] = a[q]
+                a[q] = held
+                c = cols[member]
+                c[k], c[q] = c[q], c[k]
+                swaps[member] += 1
+            a[k:, k] /= piv
+            a[k, k] = 0.0  # unread from here on; as the factor it keeps aug row k as it is
+            pivots[member].append(piv)
+            go.append(i)
+        if len(go) < len(live):
+            if work is not at:
+                at[live] = work
+            if not go:
+                break
+            live = [live[i] for i in go]
+            work = at[live]
+        fac, col, out = work[:, k, None], work[:, :, k, None], prod[: len(live)]
+        for j0 in range(k + 1, width, UPDATE_ROWS):  # row k (aug column k) is unread from here on
+            j1 = min(j0 + UPDATE_ROWS, width)
+            work[:, j0:j1] -= np.multiply(col[:, j0:j1], fac, out=out[:, : j1 - j0])
+    if work is not at:
+        at[live] = work
+    return pivots, np.array(cols, dtype=np.intp).reshape(count, n), swaps
 
 
-def _solution(at: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """x of a x = b from a full-rank elimination of ``[a | b]``."""
-    x = np.empty(at.shape[1])
-    x[cols] = at[-1]
+def _solutions(at: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """x of every a x = b from a full-rank elimination of the stack of ``[a | b]``."""
+    x = np.empty(at.shape[::2])
+    x[np.arange(x.shape[0])[:, None], cols] = at[:, -1]
     return x
 
 
@@ -136,17 +173,17 @@ def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
     largest initial entry raises :class:`SingularMatrixError`.
     """
     at = _transposed(a, b)
-    n = at.shape[1]
+    n = at.shape[2]
     pivots, cols, _ = _eliminate(at, tol_singular)
-    k = len(pivots)
+    k = len(pivots[0])
     if k < n:
-        rest = at[k:n, k:].T
+        rest = at[0, k:n, k:].T
         piv = rest.flat[np.argmax(np.abs(rest))]
         if piv == 0.0 and k == 0:
             raise SingularMatrixError("matrix is zero", step=0)
         msg = f"matrix is singular (pivot {piv:.3e} at elimination step {k})"
         raise SingularMatrixError(msg, step=k)
-    return _solution(at, cols)
+    return _solutions(at, cols)[0]
 
 
 def nullspace(a, tol: float) -> np.ndarray:
@@ -155,11 +192,11 @@ def nullspace(a, tol: float) -> np.ndarray:
     The rank is decided as in :func:`rank_and_det`.
     """
     at = _transposed(a)
-    n = at.shape[0]
+    n = at.shape[1]
     pivots, cols, _ = _eliminate(at, tol)
-    rank = len(pivots)
+    rank, cols = len(pivots[0]), cols[0]
     basis = np.zeros((n - rank, n))
-    basis[:, cols[:rank]] = -at[rank:, :rank]
+    basis[:, cols[:rank]] = -at[0, rank:, :rank]
     basis[np.arange(n - rank), cols[rank:]] = 1.0
     for row in basis:
         row /= np.linalg.norm(row)
@@ -182,29 +219,38 @@ class RankReport:
     solution: Optional[np.ndarray] = None
 
 
-def rank_and_det(a, tol: float = 1e-10, rhs=None) -> RankReport:
+def rank_and_det(a, tol: float = 1e-10, rhs=None) -> RankReport | list[RankReport]:
     """Rank and determinant via Gauss-Jordan elimination with full pivoting.
 
     A pivot counts toward the rank when its magnitude is at least
     ``tol`` times the largest entry of the input matrix.  Given ``rhs``,
     the one elimination runs on ``[a | rhs]``, whose pivots do not read
     ``rhs``: the rank and det of ``a``, and :func:`gauss_jordan`'s bits.
+    A stack ``a`` of shape (L, n, n), with ``rhs`` of shape (L, n), is
+    eliminated as one and gives a list of L reports, each member's
+    bits those of its own call.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    at = _transposed(a, rhs)
-    n = at.shape[1]
-    pivots, cols, swaps = _eliminate(at, tol)
-    rank = len(pivots)
-    if rank < n:
-        return RankReport(rank=rank, det=0.0, det_sign=0, det_log10=-math.inf)
-    det = float((-1) ** swaps * math.prod(pivots))  # may under/overflow
-    det_sign = (-1) ** (swaps + sum(p < 0 for p in pivots))
-    det_log10 = 0.0
-    for piv in pivots:
-        det_log10 += math.log10(abs(piv))
-    solution = None if rhs is None else _solution(at, cols)
-    return RankReport(rank, det, det_sign, det_log10, solution)
+    stacked = np.ndim(a) == 3
+    at = _transposed(a, rhs, stacked)
+    n = at.shape[2]
+    all_pivots, cols, all_swaps = _eliminate(at, tol)
+    solutions = None if rhs is None else _solutions(at, cols)
+    reports = []
+    for i, (pivots, swaps) in enumerate(zip(all_pivots, all_swaps)):
+        rank = len(pivots)
+        if rank < n:
+            reports.append(RankReport(rank=rank, det=0.0, det_sign=0, det_log10=-math.inf))
+            continue
+        det = float((-1) ** swaps * math.prod(pivots))  # may under/overflow
+        det_sign = (-1) ** (swaps + sum(p < 0 for p in pivots))
+        det_log10 = 0.0
+        for piv in pivots:
+            det_log10 += math.log10(abs(piv))
+        solution = None if solutions is None else solutions[i]
+        reports.append(RankReport(rank, det, det_sign, det_log10, solution))
+    return reports if stacked else reports[0]
 
 
 def structured_solve(system) -> np.ndarray:

@@ -13,7 +13,9 @@ from lvie.config import parse_problem_config
 from lvie.expressions import EvalError
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.resolvent import (
+    MAX_TERMS,
     RANK_TOL,
+    TERM_TOLERANCE,
     ResolventApprox,
     SolvabilityReport,
     TruncationWarning,
@@ -821,9 +823,17 @@ def test_cfg_of_another_problem_rejected(name):
         _CFG_CALLS[name](builtin_problem("model2"), cfg)
 
 
+def reference_series(lam, count, terms):
+    """lam terms[0] + lam^2 terms[1] + ... + lam^count terms[count - 1], summed from zero."""
+    total = np.zeros_like(terms[0])
+    for n in range(1, count + 1):
+        total += lam**n * terms[n - 1]
+    return total
+
+
 def full_grid_reduced(cfg, ts, lam):
-    """F and every b_j at ``ts`` from the full tables: ``_series`` on every node, then np.interp."""
-    ints = RESOLVENT_MODULE._series(lam, cfg.terms_needed(lam)[0], cfg._ints)
+    """F and every b_j at ``ts`` from the full tables: the series on every node, then np.interp."""
+    ints = reference_series(lam, cfg.terms_needed(lam)[0], cfg._ints)
     tilde = RESOLVENT_MODULE._tilde(cfg.problem, ts)
     F = tilde[0] + np.interp(ts, cfg.z, ints[0])
     B = tilde[1:].copy()
@@ -984,7 +994,7 @@ class TestOneElimination:
         for lam in (-2.0, 0.0, p.lam, 3.5):
             calls.clear()
             assert classify(p, cfg, lam).classification == "unique"
-            assert calls == [(m + 1, m)]  # [A | d], stored transposed
+            assert calls == [(1, m + 1, m)]  # a stack of one [A | d], stored transposed
 
     @pytest.mark.parametrize(
         "problem",
@@ -1005,3 +1015,269 @@ class TestOneElimination:
     def test_every_report_field_kept(self, problem, density):
         cfg = ResolventApprox(problem, quad_density=density)
         assert_same_report(classify(problem, cfg), two_elimination_classify(cfg, problem.lam))
+
+
+def per_lambda_classify(cfg, lam):
+    """The classifier one lam at a time, as it was before sweeps were stacked: the reference.
+
+    The term count comes from a loop over n that grows the I_n as it
+    goes; the series is summed on the nodes np.interp reads at the load
+    points with ``sum(axis=0)``; np.interp itself interpolates; and
+    ``[A | d]`` is eliminated once.  Returns the report and whether the
+    series converged.
+    """
+    p = cfg.problem
+    lam = float(lam)
+    m1 = len(p.loads)
+    converged = True
+    if m1 == 0:
+        A, d = np.eye(0), np.empty(0)
+    else:
+        count = 1
+        if lam != 0.0:
+            for count in range(1, MAX_TERMS + 1):
+                while len(cfg._ints) < count:
+                    cfg._grow_integrals()
+                if abs(lam) ** count * cfg._ints_max[count - 1] < TERM_TOLERANCE:
+                    break
+            else:
+                converged = False
+        ts = p.load_points
+        j = np.searchsorted(cfg.z, ts, side="right").clip(1, cfg.z.size - 1)
+        nodes = np.unique(np.concatenate([[0], j - 1, j]))
+        stack = np.array([ints[:, nodes] for ints in cfg._ints[:count]])
+        powers = np.array([lam**n for n in range(1, count + 1)])
+        series = (powers[:, None, None] * stack).sum(axis=0)
+        tilde = RESOLVENT_MODULE._tilde(p, ts)
+        F = tilde[0] + np.interp(ts, cfg.z[nodes], series[0])
+        B = tilde[1:].copy()
+        for k, row in enumerate(series[1:]):
+            B[k] += np.interp(ts, cfg.z[nodes], row)
+        A, d = np.eye(m1) + B.T, F
+    report = rank_and_det(A, RANK_TOL, rhs=d)
+    if report.rank == m1:
+        return SolvabilityReport(lam, report.det, m1, "unique", load_values=report.solution), converged
+    basis = nullspace(A.T, RANK_TOL)
+    d_norm = float(np.linalg.norm(d))
+    defect = float(max(abs(basis @ d) / d_norm)) if d_norm else 0.0
+    family = defect <= RANK_TOL
+    label = "family" if family else "no_solution"
+    dim = m1 - report.rank if family else 0
+    return SolvabilityReport(lam, report.det, report.rank, label, dim, orthogonality_defect=defect), converged
+
+
+def _fixture_problem(name):
+    return parse_problem_config((TESTS / "fixtures" / f"{name}.cfg").read_text())
+
+
+SWEEP_PROBLEMS = {
+    **{name: ORACLE_PROBLEMS[name] for name in ("model1", "model2", "sqrt_ladder", "unit")},
+    "family": _fixture_problem("family"),
+    "no_solution": _fixture_problem("no_solution"),
+    "no_loads": make_problem(),
+}
+
+SWEEP_LAMBDAS = {
+    # unsorted, with duplicates, both zeros, the ROADMAP's 3.5641 and a truncated 50
+    "mixed": [3.5641, -2.0, 0.0, 10.0, -0.0, 3.5641, 50.0, -7.25, 0.25, -0.0, 1.0, 50.0, -10.0],
+    "empty": [],
+    "seeded": np.random.default_rng(17).uniform(-10.0, 10.0, 41).tolist(),
+    "numpy": list(np.linspace(-10.0, 10.0, 9)),
+}
+
+
+def _truncation_messages(lams):
+    return [
+        f"resolvent series truncated at {MAX_TERMS} terms above tolerance "
+        f"{TERM_TOLERANCE:g} (lam={float(lam):g})"
+        for lam in lams
+    ]
+
+
+class TestSweepOracle:
+    """One pass per sweep: every report field is the per-lam reference's."""
+
+    @pytest.mark.parametrize("lams", list(SWEEP_LAMBDAS), ids=list(SWEEP_LAMBDAS))
+    @pytest.mark.parametrize("name", sorted(SWEEP_PROBLEMS))
+    def test_reports_match_per_lambda_classify(self, name, lams):
+        p, lams = SWEEP_PROBLEMS[name], SWEEP_LAMBDAS[lams]
+        ref_cfg = ResolventApprox(p, quad_density=64)
+        expected = [per_lambda_classify(ref_cfg, lam) for lam in lams]
+        cfg = ResolventApprox(p, quad_density=64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = solvability_sweep(p, lams, cfg)
+        assert len(got) == len(expected)
+        for report, (want, _) in zip(got, expected):
+            assert_same_report(report, want)
+        truncated = [lam for lam, (_, ok) in zip(lams, expected) if not ok and p.loads]
+        assert [str(w.message) for w in caught] == _truncation_messages(truncated)
+        assert all(w.category is TruncationWarning and w.filename == __file__ for w in caught)
+        if p.loads:
+            assert len(cfg._ints) == len(ref_cfg._ints)  # grown once, as far as the per-lam loop
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for lam, (want, _) in zip(lams, expected):
+                assert_same_report(classify(p, cfg, lam), want)
+
+    def test_benchmark_sweep_at_density_512(self):
+        # The 41 stratified lambdas of a model1 sweep at the default density.
+        p = builtin_problem("model1")
+        rng = np.random.default_rng(3)
+        lams = (-10.0 + 20.0 / 41 * (np.arange(41) + rng.random(41))).tolist()
+        ref_cfg = ResolventApprox(p)
+        expected = [per_lambda_classify(ref_cfg, lam)[0] for lam in lams]
+        for got, want in zip(solvability_sweep(p, lams, ResolventApprox(p)), expected):
+            assert_same_report(got, want)
+
+    @pytest.mark.parametrize("name", ["model1", "sqrt_ladder", "family", "no_loads"])
+    def test_one_rank_and_det_call_per_sweep(self, monkeypatch, name):
+        calls = []
+        original = RESOLVENT_MODULE.rank_and_det
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(RESOLVENT_MODULE, "rank_and_det", spy)
+        p = SWEEP_PROBLEMS[name]
+        cfg = ResolventApprox(p, quad_density=64)
+        m = len(p.loads)
+        lams = np.linspace(-10.0, 10.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # K == 1 in family.cfg
+            assert len(solvability_sweep(p, lams, cfg)) == 41
+        assert calls == [(41, m, m)]
+        calls.clear()
+        classify(p, cfg, 0.5)
+        assert calls == [(1, m, m)]
+
+    def test_unique_sweep_eliminates_once(self, monkeypatch):
+        calls = []
+        original = SOLVERS_MODULE._eliminate
+
+        def spy(at, tol):
+            calls.append(at.shape)
+            return original(at, tol)
+
+        monkeypatch.setattr(SOLVERS_MODULE, "_eliminate", spy)
+        p = builtin_problem("model2")
+        reports = solvability_sweep(p, np.linspace(-10.0, 10.0, 41), ResolventApprox(p, quad_density=64))
+        assert {r.classification for r in reports} == {"unique"}
+        assert calls == [(41, 3, 2)]
+
+
+_TRUNCATED = make_problem(lam=50.0, **UNIT_ONE_LOAD)
+
+# Every public entry point that sums a series, called with a truncated lam (K == 1, lam = 50).
+_TRUNCATING_CALLS = {
+    "classify": lambda cfg: classify(_TRUNCATED, cfg),
+    "solvability_sweep": lambda cfg: solvability_sweep(_TRUNCATED, [50.0], cfg),
+    "load_matrix": lambda cfg: load_matrix(_TRUNCATED, cfg),
+    "reduced_coeffs": lambda cfg: reduced_coeffs(_TRUNCATED, 0.3, cfg),
+    "semi_analytic_solve": lambda cfg: semi_analytic_solve(_TRUNCATED, [0.2, 0.9], cfg),
+    "terms_needed": lambda cfg: cfg.terms_needed(50.0),
+    "reduced_tables": lambda cfg: cfg.reduced_tables(),
+    "resolvent_table": lambda cfg: cfg.resolvent_table(),
+    "resolvent": lambda cfg: resolvent(_TRUNCATED, 0.9, 0.1, cfg),
+}
+
+
+class TestTruncationWarningLocation:
+    """The warning names the line that called lvie, once per truncated lam."""
+
+    @pytest.mark.parametrize("name", list(_TRUNCATING_CALLS))
+    def test_names_the_callers_line(self, name):
+        call = _TRUNCATING_CALLS[name]
+        cfg = ResolventApprox(_TRUNCATED, quad_density=16)
+        for _ in range(2):  # growing the tables, then with them grown
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call(cfg)
+            assert [w.category for w in caught] == [TruncationWarning]
+            assert (caught[0].filename, caught[0].lineno) == (__file__, call.__code__.co_firstlineno)
+
+    def test_one_warning_per_truncated_lambda_in_order(self):
+        cfg = ResolventApprox(_TRUNCATED, quad_density=16)
+        lams = [50.0, 0.25, -60.0, 50.0, 1.0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solvability_sweep(_TRUNCATED, lams, cfg)
+        assert [str(w.message) for w in caught] == _truncation_messages([50.0, -60.0, 50.0])
+        assert {(w.filename, w.lineno) for w in caught} == {(__file__, caught[0].lineno)}
+
+    def test_no_warning_without_loads(self):
+        p = make_problem(lam=50.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            classify(p)
+            solvability_sweep(p, [50.0, 60.0])
+        assert caught == []
+
+
+def per_term_count(lam, maxima, grow):
+    """(count, converged) by a loop over n that grows ``maxima`` as it goes: the reference rule."""
+    if lam == 0.0:
+        return 1, True
+    for n in range(1, MAX_TERMS + 1):
+        while len(maxima) < n:
+            grow()
+        if abs(lam) ** n * maxima[n - 1] < TERM_TOLERANCE:
+            return n, True
+    return MAX_TERMS, False
+
+
+class TestFirstIndexCounts:
+    """Term counts are the first index over the stored maxima, as the per-term loop found them."""
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 0.25, -1.0, 3.5641, -9.75, 50.0])
+    def test_resolvent_table(self, lam):
+        p = make_problem()
+        cfg = ResolventApprox(p, quad_density=32)
+        ref_cfg = ResolventApprox(p, quad_density=32)
+        grow = lambda: ref_cfg.kernel_table(len(ref_cfg._tables) + 1)  # noqa: E731
+        count, _ = per_term_count(lam, ref_cfg._tables_max, grow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            table = cfg.resolvent_table(lam)
+        ref_cfg.kernel_table(count)
+        assert_same_bits(table, reference_series(lam, count, ref_cfg._tables))
+        assert len(cfg._tables) == len(ref_cfg._tables)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_terms_needed(self, name):
+        p = ORACLE_PROBLEMS[name]
+        cfg = ResolventApprox(p, quad_density=64)
+        ref_cfg = ResolventApprox(p, quad_density=64)
+        lams = [0.0, 50.0, *np.random.default_rng(5).uniform(-12.0, 12.0, 60).tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for lam in lams:
+                want = per_term_count(lam, ref_cfg._ints_max, ref_cfg._grow_integrals)
+                assert cfg.terms_needed(lam) == want
+
+
+class TestInterp:
+    """``_Interp`` gives np.interp's bits: between nodes, on nodes and at the last node."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_np_interp(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        z = np.linspace(rng.uniform(-1.0, 0.0), rng.uniform(0.5, 3.0), n)
+        ts = np.concatenate([rng.uniform(z[0], z[-1], 30), z[rng.integers(0, n, 10)], [z[0], z[-1]]])
+        rng.shuffle(ts)
+        y = rng.normal(size=(2, 3, n)) * 10.0 ** rng.integers(-6, 7, size=(2, 3, 1))
+        y[:, :, rng.integers(0, n, 5)] = -0.0
+        interp = RESOLVENT_MODULE._Interp.at(z, ts)
+        got = interp(y[..., interp.nodes])
+        for index in np.ndindex(y.shape[:2]):
+            assert got[index].tobytes() == np.interp(ts, z, y[index]).tobytes()
+
+    def test_last_node_takes_its_value(self):
+        # slope * (z_hi - z_lo) + y_lo is not y_hi here; np.interp returns y_hi itself.
+        z = np.linspace(0.0, 1.0, 4)
+        y = np.array([0.0, 0.5, 0.1, 0.01])
+        assert (y[-1] - y[-2]) / (z[-1] - z[-2]) * (z[-1] - z[-2]) + y[-2] != y[-1]
+        interp = RESOLVENT_MODULE._Interp.at(z, [1.0, z[1]])
+        assert interp(y[interp.nodes]).tobytes() == np.interp([1.0, z[1]], z, y).tobytes()

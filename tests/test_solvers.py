@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -212,19 +214,29 @@ def reference_eliminate(aug, tol):
     return pivots, cols, swaps
 
 
+def assert_stack_eliminates_like_reference(augs, tol):
+    """One elimination of the stack of ``augs``; each member byte-equal to its own reference run.
+
+    Pivots, rank, column order, swaps and every entry a caller reads.
+    """
+    augs = [np.array(aug, dtype=float) for aug in augs]
+    at = np.array([aug.T for aug in augs])
+    pivots, cols, swaps = _eliminate(at, tol)
+    assert len(pivots) == cols.shape[0] == len(swaps) == len(augs)
+    for member, aug in enumerate(augs):
+        n = aug.shape[0]
+        ref_pivots, ref_cols, ref_swaps = reference_eliminate(aug, tol)
+        r = len(ref_pivots)
+        assert np.array(pivots[member]).tobytes() == np.array(ref_pivots).tobytes()
+        assert cols[member].tobytes() == ref_cols.tobytes()
+        assert swaps[member] == ref_swaps
+        for block in (np.s_[:r, r:], np.s_[r:, r:n], np.s_[:, n:]):
+            assert at[member].T[block].tobytes() == aug[block].tobytes()
+
+
 def assert_eliminates_like_reference(aug, tol):
-    """Pivots, column order, swaps and every entry a caller reads are byte-equal."""
-    n = aug.shape[0]
-    ref = np.array(aug, dtype=float)
-    at = ref.T.copy()
-    pivots, cols, swaps = reference_eliminate(ref, tol)
-    got_pivots, got_cols, got_swaps = _eliminate(at, tol)
-    assert np.array(got_pivots).tobytes() == np.array(pivots).tobytes()
-    assert got_cols.tobytes() == cols.tobytes()
-    assert got_swaps == swaps
-    r = len(pivots)
-    for block in (np.s_[:r, r:], np.s_[r:, r:n], np.s_[:, n:]):
-        assert at.T[block].tobytes() == ref[block].tobytes()
+    """A stack of one: the single-matrix callers' path."""
+    assert_stack_eliminates_like_reference([aug], tol)
 
 
 class TestEliminateOracle:
@@ -261,6 +273,95 @@ class TestEliminateOracle:
     )
     def test_degenerate_cases(self, aug):
         assert_eliminates_like_reference(aug, SINGULAR_TOL)
+
+
+def small_integer_stack(seed):
+    """A seeded stack of small-integer ``[A | R]`` members, rank-deficient and zero ones mixed in.
+
+    Pivot ties are common; a member may repeat a row of A, repeat a
+    column of A, have a zero row, or be all zero.
+    """
+    rng = np.random.default_rng(seed)
+    n, r, count = int(rng.integers(1, 7)), int(rng.integers(0, 3)), int(rng.integers(1, 9))
+    members = []
+    for _ in range(count):
+        aug = rng.integers(-3, 4, size=(n, n + r)).astype(float)
+        kind = int(rng.integers(0, 5))
+        if kind == 1 and n > 1:
+            aug[-1, :n] = aug[0, :n]
+        elif kind == 2 and n > 1:
+            aug[:, n - 1] = aug[:, 0]
+        elif kind == 3:
+            aug[int(rng.integers(0, n)), :n] = 0.0
+        elif kind == 4:
+            aug[:] = 0.0
+        members.append(aug)
+    return members
+
+
+class TestEliminateStack:
+    """A stack is eliminated as one; every member has the bits of its own reference run."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_small_integer_stacks_with_ties(self, block):
+        # 200 seeded stacks; full-rank, rank-deficient and zero members share a stack.
+        ranks = set()
+        for seed in range(50 * block, 50 * (block + 1)):
+            members = small_integer_stack(seed)
+            assert_stack_eliminates_like_reference(members, SINGULAR_TOL)
+            assert_stack_eliminates_like_reference(members, 0.5)  # a coarse tolerance stops more of them
+            n = members[0].shape[0]
+            ranks.update(rank_and_det(aug[:, :n]).rank < n for aug in members)
+        assert ranks == {True, False}
+
+    def test_every_stop_order(self):
+        # Members stopping at steps 0, 1, 2 and never, in every order within one stack.
+        full = np.array([[2.0, 1.0, 0.0, 1.0], [1.0, 3.0, 1.0, 2.0], [0.0, 1.0, 4.0, 3.0]])
+        rank2 = full.copy()
+        rank2[2, :3] = rank2[0, :3] + rank2[1, :3]
+        rank1 = np.outer([1.0, 2.0, -1.0], [1.0, -1.0, 2.0, 0.5])
+        zero = np.zeros((3, 4))
+        for order in itertools.permutations([full, rank2, rank1, zero]):
+            assert_stack_eliminates_like_reference(list(order) + [full], SINGULAR_TOL)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 2, 2), (0, 1, 0), (4, 1, 0), (4, 0, 0)],
+                             ids=["no-members-aug", "no-members", "no-members-n0-aug", "n0-aug", "n0"])
+    def test_empty_stacks(self, shape):
+        at = np.zeros(shape)
+        pivots, cols, swaps = _eliminate(at, SINGULAR_TOL)
+        assert pivots == [[]] * shape[0] and swaps == [0] * shape[0]
+        assert cols.shape == (shape[0], shape[2])
+
+    def test_rank_and_det_stack_is_each_members_call(self):
+        rng = np.random.default_rng(17)
+        a = rng.integers(-3, 4, size=(30, 3, 3)).astype(float)
+        a[::4] = 0.0
+        a[1::4, 2] = a[1::4, 0]
+        rhs = rng.normal(size=(30, 3))
+        for b in (None, rhs):
+            stacked = rank_and_det(a, 1e-10, rhs=b)
+            assert len(stacked) == len(a)
+            for i, got in enumerate(stacked):
+                want = rank_and_det(a[i], 1e-10, rhs=None if b is None else b[i])
+                for field in dataclasses.fields(got):
+                    x, y = getattr(got, field.name), getattr(want, field.name)
+                    assert (x.tobytes() == y.tobytes()) if isinstance(y, np.ndarray) else repr(x) == repr(y)
+        assert rank_and_det(np.zeros((0, 2, 2)), rhs=np.zeros((0, 2))) == []
+        assert [r.det for r in rank_and_det(np.zeros((2, 0, 0)))] == [1.0, 1.0]
+
+    def test_shapes_validated(self):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            rank_and_det(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="does not match"):
+            rank_and_det(np.zeros((2, 3, 3)), rhs=np.zeros(3))
+        with pytest.raises(ValueError, match="does not match"):
+            rank_and_det(np.eye(3), rhs=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="square matrix"):
+            gauss_jordan(np.zeros((1, 2, 2)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="square matrix"):
+            nullspace(np.zeros((1, 2, 2)), 1e-10)
+        with pytest.raises(ValueError, match="finite"):
+            rank_and_det(np.array([np.eye(2), np.full((2, 2), np.nan)]))
 
 
 def planted_rank_matrix(seed):
