@@ -10,11 +10,15 @@ minus, then ``^`` (right-associative, so ``2^3^2`` is ``2^(3^2)`` and
 ``-t^2`` is ``-(t^2)``).
 
 Every operator and function has one implementation in the table
-``_OPS``, which lists the function names the parser accepts.  Evaluation
-is plain IEEE double precision and works elementwise on numpy arrays
-as well as on scalars.  Leaving the real domain (division by zero,
-``ln`` of a non-positive value, a fractional power of a non-positive
-base) raises :class:`EvalError` instead of producing NaN or infinity.
+``_OPS``, which lists the function names the parser accepts.  A tree is
+compiled once (:func:`compiled`) into a flat list of steps: a repeated
+subtree is computed once per call, constant subtrees are folded, and a
+constant exponent or divisor fixes its operation.  Evaluation is plain
+IEEE double precision, bit for bit that of a walk of the tree, and works
+elementwise on numpy arrays as well as on scalars.  Leaving the real
+domain (division by zero, ``ln`` of a non-positive value, a fractional
+power of a non-positive base) or a non-finite result raises
+:class:`EvalError` when the function is called, never when it is compiled.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "ParseError", "EvalError", "parse", "evaluate", "is_difference", "separable"]
+__all__ = ["Expr", "ParseError", "EvalError", "parse", "compiled", "evaluate", "is_difference", "separable"]
 
 
 class ParseError(ValueError):
@@ -43,9 +47,6 @@ class EvalError(ArithmeticError):
 class Expr:
     """Base class for expression nodes.  Nodes are immutable and shareable."""
 
-    def eval(self, t, s=None):
-        raise NotImplementedError
-
     def variables(self) -> frozenset[str]:
         return frozenset().union(*(child.variables() for child in self.children()))
 
@@ -57,20 +58,10 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def eval(self, t, s=None):
-        return self.value
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str  # "t" or "s"
-
-    def eval(self, t, s=None):
-        if self.name == "t":
-            return t
-        if s is None:
-            raise EvalError("expression references 's' but no value was supplied")
-        return s
 
     def variables(self):
         return frozenset((self.name,))
@@ -80,9 +71,6 @@ class Var(Expr):
 class Neg(Expr):
     operand: Expr
 
-    def eval(self, t, s=None):
-        return -self.operand.eval(t, s)
-
 
 @dataclass(frozen=True)
 class BinOp(Expr):
@@ -90,40 +78,37 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, t, s=None):
-        return _OPS[self.op](self.left.eval(t, s), self.right.eval(t, s))
-
 
 @dataclass(frozen=True)
 class Call(Expr):
     func: str  # a function name of _OPS
     arg: Expr
 
-    def eval(self, t, s=None):
-        return _OPS[self.func](self.arg.eval(t, s))
 
-
-def _power(a, b):
-    b_arr = np.asarray(b)
-    if np.all(b_arr == np.floor(b_arr)):
-        # Integer exponents keep the usual semantics (negative bases allowed).
-        if np.any((np.asarray(a) == 0.0) & (b_arr < 0)):
-            raise EvalError("zero raised to a negative power")
-        return np.power(a, b)
-    if np.any(np.asarray(a) <= 0.0):
-        raise EvalError("fractional power of a non-positive base")
-    return np.exp(b * np.log(a))
-
-
-def _checked(fn, outside, message: str):
-    """``fn`` raising ``EvalError(message)`` where its last argument is ``outside`` the domain."""
+def _checked(fn, outside, message: str, arg: int = -1):
+    """``fn`` raising ``EvalError(message)`` where its argument ``arg`` is ``outside`` the domain."""
 
     def checked(*args):
-        if np.any(outside(np.asarray(args[-1]))):
+        if outside(np.asarray(args[arg])).any():
             raise EvalError(message)
         return fn(*args)
 
     return checked
+
+
+_fractional_power = _checked(
+    lambda a, b: np.exp(b * np.log(a)), lambda a: a <= 0.0, "fractional power of a non-positive base", 0
+)
+
+
+def _power(a, b):
+    b_arr = np.asarray(b)
+    if not np.all(b_arr == np.floor(b_arr)):
+        return _fractional_power(a, b)
+    # Integer exponents keep the usual semantics (negative bases allowed).
+    if np.any((np.asarray(a) == 0.0) & (b_arr < 0)):
+        raise EvalError("zero raised to a negative power")
+    return np.power(a, b)
 
 
 _OPS = {
@@ -141,38 +126,122 @@ _OPS = {
 }
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+def _binary(op: str, b):
+    """The implementation of ``op`` for a right operand ``b`` (None: not a constant).
+
+    A non-zero constant divisor needs no check, and a constant exponent
+    takes its branch of ``_power`` once: ``np.power`` for an integer
+    b >= 0, ``_fractional_power`` for a fractional b.
+    """
+    if b is None or op not in "/^":
+        return _OPS[op]
+    if op == "/":
+        return _OPS[op] if b == 0.0 else operator.truediv
+    if not b == np.floor(b):
+        return _fractional_power
+    return _power if b < 0 else np.power
+
+
+def _given_s(s):
+    if s is None:
+        raise EvalError("expression references 's' but no value was supplied")
+    return s
+
+
+def compiled(expr: Expr):
+    """``expr`` as a function ``(t, s=None)``, compiled once; see :func:`evaluate`.
+
+    One post-order walk of the tree lists its steps, each an operation on
+    the slots of t, s, constants and earlier steps.  Equal operations on
+    equal slots are one step, so a repeated subtree is computed once per
+    call.  An operation on constants is folded into its value, computed as
+    the step would; one that raises :class:`EvalError` stays a step, so
+    ``1/0`` raises when called.  Steps run in the walk's order, so the
+    first error raised is the walk's.
+    """
+    values: list = [None, None]  # t, s, then every constant and step (None until called)
+    steps: list = []  # (slot, fn, operand slot, second operand slot or None)
+    slots: dict = {}  # a constant's (type, repr), or a step's (fn, i, j) -> its slot
+
+    def slot(node: Expr) -> int:
+        if isinstance(node, Num):
+            return constant(node.value)
+        if isinstance(node, Var):
+            return 0 if node.name == "t" else operation(_given_s, 1)
+        if isinstance(node, Neg):
+            return operation(operator.neg, slot(node.operand))
+        if isinstance(node, Call):
+            return operation(_OPS[node.func], slot(node.arg))
+        left, right = slot(node.left), slot(node.right)
+        return operation(_binary(node.op, values[right]), left, right)
+
+    def constant(value) -> int:
+        key = (type(value), repr(value))
+        if key not in slots:
+            slots[key] = len(values)
+            values.append(value)
+        return slots[key]
+
+    def operation(fn, i: int, j=None) -> int:
+        if (fn, i, j) not in slots:
+            args = [values[k] for k in (i, j) if k is not None]
+            try:
+                slots[fn, i, j] = None if None in args else constant(fn(*args))
+            except EvalError:
+                slots[fn, i, j] = None
+            if slots[fn, i, j] is None:
+                slots[fn, i, j] = len(values)
+                steps.append((len(values), fn, i, j))
+                values.append(None)
+        return slots[fn, i, j]
+
+    with np.errstate(all="ignore"):
+        out = slot(expr)
+    # A step writes to the slot of a result that no later step reads, so a
+    # call frees every array after its last use, as a walk of the tree does.
+    last = {k: n for n, (_, _, i, j) in enumerate(steps) for k in (i, j)}
+    last[out] = len(steps)
+    register: dict = {}  # step slot -> the slot it writes
+    free: list = []
+    for n, (at, fn, i, j) in enumerate(steps):
+        free += [register[k] for k in {i, j} if k in register and last[k] == n]
+        register[at] = free.pop() if free else at
+        steps[n] = (register[at], fn, register.get(i, i), register.get(j, j))
+    out = register.get(out, out)
+
+    def function(t, s=None):
+        vals = [t, s] + values[2:]
+        with np.errstate(all="ignore"):  # non-finite values raise below instead
+            for at, fn, i, j in steps:
+                vals[at] = fn(vals[i]) if j is None else fn(vals[i], vals[j])
+        if not np.isfinite(vals[out]).all():
+            raise EvalError("expression evaluated to a non-finite value")
+        return vals[out]
+
+    return function
+
+
+# Every character starts one match: whitespace, a token, or a bad character.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """``(kind, value, position)`` of every token, then ``("end", "", len(text))``."""
     tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            m = _NUMBER_RE.match(text, i)
-            if m is None:
-                raise ParseError("malformed number", i)
-            tokens.append(("num", float(m.group()), i))
-            i = m.end()
-            continue
-        if c.isalpha() or c == "_":
-            m = _NAME_RE.match(text, i)
-            if m is None:  # a Unicode letter outside the ASCII grammar
-                raise ParseError(f"unexpected character {c!r}", i)
-            tokens.append(("name", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            number = value.isdigit() or value == "."
+            raise ParseError("malformed number" if number else f"unexpected character {value!r}", pos)
+        if kind == "num":
+            tokens.append((kind, float(value), pos))
+        elif kind != "space":
+            tokens.append((value if kind == "op" else kind, value, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -181,67 +250,50 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
 
-    @property
-    def current(self):
-        return self.tokens[self.k]
+    def take(self, kind: str) -> bool:
+        """Step past the next token if it is of ``kind``."""
+        found = self.tokens[self.k][0] == kind
+        self.k += found
+        return found
 
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def chain(self, ops: tuple, operand) -> Expr:
+        """``operand``s joined left to right by the operators ``ops``."""
+        left = operand()
+        while self.tokens[self.k][0] in ops:
+            self.k += 1
+            left = BinOp(self.tokens[self.k - 1][0], left, operand())
+        return left
 
     def expression(self) -> Expr:
-        left = self.term()
-        while self.current[0] in ("+", "-"):
-            op = self.advance()[0]
-            left = BinOp(op, left, self.term())
-        return left
+        return self.chain(("+", "-"), self.term)
 
     def term(self) -> Expr:
-        left = self.unary()
-        while self.current[0] in ("*", "/"):
-            op = self.advance()[0]
-            left = BinOp(op, left, self.unary())
-        return left
+        return self.chain(("*", "/"), self.unary)
 
     def unary(self) -> Expr:
-        if self.current[0] == "-":
-            self.advance()
+        if self.take("-"):
             return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
-        if self.current[0] == "^":
-            self.advance()
-            # Exponent parsed at unary level: right-associative, may be signed.
-            return BinOp("^", base, self.unary())
-        return base
+        # Exponent parsed at unary level: right-associative, may be signed.
+        return BinOp("^", base, self.unary()) if self.take("^") else base
 
     def atom(self) -> Expr:
-        kind, value, pos = self.advance()
+        kind, value, pos = self.tokens[self.k]
+        self.k += 1
         if kind == "num":
             return Num(value)
-        if kind == "name":
-            if self.current[0] == "(":
-                if value not in _OPS:  # a name token is never an operator symbol
-                    raise ParseError(f"unknown function {value!r}", pos)
-                self.advance()
-                arg = self.expression()
-                if self.current[0] != ")":
-                    raise ParseError("expected ')'", self.current[2])
-                self.advance()
-                return Call(value, arg)
+        if kind == "name" and not self.take("("):
             if value in ("t", "s"):
                 return Var(value)
             raise ParseError(f"unknown identifier {value!r}", pos)
-        if kind == "(":
-            inner = self.expression()
-            if self.current[0] != ")":
-                raise ParseError("expected ')'", self.current[2])
-            self.advance()
-            return inner
-        raise ParseError("expected a number, variable, function, or '('", pos)
+        if kind == "name" and value not in _OPS:  # a name token is never an operator symbol
+            raise ParseError(f"unknown function {value!r}", pos)
+        if kind not in ("name", "("):
+            raise ParseError("expected a number, variable, function, or '('", pos)
+        inner = self.expression()
+        if not self.take(")"):
+            raise ParseError("expected ')'", self.tokens[self.k][2])
+        return Call(value, inner) if kind == "name" else inner
 
 
 def parse(text: str) -> Expr:
@@ -252,7 +304,7 @@ def parse(text: str) -> Expr:
     """
     p = _Parser(_tokenize(text))
     expr = p.expression()
-    kind, _, pos = p.current
+    kind, _, pos = p.tokens[p.k]
     if kind != "end":
         raise ParseError(f"unexpected {kind!r}", pos)
     return expr
@@ -329,10 +381,7 @@ def evaluate(expr: Expr, t, s=None):
 
     Accepts scalars or numpy arrays; arrays broadcast elementwise.
     Raises :class:`EvalError` when the result is not finite or a domain
-    rule is violated.
+    rule is violated.  Compiles ``expr`` on every call; :func:`compiled`
+    compiles it once.
     """
-    with np.errstate(all="ignore"):  # non-finite values raise below instead
-        out = expr.eval(t, s)
-    if not np.all(np.isfinite(out)):
-        raise EvalError("expression evaluated to a non-finite value")
-    return out
+    return compiled(expr)(t, s)

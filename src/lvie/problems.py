@@ -18,11 +18,12 @@ concurrent solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import EvalError, ParseError, evaluate, is_difference, parse, separable
+from .expressions import EvalError, ParseError, compiled, is_difference, parse, separable
 
 __all__ = [
     "ScalarFunction",
@@ -34,7 +35,7 @@ __all__ = [
     "builtin_names",
 ]
 
-_KERNEL_BLOCK_ROWS = 64  # sample rows per kernel call in validate_problem
+_KERNEL_BLOCK_ROWS = 16  # sample rows per kernel call in validate_problem
 
 
 class ScalarFunction:
@@ -47,14 +48,12 @@ class ScalarFunction:
 
     ``source`` is a promise: when it parses, the function is that formula
     (a wrapper that keeps the source must keep the values); the default
-    ``"<callable>"`` never parses.  Structure is read off it
-    (:attr:`is_difference`, :attr:`separable`).  The function's own values
-    always come from the callable; the factor values of :attr:`separable`
-    come from subtrees of ``source``, and a caller that uses them checks
-    them against the callable.
+    ``"<callable>"`` never parses.  Structure is read off it on first use
+    (:attr:`is_difference`, :attr:`separable`) and kept.  The function's own
+    values always come from the callable; the factor values of
+    :attr:`separable` come from subtrees of ``source``, and a caller that
+    uses them checks them against the callable.
     """
-
-    __slots__ = ("_fn", "arity", "source")
 
     def __init__(self, fn: Callable, arity: int, source: str = "<callable>"):
         if arity not in (1, 2):
@@ -70,14 +69,14 @@ class ScalarFunction:
             raise ValueError(
                 f"one-argument expression {text!r} references the variable 's'"
             )
-        return cls(lambda *args: evaluate(expr, *args), arity, text)
+        return cls(compiled(expr), arity, text)
 
     @classmethod
     def constant(cls, value: float, arity: int = 1) -> "ScalarFunction":
         value = float(value)
         return cls(lambda *args: value, arity, repr(value))
 
-    @property
+    @cached_property
     def is_difference(self) -> bool:
         """True for a function of (t, s) whose ``source`` depends on t - s only."""
         try:
@@ -85,9 +84,9 @@ class ScalarFunction:
         except ParseError:
             return False
 
-    @property
-    def separable(self) -> Optional[list[tuple["ScalarFunction", "ScalarFunction"]]]:
-        """``[(u_1, v_1), ...]`` with f(t, s) = sum_r u_r(t) v_r(s), read off
+    @cached_property
+    def separable(self) -> Optional[tuple[tuple["ScalarFunction", "ScalarFunction"], ...]]:
+        """``((u_1, v_1), ...)`` with f(t, s) = sum_r u_r(t) v_r(s), read off
         ``source`` (see :func:`lvie.expressions.separable`), or None.
 
         Each factor is a one-argument function.  None for a function of t
@@ -101,7 +100,7 @@ class ScalarFunction:
             return None
         if pairs is None:
             return None
-        return [(_subtree_function(u), _subtree_function(v)) for u, v in pairs]
+        return tuple((_subtree_function(u), _subtree_function(v)) for u, v in pairs)
 
     def __call__(self, *args):
         if len(args) != self.arity:
@@ -121,7 +120,8 @@ class ScalarFunction:
 
 def _subtree_function(expr) -> ScalarFunction:
     """A subtree that references one of t and s, as a function of one argument."""
-    return ScalarFunction(lambda x: evaluate(expr, x, x), 1)
+    fn = compiled(expr)
+    return ScalarFunction(lambda x: fn(x, x), 1)
 
 
 @dataclass(frozen=True)
@@ -240,51 +240,20 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _model1() -> Problem:
-    f_text = (
+# name: (description, lambda, a0, kernel, f, exact, load coefficients at 0.3 and 0.5)
+_BUILTINS: dict[str, tuple] = {
+    "model1": (
+        "two loads, lambda=1/4, exact solution cos(t)", 0.25, "t^2+1", "t-2*s^2",
         "(t^2+1)*cos(t) + (1-t^3)*cos(3/10) + (t-2)*cos(1/2)"
-        " + (t^2/2)*sin(t) - (t/4)*sin(t) + t*cos(t) - sin(t)"
-    )
-    return Problem(
-        t0=0.0,
-        T=1.0,
-        lam=0.25,
-        loads=(
-            LoadTerm(0.3, ScalarFunction.from_expression("1-t^3", 1)),
-            LoadTerm(0.5, ScalarFunction.from_expression("t-2", 1)),
-        ),
-        a0=ScalarFunction.from_expression("t^2+1", 1),
-        kernel=ScalarFunction.from_expression("t-2*s^2", 2),
-        rhs=ScalarFunction.from_expression(f_text, 1),
-        exact=ScalarFunction.from_expression("cos(t)", 1),
-        name="model1",
-    )
-
-
-def _model2() -> Problem:
-    f_text = (
+        " + (t^2/2)*sin(t) - (t/4)*sin(t) + t*cos(t) - sin(t)",
+        "cos(t)", ("1-t^3", "t-2"),
+    ),
+    "model2": (
+        "two loads, lambda=1/6, exact solution exp(t)", 1.0 / 6.0, "(2+t)/3", "t-2*s^2",
         "((2+t)/3)*exp(t) + (t^3-1/2)*exp(3/10) + (2*t-t^2)*exp(1/2)"
-        " + (exp(t)*t^2)/3 - (5*t*exp(t))/6 + (2*exp(t))/3 + t/6 - 2/3"
-    )
-    return Problem(
-        t0=0.0,
-        T=1.0,
-        lam=1.0 / 6.0,
-        loads=(
-            LoadTerm(0.3, ScalarFunction.from_expression("t^3-1/2", 1)),
-            LoadTerm(0.5, ScalarFunction.from_expression("2*t-t^2", 1)),
-        ),
-        a0=ScalarFunction.from_expression("(2+t)/3", 1),
-        kernel=ScalarFunction.from_expression("t-2*s^2", 2),
-        rhs=ScalarFunction.from_expression(f_text, 1),
-        exact=ScalarFunction.from_expression("exp(t)", 1),
-        name="model2",
-    )
-
-
-_BUILTINS: dict[str, tuple[Callable[[], Problem], str]] = {
-    "model1": (_model1, "two loads, lambda=1/4, exact solution cos(t)"),
-    "model2": (_model2, "two loads, lambda=1/6, exact solution exp(t)"),
+        " + (exp(t)*t^2)/3 - (5*t*exp(t))/6 + (2*exp(t))/3 + t/6 - 2/3",
+        "exp(t)", ("t^3-1/2", "2*t-t^2"),
+    ),
 }
 
 
@@ -295,12 +264,23 @@ def builtin_problem(name: str) -> Problem:
     structurally identical problems.
     """
     try:
-        factory, _ = _BUILTINS[name]
+        _, lam, a0, kernel, f, exact, loads = _BUILTINS[name]
     except KeyError:
         raise ValueError(f"no such builtin: {name!r}") from None
-    return factory()
+    fn = ScalarFunction.from_expression
+    return Problem(
+        t0=0.0,
+        T=1.0,
+        lam=lam,
+        loads=tuple(LoadTerm(point, fn(coeff, 1)) for point, coeff in zip((0.3, 0.5), loads)),
+        a0=fn(a0, 1),
+        kernel=fn(kernel, 2),
+        rhs=fn(f, 1),
+        exact=fn(exact, 1),
+        name=name,
+    )
 
 
 def builtin_names() -> list[tuple[str, str]]:
     """Names and one-line descriptions of the built-in problems."""
-    return [(name, desc) for name, (_, desc) in _BUILTINS.items()]
+    return [(name, entry[0]) for name, entry in _BUILTINS.items()]

@@ -342,15 +342,20 @@ class ResolventApprox:
         with ``abs(lam)**n * maxima[n-1]`` below ``TERM_TOLERANCE``, in
         Python's powers, and its row of powers is zero from there on.  A
         lam without one keeps ``MAX_TERMS`` terms and gets a
-        :class:`TruncationWarning`, in the order of ``lams``.
+        :class:`TruncationWarning`, in the order of ``lams``.  A lam whose
+        powers overflow before its series stops raises ``ValueError``.
         """
         mag = max(map(abs, lams), default=0.0)
-        while not maxima or (
-            len(maxima) < MAX_TERMS and not mag ** len(maxima) * maxima[-1] < TERM_TOLERANCE
-        ):
-            grow()
-        terms = len(maxima)
-        powers = np.array([lam**n for lam in lams for n in range(1, terms + 1)])
+        try:  # Python's float powers raise OverflowError past 1.8e308
+            while not maxima or (
+                len(maxima) < MAX_TERMS and not mag ** len(maxima) * maxima[-1] < TERM_TOLERANCE
+            ):
+                grow()
+            terms = len(maxima)
+            powers = np.array([lam**n for lam in lams for n in range(1, terms + 1)])
+        except OverflowError:  # grow() takes no Python float powers
+            big = max(lams, key=abs)
+            raise ValueError(f"lambda too large, got {big}: its powers overflow a float") from None
         powers = powers.reshape(len(lams), terms)
         below = np.abs(powers) * maxima < TERM_TOLERANCE
         converged = below.any(axis=1)

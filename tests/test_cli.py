@@ -203,6 +203,15 @@ def test_analyze_non_finite_lambda(capsys, monkeypatch, lam):
     assert built == []  # refused before any table
 
 
+@pytest.mark.parametrize("lam", ["1e8", "-1e8"])
+def test_analyze_overflowing_lambda(capsys, lam):
+    code = main(["analyze", "--builtin", "model1", "--lambda", lam, "--density", "16"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lambda too large, got {float(lam)}: its powers overflow a float\n"
+
+
 @pytest.mark.parametrize("value", ["-1e-1", "-1E+3"])
 @pytest.mark.parametrize("option", ["--lambda", "--lambda-from", "--lambda-to"])
 def test_analyze_negative_exponent_value(capsys, option, value):

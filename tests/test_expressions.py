@@ -1,11 +1,13 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lvie.config import load_problem_config
 from lvie.expressions import (
     BinOp,
     Call,
@@ -14,11 +16,13 @@ from lvie.expressions import (
     Num,
     ParseError,
     Var,
+    compiled,
     evaluate,
     is_difference,
     parse,
     separable,
 )
+from lvie.problems import ScalarFunction, builtin_names, builtin_problem
 
 
 def test_parse_sum_of_power():
@@ -306,3 +310,177 @@ def test_separable_factor_products_match_tree(text):
 @pytest.mark.parametrize("text", ["sqrt(t-s)", "exp(t*s)", "(t-s)^2", "(t+s)*t", "cos(t)/(t-s)"])
 def test_not_separable(text):
     assert separable(parse(text)) is None
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against a reference walk of the tree: every node in
+# post-order, each operator with its own domain check, one finiteness check
+# at the end.  Compiling shares repeated subtrees, folds constants and picks
+# the branch of a constant exponent; none of that may change a bit or an
+# error message.
+
+
+def _ref_checked(fn, outside, message):
+    def checked(*args):
+        if np.any(outside(np.asarray(args[-1]))):
+            raise EvalError(message)
+        return fn(*args)
+
+    return checked
+
+
+def _ref_power(a, b):
+    b_arr = np.asarray(b)
+    if np.all(b_arr == np.floor(b_arr)):
+        if np.any((np.asarray(a) == 0.0) & (b_arr < 0)):
+            raise EvalError("zero raised to a negative power")
+        return np.power(a, b)
+    if np.any(np.asarray(a) <= 0.0):
+        raise EvalError("fractional power of a non-positive base")
+    return np.exp(b * np.log(a))
+
+
+_REF_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": _ref_checked(lambda a, b: a / b, lambda b: b == 0.0, "division by zero"),
+    "^": _ref_power,
+    "cos": np.cos,
+    "sin": np.sin,
+    "exp": np.exp,
+    "ln": _ref_checked(np.log, lambda x: x <= 0.0, "ln of a non-positive value"),
+    "sqrt": _ref_checked(np.sqrt, lambda x: x < 0.0, "sqrt of a negative value"),
+    "abs": np.abs,
+}
+
+
+def _walk(node, t, s):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.name == "t":
+            return t
+        if s is None:
+            raise EvalError("expression references 's' but no value was supplied")
+        return s
+    if isinstance(node, Neg):
+        return -_walk(node.operand, t, s)
+    if isinstance(node, BinOp):
+        return _REF_OPS[node.op](_walk(node.left, t, s), _walk(node.right, t, s))
+    return _REF_OPS[node.func](_walk(node.arg, t, s))
+
+
+def _reference(expr, t, s=None):
+    with np.errstate(all="ignore"):
+        out = _walk(expr, t, s)
+    if not np.all(np.isfinite(out)):
+        raise EvalError("expression evaluated to a non-finite value")
+    return out
+
+
+def _outcome(fn, *args):
+    """What a call gives: the result's type, shape and bytes, or the error raised."""
+    try:
+        out = fn(*args)
+    except EvalError as err:
+        return "EvalError", str(err)
+    return type(out).__name__, np.shape(out), np.asarray(out, dtype=float).tobytes()
+
+
+_GRID = np.linspace(0.0, 1.0, 33)
+# Python floats, 0-d arrays (what ScalarFunction passes), vectors and a
+# broadcast (t, s) grid, with zeros and negative values where the domain ends.
+_ORACLE_INPUTS = [
+    (0.0, 0.0),
+    (0.3, 0.7),
+    (-1.5, 2.0),
+    (np.array(0.5), np.array(0.25)),
+    (_GRID, _GRID[::-1].copy()),
+    (_GRID - 0.5, _GRID),
+    (_GRID[:, None], _GRID[None, ::3]),
+]
+
+
+def _assert_matches_reference(expr):
+    fn = compiled(expr)
+    for t, s in _ORACLE_INPUTS:
+        assert _outcome(fn, t, s) == _outcome(_reference, expr, t, s), (expr, t, s)
+        if "s" not in expr.variables():
+            assert _outcome(fn, t) == _outcome(_reference, expr, t), (expr, t)
+
+
+def _fixture_formulas():
+    root = Path(__file__).resolve().parent
+    problems = [builtin_problem(name) for name, _ in builtin_names()]
+    problems += [load_problem_config(path) for path in sorted((root / "fixtures").glob("*.cfg"))]
+    problems.append(load_problem_config(root.parent / "bench" / "fixtures" / "sqrt_ladder.cfg"))
+    texts = []
+    for p in problems:
+        fns = [p.a0, p.kernel, p.rhs, p.exact, *(term.coeff for term in p.loads)]
+        texts += [fn.source for fn in fns if fn is not None and fn.source not in texts]
+    return texts
+
+
+_FIXTURE_FORMULAS = _fixture_formulas()
+
+
+def test_fixture_formulas_cover_every_file():
+    assert len(_FIXTURE_FORMULAS) >= 20
+    assert "sqrt(t-s)" in _FIXTURE_FORMULAS
+
+
+@pytest.mark.parametrize("text", _FIXTURE_FORMULAS)
+def test_compiled_fixture_formula_matches_tree_walk(text):
+    _assert_matches_reference(parse(text))
+
+
+_LITERALS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 0.25, 1e-3, 7.5, 1000.0, 1e300])
+_TREES = st.recursive(
+    st.one_of(_LITERALS.map(Num), st.sampled_from([Var("t"), Var("s")])),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(["cos", "sin", "exp", "ln", "sqrt", "abs"]), sub),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_TREES)
+def test_compiled_tree_matches_tree_walk(expr):
+    _assert_matches_reference(expr)
+
+
+@given(_TREES)
+def test_compiled_repeated_subtree_matches_tree_walk(expr):
+    # A subtree that occurs several times is computed once by compiled code.
+    _assert_matches_reference(BinOp("-", BinOp("*", expr, Call("cos", expr)), expr))
+
+
+# Constant formulas that leave the domain: compiling succeeds, and every
+# call raises the message the tree walk raises.
+_CONSTANT_DOMAIN_CASES = [
+    ("1/0", "division by zero"),
+    ("ln(0)", "ln of a non-positive value"),
+    ("sqrt(-1)", "sqrt of a negative value"),
+    ("0^-1", "zero raised to a negative power"),
+    ("(-8)^(1/3)", "fractional power of a non-positive base"),
+    ("exp(1000)", "non-finite value"),
+]
+
+
+@pytest.mark.parametrize("text,message", _CONSTANT_DOMAIN_CASES, ids=[c[0] for c in _CONSTANT_DOMAIN_CASES])
+def test_constant_domain_error_raises_when_called(text, message):
+    fn = ScalarFunction.from_expression(text, 1)
+    for t in (0.5, _GRID):
+        with pytest.raises(EvalError, match=re.escape(message)):
+            fn(t)
+    _assert_matches_reference(parse(text))
+    _assert_matches_reference(parse(f"t + {text}"))
+
+
+def test_first_error_is_the_tree_walks():
+    assert _outcome(compiled(parse("ln(t) + 1/t")), 0.0) == ("EvalError", "ln of a non-positive value")
+    assert _outcome(compiled(parse("1/t + ln(t)")), _GRID) == ("EvalError", "division by zero")
+    assert _outcome(compiled(parse("ln(t) + s")), 0.0) == ("EvalError", "ln of a non-positive value")

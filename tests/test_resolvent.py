@@ -697,6 +697,38 @@ class TestNonFiniteLambda:
         assert shared.load_values.tobytes() == fresh.load_values.tobytes()
 
 
+class TestOverflowingLambda:
+    # |lambda|^n overflows a float for |lambda| above about 5e7 and n near MAX_TERMS.
+    @pytest.mark.parametrize("lam", [1e8, -1e8, 6e7])
+    def test_classify_names_the_lambda(self, lam):
+        p = builtin_problem("model1")
+        with pytest.raises(ValueError, match=f"lambda too large, got {lam}"):
+            classify(p, ResolventApprox(p, quad_density=16), lam)
+
+    def test_sweep_names_the_largest_lambda(self):
+        p = builtin_problem("model1")
+        with pytest.raises(ValueError, match="lambda too large, got -1e\\+200"):
+            solvability_sweep(p, [0.25, 1e100, -1e200], ResolventApprox(p, quad_density=16))
+
+    def test_resolvent_table_names_the_lambda(self):
+        p = builtin_problem("model1")
+        with pytest.raises(ValueError, match="lambda too large, got 1e\\+100"):
+            resolvent(p, 0.5, 0.25, ResolventApprox(p, quad_density=16), lam=1e100)
+
+    def test_series_that_stops_before_overflowing(self):
+        # A zero kernel stops the series at its first term, whatever lambda is.
+        p = Problem(
+            t0=0.0, T=1.0, lam=1e200,
+            loads=(LoadTerm(0.5, ScalarFunction.constant(0.5)),),
+            a0=ScalarFunction.constant(1.0),
+            kernel=ScalarFunction.constant(0.0, arity=2),
+            rhs=ScalarFunction.from_expression("1+t", 1),
+        )
+        report = classify(p, ResolventApprox(p, quad_density=16))
+        assert report.classification == "unique"
+        np.testing.assert_allclose(report.load_values, [1.5 / 1.5])
+
+
 class TestSemiAnalytic:
     def test_lambda_zero_no_loads_returns_rhs(self):
         p = make_problem(lam=0.0, rhs=ScalarFunction.from_expression("cos(t)", 1))
