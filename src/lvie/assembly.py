@@ -19,7 +19,8 @@ has ``integral`` add the squares of its far field.  ``integral``, and so
 and ``PANEL_POINTS`` kernel points; a kernel failure names the earliest
 failing row (``AssemblyError.row``).  ``mode="dense"`` also materializes
 the matrix, for the Gauss-Jordan reference path, on grids of at most
-``DENSE_MAX_NODES`` nodes.
+``DENSE_MAX_NODES`` nodes, from row panels of at most ``PANEL_POINTS``
+weights.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
@@ -34,6 +35,7 @@ before; dense assembly and ``quad_weight`` evaluate every pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,8 +49,9 @@ from .problems import Problem, ScalarFunction
 __all__ = ["CollocationSystem", "AssemblyError", "quad_weight", "assemble"]
 
 # Largest grid the dense path materializes: 2053 nodes (h = 1/2048 on the
-# built-in problems) make a 34 MB matrix; past that the O(N^3) Gauss-Jordan
-# reference takes minutes and the matrix gigabytes.
+# built-in problems) make a 34 MB matrix, built in row panels, and a dense
+# solve holds it and one transposed copy, 67 MB; past that the O(N^3)
+# Gauss-Jordan reference takes minutes and the matrix gigabytes.
 DENSE_MAX_NODES = 2053
 
 # Panels of the blocked paths: past 16384 points (128 KiB per temporary) a
@@ -311,11 +314,16 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
         system._lag_step = g.uniform_step() if p.kernel.is_difference else None
         return system
 
-    # Row i-1 of ``weights`` holds J_1^i .. J_i^i, as in ``row_weights(i)``.
-    weights = system.weights(1, n, 0, n - 1)
+    # Row panels i0 <= i < i1 = i0 + r with r the largest count of rows whose r x (i1 - 1)
+    # weights fit in PANEL_POINTS; row i holds J_1^i .. J_i^i, as in ``row_weights(i)``.
     matrix = np.zeros((n, n))
-    matrix[1:, : n - 1] -= weights
-    matrix[1:, 1:] -= weights
+    i0 = 1
+    while i0 < n:
+        i1 = min(n, i0 + max(1, (math.isqrt((i0 - 1) ** 2 + 4 * PANEL_POINTS) - i0 + 1) // 2))
+        weights = system.weights(i0, i1, 0, i1 - 1)
+        matrix[i0:i1, : i1 - 1] -= weights
+        matrix[i0:i1, 1:i1] -= weights
+        i0 = i1
     np.fill_diagonal(matrix, matrix.diagonal() + a0_values)
     for j, v in enumerate(g.load_indices):
         matrix[:, v] += load_entries[:, j]

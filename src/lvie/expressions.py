@@ -19,6 +19,7 @@ elementwise on numpy arrays as well as on scalars.  Leaving the real
 domain (division by zero, ``ln`` of a non-positive value, a fractional
 power of a non-positive base) or a non-finite result raises
 :class:`EvalError` when the function is called, never when it is compiled.
+A formula whose tree is deeper than ``MAX_DEPTH`` nodes does not parse.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Expr", "ParseError", "EvalError", "parse", "compiled", "evaluate", "is_difference", "separable"]
+
+
+# Deepest tree ``parse`` builds, in nodes from the root to a leaf.  Parsing,
+# compiling and every walk of a tree here use explicit stacks, so no formula
+# raises RecursionError; a tree deeper than Python's default recursion limit
+# is refused with a position all the same.
+MAX_DEPTH = 1000
 
 
 class ParseError(ValueError):
@@ -48,10 +56,23 @@ class Expr:
     """Base class for expression nodes.  Nodes are immutable and shareable."""
 
     def variables(self) -> frozenset[str]:
-        return frozenset().union(*(child.variables() for child in self.children()))
+        return frozenset(node.name for node in _postorder(self) if isinstance(node, Var))
 
-    def children(self) -> list["Expr"]:
-        return [v for v in vars(self).values() if isinstance(v, Expr)]
+    def children(self) -> tuple["Expr", ...]:
+        return ()
+
+
+def _postorder(expr: Expr):
+    """The nodes of ``expr``, children left to right before their parent; no recursion.
+
+    That is the reverse of the walk parent, then children right to left.
+    """
+    order, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += node.children()
+    return reversed(order)
 
 
 @dataclass(frozen=True)
@@ -63,13 +84,13 @@ class Num(Expr):
 class Var(Expr):
     name: str  # "t" or "s"
 
-    def variables(self):
-        return frozenset((self.name,))
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
+
+    def children(self):
+        return (self.operand,)
 
 
 @dataclass(frozen=True)
@@ -78,11 +99,17 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def children(self):
+        return (self.left, self.right)
+
 
 @dataclass(frozen=True)
 class Call(Expr):
     func: str  # a function name of _OPS
     arg: Expr
+
+    def children(self):
+        return (self.arg,)
 
 
 def _checked(fn, outside, message: str, arg: int = -1):
@@ -163,16 +190,17 @@ def compiled(expr: Expr):
     steps: list = []  # (slot, fn, operand slot, second operand slot or None)
     slots: dict = {}  # a constant's (type, repr), or a step's (fn, i, j) -> its slot
 
-    def slot(node: Expr) -> int:
+    def slot(node: Expr, done: list) -> int:
+        """The slot of ``node``, whose operands' slots end ``done`` (taken off it)."""
         if isinstance(node, Num):
             return constant(node.value)
         if isinstance(node, Var):
             return 0 if node.name == "t" else operation(_given_s, 1)
         if isinstance(node, Neg):
-            return operation(operator.neg, slot(node.operand))
+            return operation(operator.neg, done.pop())
         if isinstance(node, Call):
-            return operation(_OPS[node.func], slot(node.arg))
-        left, right = slot(node.left), slot(node.right)
+            return operation(_OPS[node.func], done.pop())
+        right, left = done.pop(), done.pop()
         return operation(_binary(node.op, values[right]), left, right)
 
     def constant(value) -> int:
@@ -195,8 +223,11 @@ def compiled(expr: Expr):
                 values.append(None)
         return slots[fn, i, j]
 
+    done: list = []
     with np.errstate(all="ignore"):
-        out = slot(expr)
+        for node in _postorder(expr):
+            done.append(slot(node, done))
+    out = done.pop()
     # A step writes to the slot of a result that no later step reads, so a
     # call frees every array after its last use, as a walk of the tree does.
     last = {k: n for n, (_, _, i, j) in enumerate(steps) for k in (i, j)}
@@ -245,100 +276,125 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.k = 0
-
-    def take(self, kind: str) -> bool:
-        """Step past the next token if it is of ``kind``."""
-        found = self.tokens[self.k][0] == kind
-        self.k += found
-        return found
-
-    def chain(self, ops: tuple, operand) -> Expr:
-        """``operand``s joined left to right by the operators ``ops``."""
-        left = operand()
-        while self.tokens[self.k][0] in ops:
-            self.k += 1
-            left = BinOp(self.tokens[self.k - 1][0], left, operand())
-        return left
-
-    def expression(self) -> Expr:
-        return self.chain(("+", "-"), self.term)
-
-    def term(self) -> Expr:
-        return self.chain(("*", "/"), self.unary)
-
-    def unary(self) -> Expr:
-        if self.take("-"):
-            return Neg(self.unary())
-        base = self.atom()
-        # Exponent parsed at unary level: right-associative, may be signed.
-        return BinOp("^", base, self.unary()) if self.take("^") else base
-
-    def atom(self) -> Expr:
-        kind, value, pos = self.tokens[self.k]
-        self.k += 1
-        if kind == "num":
-            return Num(value)
-        if kind == "name" and not self.take("("):
-            if value in ("t", "s"):
-                return Var(value)
-            raise ParseError(f"unknown identifier {value!r}", pos)
-        if kind == "name" and value not in _OPS:  # a name token is never an operator symbol
-            raise ParseError(f"unknown function {value!r}", pos)
-        if kind not in ("name", "("):
-            raise ParseError("expected a number, variable, function, or '('", pos)
-        inner = self.expression()
-        if not self.take(")"):
-            raise ParseError("expected ')'", self.tokens[self.k][2])
-        return Call(value, inner) if kind == "name" else inner
+# Binding of the operators parse reduces: the binary ones are left-associative,
+# "neg" (unary minus) is a prefix and "^" associates to the right.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
-    Raises :class:`ParseError` (with position) on malformed input or
-    unknown names; never aborts in any other way.
+    Raises :class:`ParseError` (with position) on malformed input,
+    unknown names, or a tree deeper than ``MAX_DEPTH`` nodes (at the
+    operator or function whose node would pass it); never aborts in any
+    other way.  The parser keeps its pending operators and operands on
+    explicit stacks, so nesting costs no recursion.
     """
-    p = _Parser(_tokenize(text))
-    expr = p.expression()
-    kind, _, pos = p.tokens[p.k]
-    if kind != "end":
-        raise ParseError(f"unexpected {kind!r}", pos)
-    return expr
+    tokens = _tokenize(text)
+    operands: list[tuple[Expr, int]] = []  # (tree, depth)
+    # (op, function, position): op is a binary operator, "neg" or "(", which
+    # carries its function's name (None for plain parentheses)
+    pending: list[tuple[str, object, int]] = []
+
+    def build(node: Expr, depth: int, pos: int) -> None:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        operands.append((node, depth))
+
+    def reduce(precedence: int) -> None:
+        """Apply the pending operators that bind at least as tightly as ``precedence``."""
+        while pending and pending[-1][0] != "(" and _PRECEDENCE[pending[-1][0]] >= precedence:
+            op, _, pos = pending.pop()
+            right, depth = operands.pop()
+            if op == "neg":
+                build(Neg(right), depth + 1, pos)
+            else:
+                left, left_depth = operands.pop()
+                build(BinOp(op, left, right), max(left_depth, depth) + 1, pos)
+
+    k = 0
+    while True:  # an operand is due
+        kind, value, pos = tokens[k]
+        k += 1
+        if kind == "-":
+            pending.append(("neg", None, pos))
+            continue
+        call = kind == "name" and tokens[k][0] == "("
+        if call and value not in _OPS:  # a name token is never an operator symbol
+            raise ParseError(f"unknown function {value!r}", pos)
+        if call or kind == "(":
+            k += call
+            pending.append(("(", value if call else None, pos))
+            continue
+        if kind == "name" and value not in ("t", "s"):
+            raise ParseError(f"unknown identifier {value!r}", pos)
+        if kind not in ("num", "name"):
+            raise ParseError("expected a number, variable, function, or '('", pos)
+        operands.append((Num(value) if kind == "num" else Var(value), 1))
+        while True:  # an operator is due
+            kind, _, pos = tokens[k]
+            k += 1
+            if kind in _PRECEDENCE:
+                if kind != "^":  # "^" binds tightest and to the right: nothing pending is complete
+                    reduce(_PRECEDENCE[kind])
+                pending.append((kind, None, pos))
+                break
+            reduce(0)
+            inner = pending and pending[-1][0] == "("
+            if kind == ")" and inner:
+                _, func, at = pending.pop()
+                if func is not None:
+                    arg, depth = operands.pop()
+                    build(Call(func, arg), depth + 1, at)
+                continue
+            if inner:
+                raise ParseError("expected ')'", pos)
+            if kind != "end":
+                raise ParseError(f"unexpected {kind!r}", pos)
+            return operands[0][0]
 
 
 def is_difference(expr: Expr) -> bool:
     """True when every ``t`` and ``s`` in ``expr`` occurs as the node ``t - s``
     (so a constant qualifies, and ``1+t-s``, parsed as ``(1+t)-s``, does not)."""
-    if expr == BinOp("-", Var("t"), Var("s")):
-        return True
-    return not isinstance(expr, Var) and all(is_difference(c) for c in expr.children())
+    difference, stack = BinOp("-", Var("t"), Var("s")), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return False
+        if node != difference:
+            stack.extend(node.children())
+    return True
 
 
-def _signed_terms(expr: Expr, sign: bool, out: list) -> None:
-    """Append ``(negated, term)`` for every term of the signed sum ``expr``."""
-    if isinstance(expr, BinOp) and expr.op in "+-":
-        _signed_terms(expr.left, sign, out)
-        _signed_terms(expr.right, sign ^ (expr.op == "-"), out)
-    elif isinstance(expr, Neg):
-        _signed_terms(expr.operand, not sign, out)
-    else:
-        out.append((sign, expr))
+def _signed_terms(expr: Expr) -> list:
+    """``(negated, term)`` for every term of the signed sum ``expr``, left to right."""
+    out, stack = [], [(expr, False)]
+    while stack:
+        node, sign = stack.pop()
+        if isinstance(node, BinOp) and node.op in "+-":
+            stack += [(node.right, sign ^ (node.op == "-")), (node.left, sign)]
+        elif isinstance(node, Neg):
+            stack.append((node.operand, not sign))
+        else:
+            out.append((sign, node))
+    return out
 
 
-def _factors(expr: Expr, divide: bool, sign: bool, out: list) -> bool:
-    """Append ``(divide, factor)`` for every factor of the product or quotient
-    ``expr``; returns the sign flipped by every unary minus met on the way."""
-    if isinstance(expr, BinOp) and expr.op in "*/":
-        sign = _factors(expr.left, divide, sign, out)
-        return _factors(expr.right, divide ^ (expr.op == "/"), sign, out)
-    if isinstance(expr, Neg):
-        return _factors(expr.operand, divide, not sign, out)
-    out.append((divide, expr))
-    return sign
+def _factors(expr: Expr, sign: bool) -> tuple[bool, list]:
+    """``sign`` flipped by every unary minus met in the product or quotient
+    ``expr``, and ``(divide, factor)`` for every factor, left to right."""
+    out, stack = [], [(expr, False)]
+    while stack:
+        node, divide = stack.pop()
+        if isinstance(node, BinOp) and node.op in "*/":
+            stack += [(node.right, divide ^ (node.op == "/")), (node.left, divide)]
+        elif isinstance(node, Neg):
+            sign = not sign
+            stack.append((node.operand, divide))
+        else:
+            out.append((divide, node))
+    return sign, out
 
 
 def _product(factors: list) -> Expr:
@@ -359,12 +415,9 @@ def separable(expr: Expr):
     whose subtree references ``t`` only; ``v`` references ``s`` only.
     Sums inside a factor are not expanded: ``(t-s)^2`` gives None.
     """
-    terms: list = []
-    _signed_terms(expr, False, terms)
     pairs = []
-    for sign, term in terms:
-        factors: list = []
-        sign = _factors(term, False, sign, factors)
+    for sign, term in _signed_terms(expr):
+        sign, factors = _factors(term, sign)
         u_factors, v_factors = [], []
         for divide, factor in factors:
             names = factor.variables()

@@ -77,7 +77,7 @@ MAX_TERMS = 40
 DEFAULT_QUAD_DENSITY = 512  # tensor-grid nodes per unit interval length
 RANK_TOL = 1e-10  # classify's rank, pivot and orthogonality tolerance
 COMPOSE_PANEL_ROWS = 64  # rows per matrix product in _compose
-TABLE_MAX_NODES = 4097  # largest grid a kernel table is built on (134 MB)
+TABLE_MAX_NODES = 4097  # largest grid a kernel table is built on: 134 MB, plus one panel while it is built
 SPLIT_TOL = 1e-12  # relative agreement a kernel split must show with the callable
 _PACKAGE = __name__.partition(".")[0]
 
@@ -114,7 +114,10 @@ def _first_table(problem: Problem, z: np.ndarray, density: int) -> np.ndarray:
     """Normalized kernel K(t,s)/a0(t) tabulated on the lower triangle.
 
     A grid of more than ``TABLE_MAX_NODES`` nodes (``density`` per unit
-    length) is refused before anything is allocated.
+    length) is refused before anything is allocated.  The kernel is
+    evaluated in row panels of ``COMPOSE_PANEL_ROWS``, so the build holds
+    the table and one panel; a kernel that fails in several places raises
+    the failure of the first failing panel.
     """
     npts = z.shape[0]
     if npts > TABLE_MAX_NODES:
@@ -122,9 +125,12 @@ def _first_table(problem: Problem, z: np.ndarray, density: int) -> np.ndarray:
             f"a kernel table at quad_density {density} has {npts} nodes and needs "
             f"{8 * npts * npts / 1e6:.0f} MB; the limit is {TABLE_MAX_NODES} nodes"
         )
-    rows, cols = np.tril_indices(npts)
+    a0 = problem.a0(z)
     table = np.zeros((npts, npts))
-    table[rows, cols] = problem.kernel(z[rows], z[cols]) / problem.a0(z)[rows]
+    for r0 in range(0, npts, COMPOSE_PANEL_ROWS):
+        rows, cols = np.tril_indices(min(COMPOSE_PANEL_ROWS, npts - r0), r0, npts)
+        rows += r0
+        table[rows, cols] = problem.kernel(z[rows], z[cols]) / a0[rows]
     return table
 
 
@@ -300,7 +306,7 @@ class ResolventApprox:
             else:
                 nxt = _first_table(self.problem, self.z, self.quad_density)
             self._tables.append(nxt)
-            self._tables_max.append(float(np.abs(nxt).max()))
+            self._tables_max.append(float(max(nxt.max(), -nxt.min())))  # max|K_n|, no |K_n| copy
         return self._tables[n - 1]
 
     def _product(self, rows: np.ndarray) -> np.ndarray:

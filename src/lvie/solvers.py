@@ -104,7 +104,8 @@ def _eliminate(at: np.ndarray, tol: float):
     ``aug[:, rank:]`` only, and the pivot columns are left unfinished.
     """
     count, width, n = at.shape
-    scales = (tol * np.abs(at[:, :n]).max(axis=(1, 2), initial=0.0)).tolist()
+    a = at[:, :n]  # max|A| as max(max A, -min A): no |A| copy
+    scales = (tol * np.maximum(a.max(axis=(1, 2), initial=0.0), -a.min(axis=(1, 2), initial=0.0))).tolist()
     pivots: list[list[float]] = [[] for _ in range(count)]
     cols = [list(range(n)) for _ in range(count)]
     swaps = [0] * count

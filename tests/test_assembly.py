@@ -1,12 +1,14 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from lvie.assembly import DENSE_MAX_NODES, AssemblyError, assemble, quad_weight
+from lvie.config import load_problem_config
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.solvers import gauss_jordan, structured_solve
@@ -232,6 +234,69 @@ class TestDenseLimit:
         finally:
             tracemalloc.stop()
         assert peak < 4e6  # the matrix alone would be 2.1 GB
+
+
+SQRT_LADDER = Path(__file__).resolve().parent.parent / "bench" / "fixtures" / "sqrt_ladder.cfg"
+PANEL_PROBLEMS = {
+    "model1": builtin_problem("model1"),
+    "model2": builtin_problem("model2"),
+    "sqrt_ladder": load_problem_config(SQRT_LADDER),
+}
+
+
+def whole_triangle_matrix(system):
+    """The dense matrix from one ``weights`` call over the whole Volterra triangle."""
+    n = system.size
+    weights = system.weights(1, n, 0, n - 1)
+    matrix = np.zeros((n, n))
+    matrix[1:, : n - 1] -= weights
+    matrix[1:, 1:] -= weights
+    np.fill_diagonal(matrix, matrix.diagonal() + system.a0_values)
+    for j, v in enumerate(system.load_columns):
+        matrix[:, v] += system.load_entries[:, j]
+    return matrix
+
+
+class TestDensePanels:
+    """Dense assembly reads the weights in row panels: same bytes, same faults, less memory."""
+
+    @pytest.mark.parametrize("name", sorted(PANEL_PROBLEMS))
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_matrix_bytes_equal_one_triangle_call(self, name, k):
+        p = PANEL_PROBLEMS[name]
+        system = assemble(p, build_grid(p, Fraction(1, 2**k)), mode="dense")
+        assert system.matrix.tobytes() == whole_triangle_matrix(system).tobytes()
+
+    def test_kernel_failure_in_a_late_panel_names_its_row(self):
+        calls = []
+        kernel = ScalarFunction.from_expression("sqrt(0.9 - t) * (t - 2*s^2)", 2)
+
+        def counted(t, s):
+            calls.append(np.size(t))
+            return kernel(t, s)
+
+        p = dataclasses.replace(builtin_problem("model1"), kernel=ScalarFunction(counted, 2))
+        g = build_grid(p, Fraction(1, 512))
+        row = int(np.flatnonzero(g.nodes > 0.9)[0])
+        with pytest.raises(AssemblyError) as info:
+            assemble(p, g, mode="dense")
+        assert info.value.row == row
+        assert str(info.value) == f"kernel failed at row {row}, t={g.nodes[row]:.6g}: sqrt of a negative value"
+        assert calls[0] < row * (row + 1) // 2  # the first panel ended before the failing row
+
+    def test_memory_is_the_matrix_and_one_panel(self):
+        p = builtin_problem("model2")
+        g = build_grid(p, Fraction(1, 512))
+        n = g.n_nodes
+        assert n == 515
+        tracemalloc.start()
+        try:
+            system = assemble(p, g, mode="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.matrix.nbytes == 8 * n * n
+        assert peak <= 8 * n * n + 1.5e6
 
 
 class TestMidpointRule:

@@ -86,6 +86,16 @@ def test_solve_invalid_problem(tmp_path, capsys):
     assert "a0 vanishes" in capsys.readouterr().err
 
 
+def test_solve_too_deep_formula_names_its_position(tmp_path, capsys):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(CONFIG.replace('kernel = "1"', 'kernel = "' + "-" * 5000 + 't"'))
+    code = main(["solve", "--config", str(cfg), "--h", "1/8"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad expression for 'kernel': expression nested deeper than 1000 levels at position 4000" in err
+    assert "recursion" not in err
+
+
 def test_study_markdown(capsys):
     code = main(
         ["study", "--builtin", "model2", "--h0", "1/8", "--levels", "3",

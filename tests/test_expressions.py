@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lvie.config import load_problem_config
 from lvie.expressions import (
+    MAX_DEPTH,
     BinOp,
     Call,
     EvalError,
@@ -484,3 +485,67 @@ def test_first_error_is_the_tree_walks():
     assert _outcome(compiled(parse("ln(t) + 1/t")), 0.0) == ("EvalError", "ln of a non-positive value")
     assert _outcome(compiled(parse("1/t + ln(t)")), _GRID) == ("EvalError", "division by zero")
     assert _outcome(compiled(parse("ln(t) + s")), 0.0) == ("EvalError", "ln of a non-positive value")
+
+
+# Deep formulas: every input parses and compiles, or raises a positioned ParseError.
+DEEP = 5000
+
+
+def test_deeply_nested_parentheses_parse():
+    assert parse("(" * DEEP + "t" + ")" * DEEP) == Var("t")
+    assert parse("(" * 150 + "t" + ")" * 150) == Var("t")
+    assert evaluate(parse("(" * DEEP + "t*s" + ")" * DEEP), 2.0, 3.0) == 6.0
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("-" * DEEP + "t", DEEP - MAX_DEPTH),
+        ("^".join(["t"] * DEEP), 2 * (DEEP - MAX_DEPTH) - 1),
+        ("cos(" * DEEP + "t" + ")" * DEEP, 4 * (DEEP - MAX_DEPTH)),
+    ],
+)
+def test_deep_right_nesting_is_a_positioned_parse_error(text, position):
+    # Reported at the operator or function whose node would be MAX_DEPTH + 1 deep.
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as exc:
+        parse(text)
+    assert exc.value.position == position
+
+
+def test_long_sum_is_a_positioned_parse_error():
+    text = "+".join(f"{k}*t^2" for k in range(DEEP))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as exc:
+        parse(text)
+    # Each term is 3 deep, and "+" number j (from 1) makes a node of depth j + 3.
+    assert text[: exc.value.position].count("+") == MAX_DEPTH - 3
+
+
+def test_depth_bound_is_exact():
+    assert isinstance(parse("-" * (MAX_DEPTH - 1) + "t"), Neg)
+    with pytest.raises(ParseError, match="at position 0"):
+        parse("-" * MAX_DEPTH + "t")
+
+
+def test_deep_chains_within_the_bound_compile_without_recursion():
+    t = np.linspace(0.1, 1.0, 11)
+    negated = compiled(parse("-" * (MAX_DEPTH - 1) + "t"))(t)
+    assert negated.tobytes() == (-t).tobytes()
+    tower = compiled(parse("^".join(["t"] * (MAX_DEPTH // 2))))(t)
+    assert np.isfinite(tower).all()
+    assert not is_difference(parse("+".join(["(t-s)"] * (MAX_DEPTH - 10)) + "+t"))
+    assert is_difference(parse("+".join(["(t-s)"] * (MAX_DEPTH - 10))))
+
+
+@pytest.mark.parametrize("terms", [400, 500, MAX_DEPTH - 3])
+def test_long_sum_keeps_its_bits(terms):
+    # k*t^2 summed left to right, t^2 computed once, as the tree walk would.
+    t = np.linspace(0.0, 1.0, 101)
+    expr = parse("+".join(f"{k}*t^2" for k in range(terms)))
+    square = np.power(t, 2.0)
+    expected = 0.0 * square
+    for k in range(1, terms):
+        expected = expected + float(k) * square
+    assert compiled(expr)(t).tobytes() == expected.tobytes()
+    assert expr.variables() == {"t"}
+    assert len(separable(parse("+".join(f"{k}*t*s^2" for k in range(terms))))) == terms
+

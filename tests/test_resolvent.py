@@ -442,6 +442,28 @@ class TestSplitKernel:
         assert np.array_equal(np.diagonal(table), cfg._diag)
         assert np.array_equal(table[:, 0], cfg._col0)
 
+    @pytest.mark.parametrize("density", [1, 16, 100, 513])
+    def test_table_panels_give_the_bytes_of_one_triangle_call(self, density):
+        p = parse_problem_config((TESTS.parent / "bench" / "fixtures" / "sqrt_ladder.cfg").read_text())
+        cfg = ResolventApprox(p, quad_density=density)
+        rows, cols = np.tril_indices(cfg.z.size)
+        whole = np.zeros((cfg.z.size, cfg.z.size))
+        whole[rows, cols] = p.kernel(cfg.z[rows], cfg.z[cols]) / p.a0(cfg.z)[rows]
+        table = cfg.kernel_table(2)
+        assert cfg._tables[0].tobytes() == whole.tobytes()
+        assert cfg._tables_max == [float(np.abs(whole).max()), float(np.abs(table).max())]
+
+    def test_table_build_holds_the_table_and_one_panel(self):
+        p = parse_problem_config((TESTS.parent / "bench" / "fixtures" / "sqrt_ladder.cfg").read_text())
+        tracemalloc.start()
+        try:
+            cfg = ResolventApprox(p, quad_density=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg._factors is None  # sqrt(t-s) has no split: the table path
+        assert peak <= cfg._tables[0].nbytes + 4e6
+
     def test_no_square_array(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a kernel table was built")

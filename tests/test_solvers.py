@@ -126,6 +126,20 @@ class TestGaussJordan:
         np.testing.assert_array_equal(b, b_copy)
 
 
+    def test_memory_is_one_transposed_copy(self):
+        # [A | b] transposed, n(n + 1) doubles, and no |A| copy for the pivot scale.
+        p = builtin_problem("model2")
+        system = assemble(p, build_grid(p, Fraction(1, 512)), mode="dense")
+        n = system.size
+        tracemalloc.start()
+        try:
+            gauss_jordan(system.matrix, system.rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (n + 1) + 0.75e6
+
+
 class TestRankAndDet:
     def test_identity(self):
         rep = rank_and_det(np.eye(3))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,18 @@ class TestSolverChoice:
         default = solve_collocation(p, Fraction(1, 16))
         structured = solve_collocation(p, Fraction(1, 16), solver="structured")
         assert np.array_equal(default.values, structured.values)
+
+    def test_dense_solve_holds_two_square_arrays(self):
+        # The matrix and the eliminated transposed copy, 16 n^2 bytes and a panel's worth more.
+        p = builtin_problem("model2")
+        n = build_grid(p, Fraction(1, 512)).n_nodes
+        tracemalloc.start()
+        try:
+            solve_collocation(p, Fraction(1, 512), "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * n + 1.5e6
 
     def test_auto_is_not_a_solver(self):
         with pytest.raises(ValueError, match="solver must be one of"):
