@@ -198,6 +198,18 @@ def test_study_stdout_matches_golden(capsys, name):
     assert capsys.readouterr().out.encode() == golden
 
 
+# study_dense_<name>.stdout holds the stdout of ``lvie study --builtin NAME --h0 1/8 --levels 7
+# --solver dense --no-timing``, written while the elimination updated every row at every step.
+@pytest.mark.parametrize("name", ["model1", "model2"])
+def test_dense_study_stdout_matches_golden(capsys, name):
+    argv = ["study", "--builtin", name, "--h0", "1/8", "--levels", "7", "--solver", "dense", "--no-timing"]
+    assert main(argv) == 0
+    golden = (FIXTURES / f"study_dense_{name}.stdout").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+    if name == "model2":  # the benchmark's cli-study-dense checks the same bytes
+        assert golden == Path(SQRT_LADDER).with_name("cli_study_dense.stdout").read_bytes()
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
 def test_analyze_non_finite_lambda(capsys, monkeypatch, lam):
     built = []

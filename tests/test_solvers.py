@@ -17,6 +17,7 @@ from lvie.solvers import (
     SingularMatrixError,
     SolvabilityError,
     _eliminate,
+    _transposed,
     gauss_jordan,
     nullspace,
     rank_and_det,
@@ -376,6 +377,71 @@ class TestEliminateStack:
             nullspace(np.zeros((1, 2, 2)), 1e-10)
         with pytest.raises(ValueError, match="finite"):
             rank_and_det(np.array([np.eye(2), np.full((2, 2), np.nan)]))
+
+
+def triangular_with_loads(rng, n, r):
+    """A small-integer ``[A | R]``, A lower triangular but for one or two dense load columns.
+
+    Entries in -2..2 tie often; a row or a column of A may be zero.
+    """
+    aug = rng.integers(-2, 3, size=(n, n + r)).astype(float)
+    loads = rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False)
+    dense = aug[:, loads]
+    aug[:, :n] = np.tril(aug[:, :n])
+    aug[:, loads] = dense
+    kind = int(rng.integers(0, 3))
+    if kind == 1:
+        aug[int(rng.integers(0, n)), :n] = 0.0
+    elif kind == 2:
+        aug[:, int(rng.integers(0, n))] = 0.0
+    return aug
+
+
+class TestEliminateTriangular:
+    """Collocation-shaped matrices: steps whose pivot column is zero below the pivot row.
+
+    Such a step leaves the unpivoted rows as they are and keeps their row
+    maxima; a stack does so only when every member going on allows it.
+    """
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_single_matrices(self, block):
+        # 400 seeded matrices, with and without right-hand sides.
+        for seed in range(100 * block, 100 * (block + 1)):
+            rng = np.random.default_rng(10_000 + seed)
+            n = int(rng.integers(1, 13))
+            aug = triangular_with_loads(rng, n, int(rng.integers(0, 3)))
+            assert_eliminates_like_reference(aug, SINGULAR_TOL)
+            assert_eliminates_like_reference(aug, 0.5)
+            assert_eliminates_like_reference(aug[:, :n], 1e-10)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_stacks_mixing_triangular_and_dense_members(self, block):
+        # 200 seeded stacks; a dense member makes the others take the full update.
+        for seed in range(50 * block, 50 * (block + 1)):
+            rng = np.random.default_rng(20_000 + seed)
+            n, r, count = int(rng.integers(1, 9)), int(rng.integers(0, 3)), int(rng.integers(1, 7))
+            members = [
+                triangular_with_loads(rng, n, r) if rng.random() < 0.7
+                else rng.integers(-2, 3, size=(n, n + r)).astype(float)
+                for _ in range(count)
+            ]
+            assert_stack_eliminates_like_reference(members, SINGULAR_TOL)
+            assert_stack_eliminates_like_reference(members, 0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_negative_zeros_eliminate_as_positive_zeros(self, seed):
+        rng = np.random.default_rng(30_000 + seed)
+        augs = [triangular_with_loads(rng, 8, 1) for _ in range(50)]
+        signed = [np.where((aug == 0.0) & (rng.random(aug.shape) < 0.5), -0.0, aug) for aug in augs]
+        assert all(np.signbit(aug).any() for aug in signed)
+        at = _transposed(np.array([aug[:, :8] for aug in signed]), np.array([aug[:, 8] for aug in signed]), True)
+        assert at.tobytes() == np.array([aug.T for aug in augs]).tobytes()  # zeros made +0.0
+        assert_stack_eliminates_like_reference(augs, SINGULAR_TOL)
+        for aug, neg in zip(augs, signed):
+            if rank_and_det(aug[:, :8], SINGULAR_TOL).rank == 8:
+                want = gauss_jordan(aug[:, :8], aug[:, 8])
+                assert gauss_jordan(neg[:, :8], neg[:, 8]).tobytes() == want.tobytes()
 
 
 def planted_rank_matrix(seed):
