@@ -83,7 +83,9 @@ def check_dense_size(n: int) -> None:
 def quad_weight(p_idx: int, i: int, g: Grid, kernel: ScalarFunction, lam: float) -> float:
     """Midpoint product-quadrature weight J_p^i for row i, subinterval p.
 
-    The weight multiplies both nodal values x_{p-1} and x_p.
+    The weight multiplies both nodal values x_{p-1} and x_p.  It is the
+    per-pair reference, straight from the definition, that
+    ``test_rows_match_quad_weight`` checks ``CollocationSystem.weights`` against.
     """
     n_max = g.last_index
     if not 1 <= p_idx <= i <= n_max:
@@ -203,7 +205,8 @@ class CollocationSystem:
     def integral(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int, k1: int) -> None:
         """Add sum_{k0 <= k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, to out[i - i0].
 
-        The rows are i0 <= i < i0 + len(out).  The weights come in panels
+        The rows are i0 <= i < i0 + len(out); ``out`` and ``y`` hold one
+        column per right-hand side.  The weights come in panels
         of ``BLOCK_ROWS`` rows and ``PANEL_POINTS`` points, except on a lag
         system when both sides of the rectangle exceed ``PANEL_MAX_SIDE``:
         then they form a Toeplitz matrix, applied by FFT.  A kernel failure
@@ -246,23 +249,21 @@ class CollocationSystem:
             lo, hi = max(start, 0), min(start + size, w.size)
             seg[lo - start : hi - start] = w[lo:hi]
             spectrum = self._spectra[start, size] = np.fft.rfft(seg)[:, None]
-        y2 = y if y.ndim == 2 else y[:, None]
-        out2 = out if out.ndim == 2 else out[:, None]
         step = max(1, PANEL_POINTS // (2 * size))
-        for j0 in range(0, y2.shape[1], step):
-            f = np.fft.rfft(y2[:, j0 : j0 + step], size, axis=0)
+        for j0 in range(0, y.shape[1], step):
+            f = np.fft.rfft(y[:, j0 : j0 + step], size, axis=0)
             f *= spectrum
-            out2[:, j0 : j0 + step] += np.fft.irfft(f, size, axis=0)[cols - 1 : cols - 1 + rows]
+            out[:, j0 : j0 + step] += np.fft.irfft(f, size, axis=0)[cols - 1 : cols - 1 + rows]
 
     def residual(self, x) -> float:
         """Max-abs collocation residual of nodal values ``x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):
             raise ValueError(f"expected {self.size} nodal values, got shape {x.shape}")
-        acc = np.zeros(self.size)
-        self.integral(acc, 0, x[:-1] + x[1:], 0, self.size - 1)
+        acc = np.zeros((self.size, 1))
+        self.integral(acc, 0, (x[:-1] + x[1:])[:, None], 0, self.size - 1)
         load_part = self.load_entries @ x[list(self.load_columns)]
-        return float(np.abs(self.a0_values * x + load_part - acc - self.rhs).max())
+        return float(np.abs(self.a0_values * x + load_part - acc[:, 0] - self.rhs).max())
 
 
 def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "Problem",
     "ValidationReport",
     "validate_problem",
+    "load_point_violation",
     "builtin_problem",
     "builtin_names",
 ]
@@ -175,6 +176,18 @@ def _sample_function(fn: ScalarFunction, ts, label: str):
     return vals, None
 
 
+def load_point_violation(p: Problem) -> Optional[str]:
+    """Why the load points of ``p`` are misplaced, or None when they increase
+    strictly and lie inside the open interval (t0, T)."""
+    points = p.load_points
+    if np.any(points[1:] <= points[:-1]):
+        return "load points not increasing"
+    for tj in points:
+        if not (p.t0 < tj < p.T):
+            return f"load point {tj:.6g} outside the open interval"
+    return None
+
+
 def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
     """Check problem invariants on a uniform sample of the interval.
 
@@ -191,14 +204,9 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
     if not p.t0 < p.T:
         return ValidationReport(False, "interval start must precede interval end")
 
-    points = [term.point for term in p.loads]
-    if any(b <= a for a, b in zip(points, points[1:])):
-        return ValidationReport(False, "load points not increasing")
-    for tj in points:
-        if not (p.t0 < tj < p.T):
-            return ValidationReport(
-                False, f"load point {tj:.6g} outside the open interval"
-            )
+    violation = load_point_violation(p)
+    if violation:
+        return ValidationReport(False, violation)
 
     ts = np.linspace(p.t0, p.T, samples)
     loads = [(term.coeff, f"a{j}") for j, term in enumerate(p.loads, start=1)]

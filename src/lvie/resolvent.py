@@ -38,18 +38,20 @@ against its callable), O(terms * r * n) work and no n x n array; else
 one table of K on at most ``TABLE_MAX_NODES`` nodes, O(terms * n^2).
 A sweep over L lams is one pass: the I_n grow once, to the term count
 of the largest |lam|; every lam's count is read off the stored max|I_n|;
-the L load systems are one stack, the sums of lam^n I_n on the at most
-2m grid nodes that interpolation at the m load points reads,
-O(L * terms * m^2) work; and one ``rank_and_det`` call eliminates them
-all.  ``classify`` and ``load_matrix`` are the sweep of one lam, and
-nothing per lam is kept.  Only the point evaluator ``resolvent(t, s)``
-composes tables K_n, on first call, and keeps the resolvent table of its
-last lam.  Either series stops at the first term below ``TERM_TOLERANCE``,
-measured by |lam|^n max|I_n| or |lam|^n max|K_n|, or at ``MAX_TERMS``
-with a :class:`TruncationWarning` that names the first caller outside
-lvie.  Off-grid values interpolate linearly (bilinear on the triangle),
-but f~ and a~_j are evaluated exactly, so lam = 0 results carry no
-quadrature error at all.
+the L load systems are one stack, the sums of lam^n I_n on the 3m
+grid columns np.interp reads at the m load points (each bracket's two
+nodes and the node it takes as is), O(L * terms * m^2) work; and one
+``rank_and_det`` call eliminates them all.  ``classify`` and
+``load_matrix`` are the sweep of one lam, and nothing per lam is kept.
+At any other points F and the b_j are the rows of ``reduced_tables``,
+the sums on every node, and np.interp.  Only the point evaluator
+``resolvent(t, s)`` composes tables K_n, on first call, and keeps the
+resolvent table of its last lam.  Either series stops at the first term
+below ``TERM_TOLERANCE``, measured by |lam|^n max|I_n| or |lam|^n
+max|K_n|, or at ``MAX_TERMS`` with a :class:`TruncationWarning` that
+names the first caller outside lvie.  Off-grid values interpolate
+linearly (bilinear on the triangle), but f~ and a~_j are evaluated
+exactly, so lam = 0 results carry no quadrature error at all.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -182,39 +184,30 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray):
     return factors, diag, col0
 
 
-class _Interp(NamedTuple):
-    """``np.interp(ts, z, y)`` at fixed points ``ts``, on the grid nodes it reads.
+def _bracket(z: np.ndarray, ts) -> tuple:
+    """The grid columns ``np.interp(ts, z, y)`` reads at the points ``ts``, with ``dt``, ``dz``, ``exact``.
 
-    ``nodes`` are the sorted grid indices read (node 0 first, which lies
-    strictly inside no bracket and keeps the set non-empty).  Each point
-    has its bracket ``lo``, ``hi`` (positions in ``nodes``), ``dt`` = t - z_lo
-    and ``dz`` = z_hi - z_lo.  Called on rows ``y`` over ``nodes`` it does
-    np.interp's own arithmetic for finite values: ``slope*(t - z_lo) + y_lo``
-    with ``slope = (y_hi - y_lo)/dz``, and the node's value as is for a
-    point on z_lo or at the last node (``exact``, at position ``pick``).
+    The columns are, point by point, the bracket's low node, its high node,
+    and the node whose value np.interp takes as is (z_lo for a point on
+    it, else z_hi: the last node); ``dt`` = t - z_lo, ``dz`` = z_hi - z_lo,
+    and ``exact`` marks the points on a node.
     """
+    ts = np.asarray(ts, dtype=float)
+    j = np.searchsorted(z, ts, side="right").clip(1, z.shape[0] - 1)
+    z_lo, z_hi = z[j - 1], z[j]
+    on_lo = ts == z_lo
+    cols = np.concatenate([j - 1, j, np.where(on_lo, j - 1, j)])
+    return cols, ts - z_lo, z_hi - z_lo, on_lo | (ts == z_hi)
 
-    nodes: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    dt: np.ndarray
-    dz: np.ndarray
-    pick: np.ndarray
-    exact: np.ndarray
 
-    @classmethod
-    def at(cls, z: np.ndarray, ts) -> "_Interp":
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        j = np.searchsorted(z, ts, side="right").clip(1, z.shape[0] - 1)
-        nodes, pos = np.unique(np.concatenate([[0], j - 1, j]), return_inverse=True)
-        lo, hi = pos[1 : 1 + ts.size], pos[1 + ts.size :]
-        z_lo, z_hi = z[j - 1], z[j]
-        on_lo = ts == z_lo
-        return cls(nodes, lo, hi, ts - z_lo, z_hi - z_lo, np.where(on_lo, lo, hi), on_lo | (ts == z_hi))
+def _interp(y: np.ndarray, dt: np.ndarray, dz: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """np.interp's own arithmetic for finite values, on the columns ``y`` of :func:`_bracket`.
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        y_lo, y_hi, y_on = (np.take(y, at, axis=-1) for at in (self.lo, self.hi, self.pick))
-        return np.where(self.exact, y_on, (y_hi - y_lo) / self.dz * self.dt + y_lo)
+    ``slope*(t - z_lo) + y_lo`` with ``slope = (y_hi - y_lo)/dz``, and the
+    node's value as is for a point on a node.
+    """
+    y_lo, y_hi, y_on = np.split(y, 3, axis=-1)
+    return np.where(exact, y_on, (y_hi - y_lo) / dz * dt + y_lo)
 
 
 def _lam(problem: Problem, lam: Optional[float]) -> float:
@@ -264,8 +257,9 @@ class ResolventApprox:
     keeps f~ and a~_j on the grid and at the load points, K on the
     diagonal and on column 0 (or its split, ``_kernel_split``, or its
     table), and the I_n against f~ and every a~_j, grown lazily by the
-    vector recursion (at most ``MAX_TERMS``), also stacked on the nodes
-    that interpolation at the load points reads.  The tables K_n exist
+    vector recursion (at most ``MAX_TERMS``), also stacked on the 3m grid
+    columns np.interp reads at the load points (``_bracket``, gathered
+    once per term).  The tables K_n exist
     only once the point evaluator has asked for them, and per lam nothing
     is kept but the resolvent table of the last lam it was asked for.
     """
@@ -281,8 +275,8 @@ class ResolventApprox:
         self.quad_density = quad_density
         self._data = _tilde(problem, self.z)
         self._load_data = _tilde(problem, problem.load_points)
-        self._load_interp = _Interp.at(self.z, problem.load_points)
-        self._load_ints = np.empty((MAX_TERMS, self._data.shape[0], self._load_interp.nodes.size))
+        self._load_cols, *self._load_bracket = _bracket(self.z, problem.load_points)
+        self._load_ints = np.empty((MAX_TERMS, self._data.shape[0], self._load_cols.size))
         self._tables: list[np.ndarray] = []
         self._tables_max: list[float] = []
         self._last_resolvent: Optional[tuple[float, np.ndarray]] = None
@@ -335,7 +329,7 @@ class ResolventApprox:
         self._append(nxt)
 
     def _append(self, ints: np.ndarray) -> None:
-        self._load_ints[len(self._ints)] = ints[:, self._load_interp.nodes]
+        self._load_ints[len(self._ints)] = ints[:, self._load_cols]
         self._ints.append(ints)
         self._ints_max.append(float(np.abs(ints).max()))
 
@@ -485,28 +479,26 @@ def resolvent(
     return _triangle_interp(table, cfg.z, cfg.dz, t, s)
 
 
-def _reduced(cfg: ResolventApprox, lams: list, ts=None) -> tuple[np.ndarray, np.ndarray]:
-    """F(t, lam) and every b_j(t, lam) at ``ts`` (None: the load points), one row per lam.
+def _load_systems(cfg: ResolventApprox, lams: list) -> tuple[np.ndarray, np.ndarray]:
+    """The load systems (A, d) of every lam: A[l]_ij = delta_ij + b_j(t_i), d[l]_i = F(t_i).
 
-    Returns ``(F, B)`` of shapes (L, k) and (L, m, k), ``B[:, j]`` being
-    b_j: the series of the I_n on the nodes interpolation at ``ts`` reads,
-    interpolated there, plus f~ and a~_j.
+    F and the b_j at the load points are f~ and a~_j plus the series of
+    the I_n on the grid columns np.interp reads there, interpolated.
     """
     powers, _, _ = cfg._int_powers(lams)
-    if ts is None:
-        tilde, interp, ints = cfg._load_data, cfg._load_interp, cfg._load_ints
-    else:
-        tilde, interp = _tilde(cfg.problem, ts), _Interp.at(cfg.z, ts)
-        tilde = tilde.reshape(tilde.shape[0], interp.lo.size)
-        ints = [np.take(I, interp.nodes, axis=1) for I in cfg._ints[: powers.shape[1]]]
-    values = tilde + interp(_series(powers, ints))
-    return values[:, 0], values[:, 1:]
+    values = cfg._load_data + _interp(_series(powers, cfg._load_ints), *cfg._load_bracket)
+    return np.eye(len(cfg.problem.loads)) + values[:, 1:].transpose(0, 2, 1), values[:, 0]
 
 
-def _load_systems(cfg: ResolventApprox, lams: list) -> tuple[np.ndarray, np.ndarray]:
-    """The load systems (A, d) of every lam: A[l]_ij = delta_ij + b_j(t_i), d[l]_i = F(t_i)."""
-    d, B = _reduced(cfg, lams)
-    return np.eye(len(cfg.problem.loads)) + B.transpose(0, 2, 1), d
+def _reduced_at(cfg: ResolventApprox, lam: Optional[float], ts) -> tuple:
+    """F(t, lam) and the list of every b_j(t, lam) at ``ts``, each of the shape of ``ts``.
+
+    Each is f~ or a~_j plus its row of ``reduced_tables``, np.interp'd at ``ts``.
+    """
+    F_int, B_int = cfg.reduced_tables(lam)
+    tilde = _tilde(cfg.problem, ts)
+    values = [row + np.interp(ts, cfg.z, ints) for row, ints in zip(tilde, (F_int, *B_int))]
+    return values[0], values[1:]
 
 
 def reduced_coeffs(
@@ -519,8 +511,8 @@ def reduced_coeffs(
     cfg = _approx(problem, cfg)
     if not (problem.t0 <= t <= problem.T):
         raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
-    F, B = _reduced(cfg, [_lam(problem, lam)], float(t))
-    return float(F[0, 0]), B[0, :, 0].copy()
+    F, B = _reduced_at(cfg, lam, float(t))
+    return float(F), np.array(B, dtype=float)
 
 
 def load_matrix(
@@ -579,7 +571,7 @@ def semi_analytic_solve(
     cfg: Optional[ResolventApprox] = None,
     lam: Optional[float] = None,
 ) -> np.ndarray:
-    """Evaluate x(t) = F(t) - sum_j b_j(t) c_j at the sample points.
+    """Evaluate x(t) = F(t) - sum_j b_j(t) c_j at the sample points, in their shape.
 
     Requires a uniquely solvable load system; raises
     :class:`SolvabilityError` otherwise.
@@ -595,11 +587,10 @@ def semi_analytic_solve(
     with warnings.catch_warnings():
         if problem.loads:  # classify has warned of a truncated series already
             warnings.simplefilter("ignore", TruncationWarning)
-        values, B = _reduced(cfg, [report.lam], ts)
-    values = values[0]
-    for b_j, c_j in zip(B[0], report.load_values):
+        values, B = _reduced_at(cfg, report.lam, ts)
+    for b_j, c_j in zip(B, report.load_values):
         values = values - b_j * c_j
-    return values
+    return np.asarray(values)
 
 
 def solvability_sweep(

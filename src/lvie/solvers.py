@@ -104,12 +104,12 @@ def _eliminate(at: np.ndarray, tol: float):
     going are updated together, ``UPDATE_ROWS`` rows at a time through one
     buffer.  Each member's pivot is the first maximum of its
     ``|A[k:, k:]|`` in row-major order: its first row, then the first
-    column in that row; the last step has one candidate and no search.
-    Each member swaps through views and stops at its first pivot below
-    ``tol * max|A|``; the others go on in a compacted copy, written back at
-    the end.  Returns, per member, the raw pivots (their count is the
-    rank), the column order of A and the number of swaps; callers read
-    ``aug[:, rank:]`` only, and the pivot columns are left unfinished.
+    column in that row.  Each member swaps through views and stops at its
+    first pivot below ``tol * max|A|``; the others go on in a compacted
+    copy, written back at the end.  Returns, per member, the raw pivots
+    (their count is the rank), the column order of A and the number of
+    swaps; callers read ``aug[:, rank:]`` only, and the pivot columns are
+    left unfinished.
 
     When the pivot column is zero in every unpivoted row of every member
     going on, step k updates rows ``:k+1`` of ``aug`` only, and the next
@@ -138,17 +138,15 @@ def _eliminate(at: np.ndarray, tol: float):
     bufsize = np.setbufsize(BUFFER_SIZE)
     try:
         for k in range(n):
-            rows = [0] * len(live)  # each member's pivot row, less k
-            if k < n - 1:
-                if top is None:
-                    sub = work[:, k:n, k:]  # sub[l, j, i] = aug_l[k+i, k+j]; read without a copy
-                    top, low = sub.max(axis=1), sub.min(axis=1)
-                    np.maximum(top, np.negative(low, out=low), out=top)
-                rows = top.argmax(axis=1).tolist()
+            if top is None:
+                sub = work[:, k:n, k:]  # sub[l, j, i] = aug_l[k+i, k+j]; read without a copy
+                top, low = sub.max(axis=1), sub.min(axis=1)
+                np.maximum(top, np.negative(low, out=low), out=top)
+            rows = top.argmax(axis=1).tolist()  # each member's pivot row, less k
             go = []
             for i, a in enumerate(work):
                 p = k + rows[i]
-                q = k + int(np.abs(a[k:n, p]).argmax()) if k < n - 1 else k
+                q = k + int(np.abs(a[k:n, p]).argmax())
                 piv = float(a[q, p])
                 member = live[i]
                 if piv == 0.0 or abs(piv) < scales[member]:  # piv == 0 stops a zero A
@@ -199,16 +197,16 @@ def _solutions(at: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return x
 
 
-def gauss_jordan(a, b, tol_singular: float = SINGULAR_TOL) -> np.ndarray:
+def gauss_jordan(a, b) -> np.ndarray:
     """Solve a x = b by Gauss-Jordan elimination with full pivoting.
 
     The pivot at each step is the maximum-magnitude element of the
-    remaining submatrix; a pivot below ``tol_singular`` relative to the
+    remaining submatrix; a pivot below ``SINGULAR_TOL`` relative to the
     largest initial entry raises :class:`SingularMatrixError`.
     """
     at = _transposed(a, b)
     n = at.shape[2]
-    pivots, cols, _ = _eliminate(at, tol_singular)
+    pivots, cols, _ = _eliminate(at, SINGULAR_TOL)
     k = len(pivots[0])
     if k < n:
         rest = at[0, k:n, k:].T
@@ -241,15 +239,13 @@ def nullspace(a, tol: float) -> np.ndarray:
 class RankReport:
     """Rank and determinant of a matrix under a relative pivot tolerance.
 
-    ``det`` is reported as 0 whenever the rank is deficient.  The
-    (sign, log10-magnitude) pair carries the determinant through
-    under/overflow for large matrices.  ``solution`` is x of a x = rhs, at full rank.
+    ``det`` is the signed product of the pivots, 0 whenever the rank is
+    deficient; it may under- or overflow.  ``solution`` is x of
+    a x = rhs, at full rank.
     """
 
     rank: int
     det: float
-    det_sign: int
-    det_log10: float
     solution: Optional[np.ndarray] = None
 
 
@@ -275,15 +271,10 @@ def rank_and_det(a, tol: float = 1e-10, rhs=None) -> RankReport | list[RankRepor
     for i, (pivots, swaps) in enumerate(zip(all_pivots, all_swaps)):
         rank = len(pivots)
         if rank < n:
-            reports.append(RankReport(rank=rank, det=0.0, det_sign=0, det_log10=-math.inf))
+            reports.append(RankReport(rank=rank, det=0.0))
             continue
-        det = float((-1) ** swaps * math.prod(pivots))  # may under/overflow
-        det_sign = (-1) ** (swaps + sum(p < 0 for p in pivots))
-        det_log10 = 0.0
-        for piv in pivots:
-            det_log10 += math.log10(abs(piv))
-        solution = None if solutions is None else solutions[i]
-        reports.append(RankReport(rank, det, det_sign, det_log10, solution))
+        det = float((-1) ** swaps * math.prod(pivots))
+        reports.append(RankReport(rank, det, None if solutions is None else solutions[i]))
     return reports if stacked else reports[0]
 
 

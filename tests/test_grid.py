@@ -56,6 +56,26 @@ def test_nonpositive_h():
         build_grid(make_problem(0.0, 1.0, ()), -0.1)
 
 
+# Outside (t0, T), on an end point, out of order, repeated, or NaN.
+MISPLACED_LOADS = [
+    [-0.2],
+    [0.7, 0.3],
+    [1.5],
+    [0.5, 0.5],
+    [0.0],
+    [1.0],
+    [0.4, float("nan")],
+]
+
+
+@pytest.mark.parametrize("points", MISPLACED_LOADS, ids=str)
+def test_misplaced_load_points_rejected(points):
+    p = make_problem(0.0, 1.0, points)
+    with pytest.raises(ValueError, match=r"cannot place load points \[") as info:
+        build_grid(p, Fraction(1, 8))
+    assert str(p.load_points.tolist()) in str(info.value)
+
+
 def test_load_index_lookup():
     g = build_grid(builtin_problem("model1"), Fraction(1, 8))
     assert g.load_indices == (3, 5)

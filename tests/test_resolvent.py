@@ -907,7 +907,7 @@ def two_elimination_classify(cfg, lam):
     A, d = full_grid_load_system(cfg, lam)
     rank = rank_and_det(A, RANK_TOL)
     if rank.rank == m1:
-        c = gauss_jordan(A, d, tol_singular=RANK_TOL)
+        c = gauss_jordan(A, d)  # full rank at RANK_TOL, so every pivot clears the smaller SINGULAR_TOL
         return SolvabilityReport(lam, rank.det, rank.rank, "unique", load_values=c)
     basis = nullspace(A.T, RANK_TOL)
     d_norm = float(np.linalg.norm(d))
@@ -1013,11 +1013,15 @@ class TestLoadSystemOracle:
         cfg = self._cfg(cfgs, name, 64)
         p = cfg.problem
         ts = np.linspace(p.t0, p.T, 97)
-        values, B = full_grid_reduced(cfg, ts, p.lam)
-        assert semi_analytic_solve(p, ts[:0], cfg).shape == (0,)
-        for b_j, c_j in zip(B, two_elimination_classify(cfg, p.lam).load_values):
-            values = values - b_j * c_j
-        assert_same_bits(semi_analytic_solve(p, ts, cfg), values)
+        loads = two_elimination_classify(cfg, p.lam).load_values
+        # 97 points, a scalar, none, and a 2-D layout: the result has the shape of the samples
+        for samples in [ts, 0.37, ts[:0], ts[1:].reshape(8, 12)]:
+            values, B = full_grid_reduced(cfg, samples, p.lam)
+            for b_j, c_j in zip(B, loads):
+                values = values - b_j * c_j
+            got = semi_analytic_solve(p, samples, cfg)
+            assert got.shape == np.shape(samples)
+            assert_same_bits(got, np.asarray(values))
 
 
 def trio(lam, f):
@@ -1312,7 +1316,7 @@ class TestFirstIndexCounts:
 
 
 class TestInterp:
-    """``_Interp`` gives np.interp's bits: between nodes, on nodes and at the last node."""
+    """``_bracket`` and ``_interp`` give np.interp's bits: between nodes, on nodes and at the last node."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_np_interp(self, seed):
@@ -1323,8 +1327,8 @@ class TestInterp:
         rng.shuffle(ts)
         y = rng.normal(size=(2, 3, n)) * 10.0 ** rng.integers(-6, 7, size=(2, 3, 1))
         y[:, :, rng.integers(0, n, 5)] = -0.0
-        interp = RESOLVENT_MODULE._Interp.at(z, ts)
-        got = interp(y[..., interp.nodes])
+        cols, *bracket = RESOLVENT_MODULE._bracket(z, ts)
+        got = RESOLVENT_MODULE._interp(y[..., cols], *bracket)
         for index in np.ndindex(y.shape[:2]):
             assert got[index].tobytes() == np.interp(ts, z, y[index]).tobytes()
 
@@ -1333,5 +1337,6 @@ class TestInterp:
         z = np.linspace(0.0, 1.0, 4)
         y = np.array([0.0, 0.5, 0.1, 0.01])
         assert (y[-1] - y[-2]) / (z[-1] - z[-2]) * (z[-1] - z[-2]) + y[-2] != y[-1]
-        interp = RESOLVENT_MODULE._Interp.at(z, [1.0, z[1]])
-        assert interp(y[interp.nodes]).tobytes() == np.interp([1.0, z[1]], z, y).tobytes()
+        cols, *bracket = RESOLVENT_MODULE._bracket(z, [1.0, z[1]])
+        got = RESOLVENT_MODULE._interp(y[cols], *bracket)
+        assert got.tobytes() == np.interp([1.0, z[1]], z, y).tobytes()
