@@ -25,8 +25,8 @@ weights.
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
 i - p only.  A streaming system then evaluates K(tau_{j+1}, (tau_0 + tau_1)/2),
-j = 0..N-1, once on first use (``lag_weights``), copies every panel out
-of that table and builds one near triangle for every block; ``integral``
+j = 0..N-1, once, when it is built (``lag_weights``), copies every panel
+out of that table and builds one near triangle for every block; ``integral``
 applies a rectangle with both sides past ``PANEL_MAX_SIDE`` as a Toeplitz
 matrix, by one FFT convolution, so ``residual`` costs O(N log N).  A
 kernel failure there leaves the direct path, which names the row as
@@ -104,6 +104,8 @@ class CollocationSystem:
     mode).  ``load_entries`` holds a_j(tau_i) per node and load.
     ``weights`` reproduces the quadrature weights of any rows and columns
     without materializing the matrix; ``row_weights`` is its one-row case.
+    Construction decides the path: a streaming system (``matrix`` None) of a difference
+    kernel on a uniform mesh builds its lag table and near triangle; any other is direct.
     """
 
     problem: Problem
@@ -115,7 +117,6 @@ class CollocationSystem:
     matrix: Optional[np.ndarray] = None
     _mids: np.ndarray = field(init=False, repr=False)
     _dtau: np.ndarray = field(init=False, repr=False)
-    _lag_step: Optional[float] = field(default=None, init=False, repr=False)
     _lag: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _lags: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # read-only, row i = J_1^i .. J_N^i
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
@@ -125,6 +126,19 @@ class CollocationSystem:
         tau = self.grid.nodes
         self._dtau = np.diff(tau)
         self._mids = 0.5 * (tau[:-1] + tau[1:])
+        h = self.grid.uniform_step() if self.matrix is None and self.problem.kernel.is_difference else None
+        if h is None:
+            return
+        try:  # the lag table: N kernel points in one call
+            kvals = self.problem.kernel(tau[1:], self._mids[0])
+        except EvalError:
+            return  # the direct path names the failing row
+        n = kvals.size
+        by_lag = np.zeros(2 * n)  # lags N-1 .. 0, then -1 .. -N
+        by_lag[:n] = 0.5 * self.problem.lam * h * kvals[::-1]
+        self._lag = by_lag[n - 1 :: -1]
+        self._lags = sliding_window_view(by_lag, n)[::-1]
+        self._near = self.near(1, 1 + min(BLOCK_ROWS, n))
 
     @property
     def size(self) -> int:
@@ -137,7 +151,7 @@ class CollocationSystem:
         rest is zero.  A kernel failure raises :class:`AssemblyError`
         naming the first failing row and its abscissa.
         """
-        if self.lag_weights() is not None:
+        if self._lags is not None:
             return self._lags[i0:i1, k0:k1].copy()
         tau = self.grid.nodes
         below = k1 <= i0  # every pair lies below the diagonal
@@ -164,21 +178,7 @@ class CollocationSystem:
         return out
 
     def lag_weights(self) -> Optional[np.ndarray]:
-        """Weights by lag, w[d] = J_p^{p+d} for d = 0..N-1, or None (direct path).
-
-        Tabulated on first use: N kernel points in one call.
-        """
-        if self._lag_step is not None:  # tabulate once
-            h, self._lag_step = self._lag_step, None
-            try:
-                kvals = self.problem.kernel(self.grid.nodes[1:], self._mids[0])
-            except EvalError:
-                return None
-            n = kvals.size
-            by_lag = np.zeros(2 * n)  # lags N-1 .. 0, then -1 .. -N
-            by_lag[:n] = 0.5 * self.problem.lam * h * kvals[::-1]
-            self._lag = by_lag[n - 1 :: -1]
-            self._lags = sliding_window_view(by_lag, n)[::-1]
+        """Weights by lag, w[d] = J_p^{p+d} for d = 0..N-1, or None (direct path)."""
         return self._lag
 
     def row_weights(self, i: int) -> np.ndarray:
@@ -189,18 +189,19 @@ class CollocationSystem:
         """Rows i0 <= i < i1 of the matrix less a0 and the loads, on columns i0 - 1 .. i1 - 1.
 
         Read-only.  Column 0 couples x_{i0-1}; the rest is lower triangular.
-        The last block built is kept: on a lag system a block depends on
-        i1 - i0 only, so a block no longer than it is its leading part.
+        On a lag system a block depends on i1 - i0 only: one of at most
+        ``BLOCK_ROWS`` rows is the leading part of the block built with
+        the system.
         """
         k = i1 - i0
-        if self._near is None or self._near.shape[0] < k or self.lag_weights() is None:
-            J = self.weights(i0, i1, i0 - 1, i1 - 1)
-            block = np.zeros((k, k + 1))
-            block[:, :k] -= J
-            block[:, 1:] -= J
-            block.flags.writeable = False
-            self._near = block
-        return self._near[:k, : k + 1]
+        if self._near is not None and k <= self._near.shape[0]:
+            return self._near[:k, : k + 1]
+        J = self.weights(i0, i1, i0 - 1, i1 - 1)
+        block = np.zeros((k, k + 1))
+        block[:, :k] -= J
+        block[:, 1:] -= J
+        block.flags.writeable = False
+        return block
 
     def integral(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int, k1: int) -> None:
         """Add sum_{k0 <= k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, to out[i - i0].
@@ -213,7 +214,7 @@ class CollocationSystem:
         raises the :class:`AssemblyError` of the earliest failing row.
         """
         i1 = i0 + out.shape[0]
-        if min(i1 - i0, k1 - k0) > PANEL_MAX_SIDE and self.lag_weights() is not None:
+        if min(i1 - i0, k1 - k0) > PANEL_MAX_SIDE and self._lag is not None:
             self._toeplitz_product(out, i0, y[k0:k1], k0)
             return
         width = PANEL_POINTS // BLOCK_ROWS
@@ -302,6 +303,7 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
     for j, term in enumerate(p.loads):
         load_entries[:, j] = _eval_nodes(term.coeff, tau, f"a{j + 1}")
 
+    matrix = np.zeros((n, n)) if mode == "dense" else None
     system = CollocationSystem(
         problem=p,
         grid=g,
@@ -309,15 +311,13 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
         a0_values=a0_values,
         load_columns=g.load_indices,
         load_entries=load_entries,
-        matrix=None,
+        matrix=matrix,
     )
-    if mode == "streaming":
-        system._lag_step = g.uniform_step() if p.kernel.is_difference else None
+    if matrix is None:
         return system
 
     # Row panels i0 <= i < i1 = i0 + r with r the largest count of rows whose r x (i1 - 1)
     # weights fit in PANEL_POINTS; row i holds J_1^i .. J_i^i, as in ``row_weights(i)``.
-    matrix = np.zeros((n, n))
     i0 = 1
     while i0 < n:
         i1 = min(n, i0 + max(1, (math.isqrt((i0 - 1) ** 2 + 4 * PANEL_POINTS) - i0 + 1) // 2))
@@ -328,5 +328,4 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
     np.fill_diagonal(matrix, matrix.diagonal() + a0_values)
     for j, v in enumerate(g.load_indices):
         matrix[:, v] += load_entries[:, j]
-    system.matrix = matrix
     return system

@@ -190,9 +190,6 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except Exception as err:  # noqa: BLE001 -- CLI boundary: report, never abort
         print(f"error: {err}", file=sys.stderr)
         return 1

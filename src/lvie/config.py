@@ -16,7 +16,8 @@ A problem file is plain text, one ``key = value`` per line::
 
 ``t0``, ``T`` and ``lambda`` are numbers; ``a0``, ``kernel``, ``f`` and
 ``exact`` are quoted expressions in the grammar of
-:mod:`lvie.expressions`; ``load`` lines may repeat, one per load term.
+:mod:`lvie.expressions`.  ``load`` lines may repeat, one per load term;
+every other key appears at most once, as do ``point`` and ``coeff`` in a load.
 """
 
 from __future__ import annotations
@@ -28,9 +29,23 @@ from .problems import LoadTerm, Problem, ScalarFunction
 
 __all__ = ["ConfigError", "parse_problem_config", "load_problem_config"]
 
-_SCALAR_KEYS = ("t0", "T", "lambda")
-_EXPR_KEYS = ("a0", "kernel", "f", "exact")
 _REQUIRED = ("t0", "T", "lambda", "a0", "kernel", "f")
+# Every key with the kind of its value and the message that refuses any
+# other kind; "load" holds the keys of one load entry.
+_KEYS = {
+    "name": (str, "name must be a quoted string"),
+    "t0": (float, "t0 must be a number"),
+    "T": (float, "T must be a number"),
+    "lambda": (float, "lambda must be a number"),
+    "a0": (str, "a0 must be a quoted expression"),
+    "kernel": (str, "kernel must be a quoted expression"),
+    "f": (str, "f must be a quoted expression"),
+    "exact": (str, "exact must be a quoted expression"),
+    "load": {
+        "point": (float, "load point must be a number"),
+        "coeff": (str, "load coeff must be a quoted expression"),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -59,28 +74,39 @@ def _parse_value(raw: str, lineno: int):
         raise ConfigError(f"line {lineno}: expected a number or quoted string, got {raw!r}") from None
 
 
-def _parse_load(raw: str, lineno: int) -> tuple[float, str]:
+def _read(values: dict, kinds: dict, key: str, raw: str, lineno: int, unknown: str) -> None:
+    """Store ``values[key] = (value, lineno)``; refuse a repeat, a key outside ``kinds`` or a wrong kind."""
+    if key in values:
+        raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+    if key not in kinds:
+        raise ConfigError(f"line {lineno}: {unknown}")
+    kind, message = kinds[key]
+    value = _parse_value(raw, lineno)
+    if not isinstance(value, kind):
+        raise ConfigError(f"line {lineno}: {message}")
+    values[key] = (value, lineno)
+
+
+def _parse_load(raw: str, lineno: int) -> dict:
     raw = raw.strip()
     if not (raw.startswith("{") and raw.endswith("}")):
         raise ConfigError(f"line {lineno}: load value must look like {{ point = ..., coeff = \"...\" }}")
-    fields = {}
+    exactly = "load needs exactly the keys 'point' and 'coeff'"
+    fields: dict = {}
     for part in raw[1:-1].split(","):
         if not part.strip():
             continue
         if "=" not in part:
             raise ConfigError(f"line {lineno}: malformed load entry {part.strip()!r}")
         key, _, val = part.partition("=")
-        fields[key.strip()] = _parse_value(val, lineno)
-    if set(fields) != {"point", "coeff"}:
-        raise ConfigError(f"line {lineno}: load needs exactly the keys 'point' and 'coeff'")
-    if not isinstance(fields["point"], float):
-        raise ConfigError(f"line {lineno}: load point must be a number")
-    if not isinstance(fields["coeff"], str):
-        raise ConfigError(f"line {lineno}: load coeff must be a quoted expression")
-    return fields["point"], fields["coeff"]
+        _read(fields, _KEYS["load"], key.strip(), val, lineno, exactly)
+    if len(fields) != len(_KEYS["load"]):
+        raise ConfigError(f"line {lineno}: {exactly}")
+    return fields
 
 
-def _expression(text: str, arity: int, key: str, lineno: int) -> ScalarFunction:
+def _expression(entry: tuple[str, int], arity: int, key: str) -> ScalarFunction:
+    text, lineno = entry
     try:
         return ScalarFunction.from_expression(text, arity)
     except (ParseError, ValueError) as err:
@@ -89,11 +115,8 @@ def _expression(text: str, arity: int, key: str, lineno: int) -> ScalarFunction:
 
 def parse_problem_config(text: str, name: str = "config") -> Problem:
     """Parse problem-file text into a :class:`Problem`."""
-    scalars: dict[str, float] = {}
-    exprs: dict[str, tuple[str, int]] = {}
-    loads: list[tuple[float, str, int]] = []
-    label = name
-
+    values: dict = {}  # key -> (value, line)
+    loads: list[dict] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(line).strip()
         if not line:
@@ -103,49 +126,24 @@ def parse_problem_config(text: str, name: str = "config") -> Problem:
         key, _, raw = line.partition("=")
         key = key.strip()
         if key == "load":
-            loads.append((*_parse_load(raw, lineno), lineno))
-            continue
-        if key in scalars or key in exprs or (key == "name" and label != name):
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key == "name":
-            value = _parse_value(raw, lineno)
-            if not isinstance(value, str):
-                raise ConfigError(f"line {lineno}: name must be a quoted string")
-            label = value
-        elif key in _SCALAR_KEYS:
-            value = _parse_value(raw, lineno)
-            if not isinstance(value, float):
-                raise ConfigError(f"line {lineno}: {key} must be a number")
-            scalars[key] = value
-        elif key in _EXPR_KEYS:
-            value = _parse_value(raw, lineno)
-            if not isinstance(value, str):
-                raise ConfigError(f"line {lineno}: {key} must be a quoted expression")
-            exprs[key] = (value, lineno)
+            loads.append(_parse_load(raw, lineno))
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            _read(values, _KEYS, key, raw, lineno, f"unknown key {key!r}")
 
-    missing = [k for k in _REQUIRED if k not in scalars and k not in exprs]
+    missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    load_terms = tuple(
-        LoadTerm(point, _expression(coeff, 1, "load coeff", lineno))
-        for point, coeff, lineno in loads
-    )
-    exact = None
-    if "exact" in exprs:
-        exact = _expression(exprs["exact"][0], 1, "exact", exprs["exact"][1])
     return Problem(
-        t0=scalars["t0"],
-        T=scalars["T"],
-        lam=scalars["lambda"],
-        loads=load_terms,
-        a0=_expression(exprs["a0"][0], 1, "a0", exprs["a0"][1]),
-        kernel=_expression(exprs["kernel"][0], 2, "kernel", exprs["kernel"][1]),
-        rhs=_expression(exprs["f"][0], 1, "f", exprs["f"][1]),
-        exact=exact,
-        name=label,
+        t0=values["t0"][0],
+        T=values["T"][0],
+        lam=values["lambda"][0],
+        loads=tuple(LoadTerm(ld["point"][0], _expression(ld["coeff"], 1, "load coeff")) for ld in loads),
+        a0=_expression(values["a0"], 1, "a0"),
+        kernel=_expression(values["kernel"], 2, "kernel"),
+        rhs=_expression(values["f"], 1, "f"),
+        exact=_expression(values["exact"], 1, "exact") if "exact" in values else None,
+        name=values.get("name", (name,))[0],
     )
 
 

@@ -85,7 +85,7 @@ def build_grid(p: Problem, h: float | Fraction) -> Grid:
     naming the points.
     """
     hf = float(h)
-    if hf <= 0:
+    if not hf > 0:
         raise ValueError("h must be positive")
     if hf >= p.T - p.t0:
         raise ValueError("h must be smaller than the interval length")

@@ -193,8 +193,9 @@ def emit(rows, fmt: str = "csv", include_timing: bool = True) -> str:
     CSV columns are ``h,N,eps,r,wall_time_s`` (r empty on the first
     row); numbers use scientific notation with 6 significant digits.
     Plot data is two whitespace-separated columns (ln h, ln eps) for
-    log-log order fitting.  ``include_timing=False`` drops the wall-time
-    column for byte-deterministic output.
+    log-log order fitting, and needs every eps > 0.
+    ``include_timing=False`` drops the wall-time column for
+    byte-deterministic output.
     """
     rows = list(rows)
     if not rows:
@@ -216,6 +217,9 @@ def emit(rows, fmt: str = "csv", include_timing: bool = True) -> str:
             lines.append(f"| {row.h} | {row.eps:.2E} | {r_txt} |")
         return "\n".join(lines) + "\n"
     if fmt == "plotdata":
+        for row in rows:
+            if row.eps <= 0:
+                raise ValueError(f"plot data needs eps > 0; eps is {row.eps:.5E} at h={row.h}")
         lines = [
             f"{math.log(float(row.h)):.5E} {math.log(row.eps):.5E}" for row in rows
         ]

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from lvie.assembly import DENSE_MAX_NODES, AssemblyError, assemble, quad_weight
 from lvie.config import load_problem_config
+from lvie.expressions import EvalError
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.solvers import gauss_jordan, structured_solve
@@ -207,6 +208,32 @@ class TestFailureRow:
         with pytest.raises(AssemblyError, match=r"^kernel failed at row 8,") as info:
             structured_solve(assemble(p, g, mode=mode))
         assert info.value.row == 8
+
+    def test_batch_only_kernel_failure_is_re_raised(self):
+        # Fails on a panel of several rows but on no single row: no row to name.
+        def kernel(t, s):
+            if np.unique(t).size > 1:
+                raise EvalError("batch only")
+            return np.ones(np.broadcast(t, s).shape)
+
+        p = make_problem(lam=1.0, kernel=ScalarFunction(kernel, 2))
+        with pytest.raises(EvalError, match="^batch only$"):
+            assemble(p, build_grid(p, Fraction(1, 8)), mode="dense")
+
+    def test_batch_only_coefficient_failure_is_re_raised(self):
+        def a0(t):
+            if np.size(t) > 1:
+                raise EvalError("batch only")
+            return 1.0
+
+        p = make_problem(a0=ScalarFunction(a0, 1))
+        with pytest.raises(EvalError, match="^batch only$"):
+            assemble(p, build_grid(p, Fraction(1, 8)))
+
+    def test_unknown_mode(self):
+        p = make_problem()
+        with pytest.raises(ValueError, match="unknown assembly mode 'sparse'"):
+            assemble(p, build_grid(p, Fraction(1, 8)), mode="sparse")
 
     def test_dense_refusal_has_no_row(self):
         p = builtin_problem("model1")

@@ -276,6 +276,27 @@ def test_negative_rational_step(capsys, argv, name):
     assert capsys.readouterr().err == f"error: {name} must be positive\n"
 
 
+def test_step_must_be_rational(capsys):
+    assert main(["solve", "--builtin", "model1", "--h", "abc"]) == 1
+    assert capsys.readouterr().err == "error: not a rational number: 'abc'\n"
+
+
+def test_study_plotdata_refuses_zero_error(tmp_path, capsys):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(CONFIG.replace('"cos(t)"', '"1+2*t"').replace('kernel = "1"', 'kernel = "0"'))
+    argv = ["study", "--config", str(cfg), "--h0", "1/8", "--levels", "3"]
+    assert main(argv + ["--no-timing"]) == 0
+    assert capsys.readouterr().out.count(",0.00000E+00,") == 3
+    assert main(argv + ["--format", "plotdata"]) == 1
+    assert capsys.readouterr().err == "error: plot data needs eps > 0; eps is 0.00000E+00 at h=1/8\n"
+
+
+def test_analyze_sweep_needs_a_step(capsys):
+    argv = ["analyze", "--builtin", "model1", "--lambda-from", "0", "--lambda-to", "1", "--steps", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: steps must be at least 1\n"
+
+
 def test_analyze_incomplete_sweep(capsys):
     code = main(["analyze", "--builtin", "model1", "--lambda-from", "0"])
     assert code == 1
@@ -327,6 +348,11 @@ def test_unknown_builtin(capsys):
     code = main(["solve", "--builtin", "model3", "--h", "1/8"])
     assert code == 1
     assert "no such builtin" in capsys.readouterr().err
+
+
+def test_help_is_exit_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lvie")
 
 
 def test_usage_error_is_exit_one(capsys):

@@ -57,6 +57,58 @@ def test_duplicate_key():
         parse_problem_config(GOOD + '\nt0 = 0.5\n')
 
 
+# A file without its load lines, then one bad line (line 10).
+NO_LOADS = "\n".join(line for line in GOOD.splitlines() if not line.startswith("load")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('name = "other"', "duplicate key 'name'"),
+        ('t0 = "0"', "duplicate key 't0'"),
+        ("name = 3", "duplicate key 'name'"),
+        ("load = 0.3", 'load value must look like { point = ..., coeff = "..." }'),
+        ("load = { point 0.3, coeff = \"t\" }", "malformed load entry 'point 0.3'"),
+        ("load = { point = 0.3, coeff = 1 }", "load coeff must be a quoted expression"),
+        ('load = { point = 0.3, point = 0.4, coeff = "t" }', "duplicate key 'point'"),
+        ('load = { coeff = "t", point = 0.3, coeff = "1" }', "duplicate key 'coeff'"),
+        ('load = { point = 0.3, coeff = "t", name = "x" }', "load needs exactly the keys 'point' and 'coeff'"),
+        ("point = 0.3", "unknown key 'point'"),
+        ("t0 0.0", "expected 'key = value'"),
+    ],
+)
+def test_bad_line_is_refused_with_its_number(line, message):
+    with pytest.raises(ConfigError) as info:
+        parse_problem_config(NO_LOADS + line)
+    assert str(info.value) == f"line {len(NO_LOADS.splitlines()) + 1}: {message}"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("name = 3", "name must be a quoted string"),
+        ('t0 = "0"', "t0 must be a number"),
+        ("t0 = abc", "expected a number or quoted string, got 'abc'"),
+    ],
+)
+def test_value_of_the_wrong_kind(line, message):
+    text = "\n".join(item for item in NO_LOADS.splitlines() if not item.startswith(line.split()[0]))
+    with pytest.raises(ConfigError, match=f": {message}$"):
+        parse_problem_config(text + "\n" + line)
+
+
+def test_name_repeating_the_default_is_a_duplicate():
+    text = NO_LOADS.replace('name   = "custom"', 'name = "config"\nname = "custom"')
+    with pytest.raises(ConfigError, match="duplicate key 'name'"):
+        parse_problem_config(text)
+
+
+def test_trailing_comma_in_load_accepted():
+    p = parse_problem_config(NO_LOADS + 'load = { point = 0.3, coeff = "1-t^3", }')
+    assert [term.point for term in p.loads] == [0.3]
+    assert p.loads[0].coeff(1.0) == 0.0
+
+
 def test_unknown_key():
     with pytest.raises(ConfigError, match="unknown key 'kernle'"):
         parse_problem_config('kernle = "t"')

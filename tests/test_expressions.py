@@ -42,6 +42,12 @@ def test_parse_unbalanced_parenthesis_position():
     assert "position 5" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message, position", [("t t", "'name'", 2), ("t)", "')'", 1)])
+def test_parse_unexpected_token_after_expression(text, message, position):
+    with pytest.raises(ParseError, match=re.escape(f"unexpected {message} at position {position}")):
+        parse(text)
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ParseError, match="unknown identifier 'x'"):
         parse("x+1")
@@ -290,6 +296,7 @@ _SEPARABLE_CASES = [
     ("1/(t*s)", 1),
     ("t/(s/t)", 1),
     ("exp(t)*cos(s)/(1+t^2) - -sqrt(s)*t + 3", 3),
+    ("-(t + s)", 2),
 ]
 
 

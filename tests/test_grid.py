@@ -54,6 +54,15 @@ def test_nonpositive_h():
         build_grid(make_problem(0.0, 1.0, ()), 0.0)
     with pytest.raises(ValueError, match="positive"):
         build_grid(make_problem(0.0, 1.0, ()), -0.1)
+    with pytest.raises(ValueError, match="h must be positive"):
+        build_grid(make_problem(0.0, 1.0, ()), float("nan"))
+
+
+def test_degenerate_mesh_rejected():
+    # Segments of 4 ulps split into 9 pieces: linspace repeats nodes.
+    eps = np.finfo(float).eps
+    with pytest.raises(ValueError, match="degenerate mesh"):
+        build_grid(make_problem(1.0, 1.0 + 8 * eps, (1.0 + 4 * eps,)), 1e-16)
 
 
 # Outside (t0, T), on an end point, out of order, repeated, or NaN.

@@ -63,6 +63,8 @@ class TestScalarFunction:
         fn2 = ScalarFunction.constant(1.0, arity=2)
         with pytest.raises(TypeError):
             fn2(0.0)
+        with pytest.raises(ValueError, match="arity must be 1 or 2"):
+            ScalarFunction(np.cos, 3)
 
     def test_callable_backed(self):
         fn = ScalarFunction(np.cos, 1, "cos")
@@ -153,6 +155,16 @@ class TestValidation:
     def test_bad_interval(self):
         p = make_problem(t0=1.0, T=0.0)
         assert "interval" in validate_problem(p).violation
+
+    @pytest.mark.parametrize("field", [{"T": np.inf}, {"lam": np.nan}], ids=["T", "lambda"])
+    def test_non_finite_interval_or_lambda(self, field):
+        report = validate_problem(make_problem(**field))
+        assert report.violation == "interval endpoints and lambda must be finite"
+
+    def test_non_finite_a0_names_its_first_sample(self):
+        p = make_problem(a0=ScalarFunction(lambda t: np.where(t < 0.75, 1.0, np.nan), 1))
+        report = validate_problem(p, samples=1000)
+        assert report.violation == f"a0 non-finite at t={750 / 999:.6g}"
 
     def test_load_point_outside(self):
         p = make_problem(loads=[LoadTerm(1.5, ScalarFunction.constant(1.0))])

@@ -64,6 +64,12 @@ class TestIteratedKernel:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             iterated_kernel(make_problem(), 0, 0.5, 0.2)
+        with pytest.raises(ValueError, match="iterated-kernel order must be at least 1"):
+            ResolventApprox(make_problem(), quad_density=16).kernel_table(0)
+
+    def test_density_validation(self):
+        with pytest.raises(ValueError, match="quad_density must be at least 1"):
+            ResolventApprox(make_problem(), quad_density=0)
 
     def test_argument_order_validation(self):
         with pytest.raises(ValueError, match="s <= t"):
@@ -185,6 +191,11 @@ class TestReducedCoeffs:
         p = make_problem(lam=0.0, a0=ScalarFunction.constant(4.0))
         F, _ = reduced_coeffs(p, 0.3, ResolventApprox(p))
         assert F == pytest.approx(0.25)
+
+    def test_point_outside_interval(self):
+        p = make_problem()
+        with pytest.raises(ValueError, match=r"^t=1\.5 outside \[0, 1\]$"):
+            reduced_coeffs(p, 1.5, ResolventApprox(p, quad_density=16))
 
 
 UNIT_ONE_LOAD = dict(loads=(LoadTerm(0.5, ScalarFunction.from_expression("t+1", 1)),))

@@ -191,6 +191,10 @@ class TestRankAndDet:
         assert rep.rank == 0
         assert rep.det == 1.0
 
+    def test_tol_must_be_positive(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            rank_and_det(np.eye(2), tol=0)
+
 
 def reference_eliminate(aug, tol):
     """Row-major full-pivot elimination of ``aug`` in place, every column at every step.

@@ -89,6 +89,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             PiecewiseLinearSolution(grid=g, values=np.zeros(5))
 
+    def test_nonfinite_values_rejected(self):
+        g = two_node_solution()
+        with pytest.raises(ValueError, match="nodal values must be finite"):
+            PiecewiseLinearSolution(grid=g, values=np.array([0.0, np.nan, 1.0]))
+
 
 class TestSupError:
     def test_zero_against_itself(self):
@@ -296,6 +301,17 @@ class TestEmit:
         )
         slope = np.polyfit(data[:, 0], data[:, 1], 1)[0]
         assert slope == pytest.approx(2.0, abs=0.15)
+
+    def test_plotdata_needs_positive_eps(self):
+        # A linear exact solution with a zero kernel is reproduced to the last bit.
+        line = ScalarFunction.from_expression("1+2*t", 1)
+        p = Problem(t0=0.0, T=1.0, lam=0.5, loads=(), a0=ONE,
+                    kernel=ScalarFunction.from_expression("0", 2), rhs=line, exact=line)
+        rows = run_study(p, Fraction(1, 8), 3)
+        assert [row.eps for row in rows] == [0.0, 0.0, 0.0]
+        assert emit(rows, "csv", include_timing=False).count(",0.00000E+00,") == 3
+        with pytest.raises(ValueError, match=r"^plot data needs eps > 0; eps is 0\.00000E\+00 at h=1/8$"):
+            emit(rows, "plotdata")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):
