@@ -10,17 +10,21 @@ against the piecewise-linear trial function gives, for row i,
     J_p^i = (lam / 2) (tau_p - tau_{p-1}) K(tau_i, (tau_{p-1}+tau_p)/2).
 
 Apart from the load columns v_j the matrix is lower triangular; row 0
-has no integral term.  By default the matrix stays implicit: the node
-values of the coefficients are stored and ``CollocationSystem.weights``
-recomputes the weights of any rows and columns on demand (O(N) memory).
-The structured solver reads each block's near triangle from ``near`` and
+has no integral term.  ``CollocationSystem(problem, grid, dense=False)``
+builds the system from those two alone, and ``assemble`` only picks the
+mode.  A dense system refuses grids of more than ``DENSE_MAX_NODES``
+nodes before it evaluates anything; then a0, f and every a_j are
+evaluated at the nodes, and a failing or non-finite value raises the
+:class:`AssemblyError` of its row (``AssemblyError.row``).  By default
+the matrix stays implicit: ``CollocationSystem.weights`` recomputes the
+weights of any rows and columns on demand (O(N) memory).  The
+structured solver reads each block's near triangle from ``near`` and
 has ``integral`` add the squares of its far field.  ``integral``, and so
 ``residual``, reads the weights in panels of at most ``BLOCK_ROWS`` rows
 and ``PANEL_POINTS`` kernel points; a kernel failure names the earliest
-failing row (``AssemblyError.row``).  ``mode="dense"`` also materializes
-the matrix, for the Gauss-Jordan reference path, on grids of at most
-``DENSE_MAX_NODES`` nodes, from row panels of at most ``PANEL_POINTS``
-weights.
+failing row.  A dense system also materializes the matrix, for the
+Gauss-Jordan reference path, from row panels of at most
+``PANEL_POINTS`` weights.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
@@ -36,7 +40,7 @@ before; dense assembly and ``quad_weight`` evaluate every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,47 +102,69 @@ def quad_weight(p_idx: int, i: int, g: Grid, kernel: ScalarFunction, lam: float)
 
 @dataclass
 class CollocationSystem:
-    """The assembled linear system plus its structural decomposition.
+    """The collocation system of ``problem`` on ``grid``, built from those two alone.
 
-    ``matrix`` is the full dense matrix (None unless assembled in dense
-    mode).  ``load_entries`` holds a_j(tau_i) per node and load.
+    Construction evaluates, in this order: for a ``dense`` system, the
+    size refusal (``DENSE_MAX_NODES``, before any evaluation or allocation);
+    ``a0_values``, ``rhs`` and ``load_entries`` (a_j(tau_i), shape
+    (N+1, number of loads)) at the nodes, refusing a failing or non-finite
+    value with the :class:`AssemblyError` of its row; then, for a dense
+    system, ``matrix`` from row panels of at most ``PANEL_POINTS`` weights,
+    or, for a streaming system (``matrix`` None) of a difference kernel on
+    a uniform mesh, its lag table and near triangle; any other is direct.
     ``weights`` reproduces the quadrature weights of any rows and columns
     without materializing the matrix; ``row_weights`` is its one-row case.
-    Construction decides the path: a streaming system (``matrix`` None) of a difference
-    kernel on a uniform mesh builds its lag table and near triangle; any other is direct.
     """
 
     problem: Problem
     grid: Grid
-    rhs: np.ndarray
-    a0_values: np.ndarray
-    load_columns: tuple[int, ...]
-    load_entries: np.ndarray  # shape (N+1, number of loads)
-    matrix: Optional[np.ndarray] = None
-    _mids: np.ndarray = field(init=False, repr=False)
-    _dtau: np.ndarray = field(init=False, repr=False)
-    _lag: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _lags: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # read-only, row i = J_1^i .. J_N^i
-    _spectra: dict = field(default_factory=dict, init=False, repr=False)
-    _near: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    dense: bool = False
 
     def __post_init__(self):
         tau = self.grid.nodes
+        n = tau.shape[0]
+        if self.dense:
+            check_dense_size(n)
+        self.a0_values = _eval_nodes(self.problem.a0, tau, "a0")
+        self.rhs = _eval_nodes(self.problem.rhs, tau, "f")
+        self.load_entries = np.empty((n, len(self.problem.loads)))
+        for j, term in enumerate(self.problem.loads):
+            self.load_entries[:, j] = _eval_nodes(term.coeff, tau, f"a{j + 1}")
         self._dtau = np.diff(tau)
         self._mids = 0.5 * (tau[:-1] + tau[1:])
-        h = self.grid.uniform_step() if self.matrix is None and self.problem.kernel.is_difference else None
+        self._lag = self._lags = self._near = self.matrix = None
+        self._spectra = {}
+        if self.dense:
+            # Row panels i0 <= i < i1 = i0 + r with r the largest count of rows whose r x (i1 - 1)
+            # weights fit in PANEL_POINTS; row i holds J_1^i .. J_i^i, as in ``row_weights(i)``.
+            self.matrix = matrix = np.zeros((n, n))
+            i0 = 1
+            while i0 < n:
+                i1 = min(n, i0 + max(1, (math.isqrt((i0 - 1) ** 2 + 4 * PANEL_POINTS) - i0 + 1) // 2))
+                weights = self.weights(i0, i1, 0, i1 - 1)
+                matrix[i0:i1, : i1 - 1] -= weights
+                matrix[i0:i1, 1:i1] -= weights
+                i0 = i1
+            np.fill_diagonal(matrix, matrix.diagonal() + self.a0_values)
+            for j, v in enumerate(self.load_columns):
+                matrix[:, v] += self.load_entries[:, j]
+            return
+        h = self.grid.uniform_step() if self.problem.kernel.is_difference else None
         if h is None:
             return
         try:  # the lag table: N kernel points in one call
             kvals = self.problem.kernel(tau[1:], self._mids[0])
         except EvalError:
             return  # the direct path names the failing row
-        n = kvals.size
-        by_lag = np.zeros(2 * n)  # lags N-1 .. 0, then -1 .. -N
-        by_lag[:n] = 0.5 * self.problem.lam * h * kvals[::-1]
-        self._lag = by_lag[n - 1 :: -1]
-        self._lags = sliding_window_view(by_lag, n)[::-1]
-        self._near = self.near(1, 1 + min(BLOCK_ROWS, n))
+        by_lag = np.zeros(2 * n - 2)  # lags N-1 .. 0, then -1 .. -N
+        by_lag[: n - 1] = 0.5 * self.problem.lam * h * kvals[::-1]
+        self._lag = by_lag[n - 2 :: -1]
+        self._lags = sliding_window_view(by_lag, n - 1)[::-1]  # read-only, row i = J_1^i .. J_N^i
+        self._near = self.near(1, min(BLOCK_ROWS + 1, n))
+
+    @property
+    def load_columns(self) -> tuple[int, ...]:
+        return self.grid.load_indices
 
     @property
     def size(self) -> int:
@@ -268,8 +294,9 @@ class CollocationSystem:
 
 
 def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
+    """``fn`` at the nodes; a failure or a non-finite value raises the AssemblyError of its row."""
     try:
-        return np.atleast_1d(fn(tau))
+        values = np.atleast_1d(fn(tau))
     except EvalError:
         # Locate the first failing node for the error report.
         for i, t in enumerate(tau):
@@ -278,54 +305,20 @@ def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
             except EvalError as err:
                 raise AssemblyError(f"{label} failed at row {i}, t={t:.6g}: {err}", i) from err
         raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise AssemblyError(f"{label} failed at row {i}, t={tau[i]:.6g}: non-finite value {values[i]}", i)
+    return values
 
 
 def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
-    """Assemble the collocation system for problem ``p`` on grid ``g``.
+    """The collocation system of problem ``p`` on grid ``g``: ``CollocationSystem(p, g, dense)``.
 
     ``mode`` is ``"streaming"`` (row weights on demand) or ``"dense"``
-    (also materialize ``matrix``).  Dense assembly refuses grids of more
-    than ``DENSE_MAX_NODES`` (2053) nodes before allocating anything.
-    The kernel is only evaluated on the Volterra triangle s <= t.
-    Evaluation failures of coefficient and kernel functions are reported
-    with the row index and abscissa.
+    (also materialize ``matrix``; refused past ``DENSE_MAX_NODES`` nodes
+    before anything is evaluated or allocated).
     """
     if mode not in ("dense", "streaming"):
         raise ValueError(f"unknown assembly mode {mode!r}")
-    tau = g.nodes
-    n = tau.shape[0]
-    if mode == "dense":
-        check_dense_size(n)
-
-    a0_values = _eval_nodes(p.a0, tau, "a0")
-    rhs = _eval_nodes(p.rhs, tau, "f")
-    load_entries = np.empty((n, len(p.loads)))
-    for j, term in enumerate(p.loads):
-        load_entries[:, j] = _eval_nodes(term.coeff, tau, f"a{j + 1}")
-
-    matrix = np.zeros((n, n)) if mode == "dense" else None
-    system = CollocationSystem(
-        problem=p,
-        grid=g,
-        rhs=rhs,
-        a0_values=a0_values,
-        load_columns=g.load_indices,
-        load_entries=load_entries,
-        matrix=matrix,
-    )
-    if matrix is None:
-        return system
-
-    # Row panels i0 <= i < i1 = i0 + r with r the largest count of rows whose r x (i1 - 1)
-    # weights fit in PANEL_POINTS; row i holds J_1^i .. J_i^i, as in ``row_weights(i)``.
-    i0 = 1
-    while i0 < n:
-        i1 = min(n, i0 + max(1, (math.isqrt((i0 - 1) ** 2 + 4 * PANEL_POINTS) - i0 + 1) // 2))
-        weights = system.weights(i0, i1, 0, i1 - 1)
-        matrix[i0:i1, : i1 - 1] -= weights
-        matrix[i0:i1, 1:i1] -= weights
-        i0 = i1
-    np.fill_diagonal(matrix, matrix.diagonal() + a0_values)
-    for j, v in enumerate(g.load_indices):
-        matrix[:, v] += load_entries[:, j]
-    return system
+    return CollocationSystem(p, g, dense=mode == "dense")

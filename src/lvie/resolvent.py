@@ -24,7 +24,8 @@ and no solution at all when it is not, each decided at ``RANK_TOL``.
 The theory takes the coefficient of x(t) to be identically one, so all
 inputs are normalized internally: K, a_j and f are divided by a0(t)
 (tilde quantities above).  For problems with a0 == 1 the formulas act
-on the raw data.
+on the raw data.  An a0 that is 0 or not finite, and a non-finite f, a_j
+or K/a0, is refused with a ``ValueError`` naming its first point.
 
 Numerics: every integral is the composite trapezoid rule on a uniform
 tensor grid.  Every function takes ``lam`` (default ``problem.lam``) and
@@ -66,7 +67,7 @@ import numpy as np
 
 from .problems import Problem
 # gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
-from .solvers import SolvabilityError, gauss_jordan, nullspace, rank_and_det  # noqa: F401
+from .solvers import RANK_TOL, SolvabilityError, gauss_jordan, nullspace, rank_and_det  # noqa: F401
 
 __all__ = [
     "ResolventApprox", "SolvabilityReport", "TruncationWarning", "iterated_kernel", "resolvent",
@@ -77,7 +78,6 @@ __all__ = [
 TERM_TOLERANCE = 1e-12
 MAX_TERMS = 40
 DEFAULT_QUAD_DENSITY = 512  # tensor-grid nodes per unit interval length
-RANK_TOL = 1e-10  # classify's rank, pivot and orthogonality tolerance
 COMPOSE_PANEL_ROWS = 64  # rows per matrix product in _compose
 TABLE_MAX_NODES = 4097  # largest grid a kernel table is built on: 134 MB, plus one panel while it is built
 SPLIT_TOL = 1e-12  # relative agreement a kernel split must show with the callable
@@ -119,7 +119,8 @@ def _first_table(problem: Problem, z: np.ndarray, density: int) -> np.ndarray:
     length) is refused before anything is allocated.  The kernel is
     evaluated in row panels of ``COMPOSE_PANEL_ROWS``, so the build holds
     the table and one panel; a kernel that fails in several places raises
-    the failure of the first failing panel.
+    the failure of the first failing panel, and a non-finite K/a0, or an a0
+    that is 0 or not finite, the ``ValueError`` of its first point.
     """
     npts = z.shape[0]
     if npts > TABLE_MAX_NODES:
@@ -127,12 +128,14 @@ def _first_table(problem: Problem, z: np.ndarray, density: int) -> np.ndarray:
             f"a kernel table at quad_density {density} has {npts} nodes and needs "
             f"{8 * npts * npts / 1e6:.0f} MB; the limit is {TABLE_MAX_NODES} nodes"
         )
-    a0 = problem.a0(z)
+    a0 = _checked_a0(problem, z)
     table = np.zeros((npts, npts))
     for r0 in range(0, npts, COMPOSE_PANEL_ROWS):
         rows, cols = np.tril_indices(min(COMPOSE_PANEL_ROWS, npts - r0), r0, npts)
         rows += r0
-        table[rows, cols] = problem.kernel(z[rows], z[cols]) / a0[rows]
+        values = problem.kernel(z[rows], z[cols]) / a0[rows]
+        _refuse("K/a0", values, ~np.isfinite(values), t=z[rows], s=z[cols])
+        table[rows, cols] = values
     return table
 
 
@@ -218,10 +221,28 @@ def _lam(problem: Problem, lam: Optional[float]) -> float:
     return lam
 
 
+def _refuse(label: str, values, bad, **points) -> None:
+    """Raise ``ValueError`` naming ``label``, its value and ``points`` where ``bad`` first holds."""
+    if np.any(bad):
+        i = np.argmax(np.ravel(bad))
+        at = ", ".join(f"{name}={np.ravel(p)[i]:.6g}" for name, p in points.items())
+        raise ValueError(f"{label} is {np.ravel(values)[i]:g} at {at}")
+
+
+def _checked_a0(problem: Problem, ts) -> np.ndarray:
+    """a0 at ``ts``, refused where it is 0 or not finite: every normalization divides by it."""
+    a0 = problem.a0(ts)
+    _refuse("a0", a0, ~np.isfinite(a0) | (a0 == 0), t=ts)
+    return a0
+
+
 def _tilde(problem: Problem, ts) -> np.ndarray:
-    """Rows f~, a~_1, ..., a~_m at the points ``ts``."""
-    data = [problem.rhs(ts)] + [term.coeff(ts) for term in problem.loads]
-    return np.array(data) / problem.a0(ts)
+    """Rows f~, a~_1, ..., a~_m at the points ``ts``; a non-finite f or a_j, or a0 0, is refused."""
+    a0 = _checked_a0(problem, ts)
+    data = np.array([problem.rhs(ts)] + [term.coeff(ts) for term in problem.loads])
+    for label, row in zip(["f"] + [f"a{j}" for j in range(1, data.shape[0])], data):
+        _refuse(label, row, ~np.isfinite(row), t=ts)
+    return data / a0
 
 
 def _series(powers: np.ndarray, terms) -> np.ndarray:

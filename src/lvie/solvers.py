@@ -53,6 +53,7 @@ __all__ = [
 
 # Pivots below this share of the largest matrix entry count as zero.
 SINGULAR_TOL = 1e-12
+RANK_TOL = 1e-10  # rank_and_det's default; classify's rank, pivot and orthogonality tolerance
 UPDATE_ROWS = 64  # rows of ``at`` per elimination update: 64 x n doubles stay in cache
 # numpy's ufunc buffer, in elements, while eliminating.  At the default 8192 numpy copies
 # the update's broadcast product through two 64 KB buffers, 3-5x slower than unbuffered.
@@ -249,7 +250,7 @@ class RankReport:
     solution: Optional[np.ndarray] = None
 
 
-def rank_and_det(a, tol: float = 1e-10, rhs=None) -> RankReport | list[RankReport]:
+def rank_and_det(a, tol: float = RANK_TOL, rhs=None) -> RankReport | list[RankReport]:
     """Rank and determinant via Gauss-Jordan elimination with full pivoting.
 
     A pivot counts toward the rank when its magnitude is at least

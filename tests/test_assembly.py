@@ -178,6 +178,7 @@ class TestAssemble:
 
 
 FAILS_AT_HALF = ScalarFunction.from_expression("1/(t-0.5)", 1)
+NAN_AT_HALF = ScalarFunction(lambda t: np.where(t == 0.5, np.nan, 1.0), 1)  # a callable: no EvalError
 
 
 class TestFailureRow:
@@ -189,16 +190,20 @@ class TestFailureRow:
             ("a0", {"a0": FAILS_AT_HALF}),
             ("f", {"rhs": FAILS_AT_HALF}),
             ("a2", {"loads": [LoadTerm(0.25, ONE), LoadTerm(0.75, FAILS_AT_HALF)]}),
+            ("a0", {"a0": NAN_AT_HALF}),
+            ("f", {"rhs": NAN_AT_HALF}),
+            ("a2", {"loads": [LoadTerm(0.25, ONE), LoadTerm(0.75, NAN_AT_HALF)]}),
         ],
-        ids=["a0", "f", "a_j"],
+        ids=["a0", "f", "a_j", "a0_nan", "f_nan", "a_j_nan"],
     )
     def test_coefficient_failure(self, label, fields):
         p = make_problem(**fields)
         g = build_grid(p, 0.3)  # a node at t = 0.5
         row = int(np.flatnonzero(g.nodes == 0.5)[0])
-        with pytest.raises(AssemblyError, match=rf"^{label} failed at row {row}, t=0.5:") as info:
-            assemble(p, g)
-        assert info.value.row == row
+        for mode in ("streaming", "dense"):
+            with pytest.raises(AssemblyError, match=rf"^{label} failed at row {row}, t=0.5:") as info:
+                assemble(p, g, mode)
+            assert info.value.row == row
 
     @pytest.mark.parametrize("mode", ["streaming", "dense"])
     def test_kernel_failure(self, mode):
@@ -236,10 +241,18 @@ class TestFailureRow:
             assemble(p, build_grid(p, Fraction(1, 8)), mode="sparse")
 
     def test_dense_refusal_has_no_row(self):
-        p = builtin_problem("model1")
+        # The size refusal comes first: a0, which would fail, is never called.
+        calls = []
+
+        def a0(t):
+            calls.append(t)
+            raise EvalError("a0 was evaluated")
+
+        p = dataclasses.replace(builtin_problem("model1"), a0=ScalarFunction(a0, 1))
         with pytest.raises(AssemblyError, match="needs a") as info:
             assemble(p, build_grid(p, Fraction(1, 4096)), mode="dense")
         assert info.value.row is None
+        assert calls == []
 
 
 class TestDenseLimit:

@@ -10,8 +10,8 @@ import lvie
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# Demo 02 (about 8 s) runs the convergence ladders that the acceptance
-# criteria already pin.
+# Demo 02 (2.3-3.5 s on two cores) runs the convergence ladders that the
+# acceptance criteria already pin; the tier-1 workflow runs it after the tests.
 @pytest.mark.parametrize(
     "script",
     ["01_solve_builtin_problem.py", "03_solvability_analysis.py", "04_custom_problem_file.py"],

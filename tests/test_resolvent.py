@@ -730,6 +730,43 @@ class TestNonFiniteLambda:
         assert shared.load_values.tobytes() == fresh.load_values.tobytes()
 
 
+def _model1_with(**fields):
+    return dataclasses.replace(builtin_problem("model1"), **fields)
+
+
+_F1 = builtin_problem("model1").rhs
+UNUSABLE_DATA = {
+    "f_nan": (
+        _model1_with(rhs=ScalarFunction(lambda t: np.where(t > 0.7, np.nan, _F1(t)), 1)),
+        r"^f is nan at t=0\.701172$",
+    ),
+    "a0_zero": (_model1_with(a0=ScalarFunction.from_expression("t-0.5", 1)), r"^a0 is 0 at t=0\.5$"),
+    "kernel_nan": (
+        _model1_with(kernel=ScalarFunction(lambda t, s: np.full(np.shape(t), np.nan), 2)),
+        r"^K/a0 is nan at t=0, s=0$",
+    ),
+}
+
+
+class TestUnusableData:
+    """Data the normalization cannot use is refused before any division, without a warning."""
+
+    @pytest.mark.parametrize("name", sorted(UNUSABLE_DATA))
+    def test_refused_with_the_first_point(self, name):
+        p, message = UNUSABLE_DATA[name]
+        for call in (classify, lambda p: semi_analytic_solve(p, np.linspace(0.0, 1.0, 5))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match=message):
+                    call(p)
+            assert caught == []
+
+    def test_iterated_kernel_refuses_a_nan_kernel(self):
+        p = UNUSABLE_DATA["kernel_nan"][0]
+        with pytest.raises(ValueError, match=r"^K/a0 is nan at t=0\.1, s=0\.1$"):
+            iterated_kernel(p, 2, 0.5, 0.1)
+
+
 class TestOverflowingLambda:
     # |lambda|^n overflows a float for |lambda| above about 5e7 and n near MAX_TERMS.
     @pytest.mark.parametrize("lam", [1e8, -1e8, 6e7])
