@@ -14,17 +14,17 @@ has no integral term.  ``CollocationSystem(problem, grid, dense=False)``
 builds the system from those two alone, and ``assemble`` only picks the
 mode.  A dense system refuses grids of more than ``DENSE_MAX_NODES``
 nodes before it evaluates anything; then a0, f and every a_j are
-evaluated at the nodes, and a failing or non-finite value raises the
-:class:`AssemblyError` of its row (``AssemblyError.row``).  By default
-the matrix stays implicit: ``CollocationSystem.weights`` recomputes the
-weights of any rows and columns on demand (O(N) memory).  The
-structured solver reads each block's near triangle from ``near`` and
-has ``integral`` add the squares of its far field.  ``integral``, and so
-``residual``, reads the weights in panels of at most ``BLOCK_ROWS`` rows
-and ``PANEL_POINTS`` kernel points; a kernel failure names the earliest
-failing row.  A dense system also materializes the matrix, for the
-Gauss-Jordan reference path, from row panels of at most
-``PANEL_POINTS`` weights.
+evaluated at the nodes.  A coefficient or kernel value that raises
+:class:`EvalError` or is not finite, formula or plain callable, is the
+:class:`AssemblyError` of its earliest row (``AssemblyError.row``), in
+both modes.  By default the matrix stays implicit:
+``CollocationSystem.weights`` recomputes the weights of any rows and
+columns on demand (O(N) memory).  The structured solver reads each
+block's near triangle from ``near`` and has ``integral`` add the squares
+of its far field.  ``integral`` (and so ``residual``) reads the weights
+in one schedule of panels, ``BLOCK_ROWS`` rows and at most
+``PANEL_POINTS`` kernel points, and a dense system subtracts the same
+panels into the matrix it materializes for the Gauss-Jordan reference path.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
@@ -33,13 +33,13 @@ j = 0..N-1, once, when it is built (``lag_weights``), copies every panel
 out of that table and builds one near triangle for every block; ``integral``
 applies a rectangle with both sides past ``PANEL_MAX_SIDE`` as a Toeplitz
 matrix, by one FFT convolution, so ``residual`` costs O(N log N).  A
-kernel failure there leaves the direct path, which names the row as
-before; dense assembly and ``quad_weight`` evaluate every pair.
+kernel failure or a non-finite value in that one call leaves the system
+on the direct path, which names the row; dense assembly and
+``quad_weight`` evaluate every pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,9 +109,9 @@ class CollocationSystem:
     ``a0_values``, ``rhs`` and ``load_entries`` (a_j(tau_i), shape
     (N+1, number of loads)) at the nodes, refusing a failing or non-finite
     value with the :class:`AssemblyError` of its row; then, for a dense
-    system, ``matrix`` from row panels of at most ``PANEL_POINTS`` weights,
-    or, for a streaming system (``matrix`` None) of a difference kernel on
-    a uniform mesh, its lag table and near triangle; any other is direct.
+    system, ``matrix`` from the panels ``integral`` reads, or, for a
+    streaming system (``matrix`` None) of a difference kernel on a
+    uniform mesh, its lag table and near triangle; any other is direct.
     ``weights`` reproduces the quadrature weights of any rows and columns
     without materializing the matrix; ``row_weights`` is its one-row case.
     """
@@ -135,16 +135,10 @@ class CollocationSystem:
         self._lag = self._lags = self._near = self.matrix = None
         self._spectra = {}
         if self.dense:
-            # Row panels i0 <= i < i1 = i0 + r with r the largest count of rows whose r x (i1 - 1)
-            # weights fit in PANEL_POINTS; row i holds J_1^i .. J_i^i, as in ``row_weights(i)``.
             self.matrix = matrix = np.zeros((n, n))
-            i0 = 1
-            while i0 < n:
-                i1 = min(n, i0 + max(1, (math.isqrt((i0 - 1) ** 2 + 4 * PANEL_POINTS) - i0 + 1) // 2))
-                weights = self.weights(i0, i1, 0, i1 - 1)
-                matrix[i0:i1, : i1 - 1] -= weights
-                matrix[i0:i1, 1:i1] -= weights
-                i0 = i1
+            for r0, r1, c0, c1, weights in self._panels(0, n, 0, n - 1):
+                matrix[r0:r1, c0:c1] -= weights  # the weights of x_k
+                matrix[r0:r1, c0 + 1 : c1 + 1] -= weights  # and of x_{k+1}
             np.fill_diagonal(matrix, matrix.diagonal() + self.a0_values)
             for j, v in enumerate(self.load_columns):
                 matrix[:, v] += self.load_entries[:, j]
@@ -153,7 +147,7 @@ class CollocationSystem:
         if h is None:
             return
         try:  # the lag table: N kernel points in one call
-            kvals = self.problem.kernel(tau[1:], self._mids[0])
+            kvals = _finite(self.problem.kernel(tau[1:], self._mids[0]))
         except EvalError:
             return  # the direct path names the failing row
         by_lag = np.zeros(2 * n - 2)  # lags N-1 .. 0, then -1 .. -N
@@ -174,8 +168,8 @@ class CollocationSystem:
         """Weights J_{k+1}^i (rows i0 <= i < i1, columns k0 <= k < k1) of x_k + x_{k+1}.
 
         The kernel is evaluated on the Volterra triangle k < i only; the
-        rest is zero.  A kernel failure raises :class:`AssemblyError`
-        naming the first failing row and its abscissa.
+        rest is zero.  A kernel failure or non-finite kernel value raises
+        :class:`AssemblyError` naming the first failing row and its abscissa.
         """
         if self._lags is not None:
             return self._lags[i0:i1, k0:k1].copy()
@@ -188,7 +182,7 @@ class CollocationSystem:
             rows, cols = np.tril_indices(i1 - i0, i0 - k0 - 1, k1 - k0)
             t, s = tau[i0 + rows], self._mids[k0 + cols]
         try:
-            kvals = self.problem.kernel(t, s)
+            kvals = _finite(self.problem.kernel(t, s))
         except EvalError as err:
             if i1 - i0 == 1:
                 msg = f"kernel failed at row {i0}, t={tau[i0]:.6g}: {err}"
@@ -233,16 +227,27 @@ class CollocationSystem:
         """Add sum_{k0 <= k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, to out[i - i0].
 
         The rows are i0 <= i < i0 + len(out); ``out`` and ``y`` hold one
-        column per right-hand side.  The weights come in panels
-        of ``BLOCK_ROWS`` rows and ``PANEL_POINTS`` points, except on a lag
-        system when both sides of the rectangle exceed ``PANEL_MAX_SIDE``:
-        then they form a Toeplitz matrix, applied by FFT.  A kernel failure
-        raises the :class:`AssemblyError` of the earliest failing row.
+        column per right-hand side.  The weights come from ``_panels``,
+        except on a lag system when both sides of the rectangle exceed
+        ``PANEL_MAX_SIDE``: then they form a Toeplitz matrix, applied by
+        FFT.  A kernel failure raises the :class:`AssemblyError` of the
+        earliest failing row.
         """
         i1 = i0 + out.shape[0]
         if min(i1 - i0, k1 - k0) > PANEL_MAX_SIDE and self._lag is not None:
             self._toeplitz_product(out, i0, y[k0:k1], k0)
             return
+        for r0, r1, c0, c1, weights in self._panels(i0, i1, k0, k1):
+            out[r0 - i0 : r1 - i0] += weights @ y[c0:c1]
+
+    def _panels(self, i0: int, i1: int, k0: int, k1: int):
+        """Yield ``(r0, r1, c0, c1, weights(r0, r1, c0, c1))`` over rows i0..i1-1 and columns k0..k1-1.
+
+        Panels of ``BLOCK_ROWS`` rows by ``PANEL_POINTS // BLOCK_ROWS``
+        columns, none right of the panel's last row.  A failing panel is
+        skipped until every column panel of its rows has been tried; then
+        the :class:`AssemblyError` of the earliest failing row is raised.
+        """
         width = PANEL_POINTS // BLOCK_ROWS
         for r0 in range(i0, i1, BLOCK_ROWS):
             r1 = min(r0 + BLOCK_ROWS, i1)
@@ -250,10 +255,10 @@ class CollocationSystem:
             for c0 in range(k0, min(k1, r1 - 1), width):
                 c1 = min(c0 + width, k1, r1 - 1)
                 try:
-                    out[r0 - i0 : r1 - i0] += self.weights(r0, r1, c0, c1) @ y[c0:c1]
+                    yield r0, r1, c0, c1, self.weights(r0, r1, c0, c1)
                 except AssemblyError as err:
                     errors.append(err)
-            if errors:  # a later column panel may fail in an earlier row
+            if errors:
                 raise min(errors, key=lambda err: err.row)
 
     def _toeplitz_product(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int) -> None:
@@ -293,23 +298,25 @@ class CollocationSystem:
         return float(np.abs(self.a0_values * x + load_part - acc[:, 0] - self.rhs).max())
 
 
+def _finite(values):
+    """``values`` if all are finite; else an :class:`EvalError`, as a compiled formula raises."""
+    if not np.isfinite(values).all():
+        raise EvalError(f"non-finite value {np.asarray(values)[~np.isfinite(values)][0]}")
+    return values
+
+
 def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
     """``fn`` at the nodes; a failure or a non-finite value raises the AssemblyError of its row."""
     try:
-        values = np.atleast_1d(fn(tau))
+        return _finite(np.atleast_1d(fn(tau)))
     except EvalError:
         # Locate the first failing node for the error report.
         for i, t in enumerate(tau):
             try:
-                fn(float(t))
+                _finite(fn(float(t)))
             except EvalError as err:
                 raise AssemblyError(f"{label} failed at row {i}, t={t:.6g}: {err}", i) from err
         raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
-        raise AssemblyError(f"{label} failed at row {i}, t={tau[i]:.6g}: non-finite value {values[i]}", i)
-    return values
 
 
 def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:

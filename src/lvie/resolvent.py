@@ -112,15 +112,15 @@ def _compose(first: np.ndarray, prev: np.ndarray, dz: float) -> np.ndarray:
     return product
 
 
-def _first_table(problem: Problem, z: np.ndarray, density: int) -> np.ndarray:
-    """Normalized kernel K(t,s)/a0(t) tabulated on the lower triangle.
+def _first_table(problem: Problem, z: np.ndarray, density: int, a0: np.ndarray) -> np.ndarray:
+    """Normalized kernel K(t,s)/a0(t) tabulated on the lower triangle; ``a0`` is a0 on ``z``, checked.
 
     A grid of more than ``TABLE_MAX_NODES`` nodes (``density`` per unit
     length) is refused before anything is allocated.  The kernel is
     evaluated in row panels of ``COMPOSE_PANEL_ROWS``, so the build holds
     the table and one panel; a kernel that fails in several places raises
-    the failure of the first failing panel, and a non-finite K/a0, or an a0
-    that is 0 or not finite, the ``ValueError`` of its first point.
+    the failure of the first failing panel, and a non-finite K/a0 the
+    ``ValueError`` of its first point.
     """
     npts = z.shape[0]
     if npts > TABLE_MAX_NODES:
@@ -128,7 +128,6 @@ def _first_table(problem: Problem, z: np.ndarray, density: int) -> np.ndarray:
             f"a kernel table at quad_density {density} has {npts} nodes and needs "
             f"{8 * npts * npts / 1e6:.0f} MB; the limit is {TABLE_MAX_NODES} nodes"
         )
-    a0 = _checked_a0(problem, z)
     table = np.zeros((npts, npts))
     for r0 in range(0, npts, COMPOSE_PANEL_ROWS):
         rows, cols = np.tril_indices(min(COMPOSE_PANEL_ROWS, npts - r0), r0, npts)
@@ -151,8 +150,8 @@ def _running_sums(factors: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> n
     return out
 
 
-def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray):
-    """The kernel's rank-r split on the grid, checked against the callable.
+def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray, a0: np.ndarray):
+    """The kernel's rank-r split on the grid, checked against the callable; ``a0`` is a0 on ``z``.
 
     Returns ``((U, V), diag, col0)``: the rows u_r/a0 and v_r on the grid,
     and the callable's K/a0 on the diagonal and on column 0.  None keeps
@@ -166,7 +165,6 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray):
     if pairs is None:
         return None
     try:
-        a0 = problem.a0(z)
         factors = (np.array([u(z) for u, _ in pairs]) / a0, np.array([v(z) for _, v in pairs]))
         diag = problem.kernel(z, z) / a0
         col0 = problem.kernel(z, z[0]) / a0
@@ -236,9 +234,12 @@ def _checked_a0(problem: Problem, ts) -> np.ndarray:
     return a0
 
 
-def _tilde(problem: Problem, ts) -> np.ndarray:
-    """Rows f~, a~_1, ..., a~_m at the points ``ts``; a non-finite f or a_j, or a0 0, is refused."""
-    a0 = _checked_a0(problem, ts)
+def _tilde(problem: Problem, ts, a0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows f~, a~_1, ..., a~_m at ``ts``; a non-finite f or a_j is refused.
+
+    ``a0`` is a0 at ``ts``, already checked; by default ``_checked_a0`` evaluates it.
+    """
+    a0 = _checked_a0(problem, ts) if a0 is None else a0
     data = np.array([problem.rhs(ts)] + [term.coeff(ts) for term in problem.loads])
     for label, row in zip(["f"] + [f"a{j}" for j in range(1, data.shape[0])], data):
         _refuse(label, row, ~np.isfinite(row), t=ts)
@@ -294,14 +295,15 @@ class ResolventApprox:
         self.z = np.linspace(problem.t0, problem.T, intervals + 1)
         self.dz = span / intervals
         self.quad_density = quad_density
-        self._data = _tilde(problem, self.z)
+        self._a0 = _checked_a0(problem, self.z)  # the grid's a0 that every normalization reads
+        self._data = _tilde(problem, self.z, self._a0)
         self._load_data = _tilde(problem, problem.load_points)
         self._load_cols, *self._load_bracket = _bracket(self.z, problem.load_points)
         self._load_ints = np.empty((MAX_TERMS, self._data.shape[0], self._load_cols.size))
         self._tables: list[np.ndarray] = []
         self._tables_max: list[float] = []
         self._last_resolvent: Optional[tuple[float, np.ndarray]] = None
-        split = _kernel_split(problem, self.z, self._data)
+        split = _kernel_split(problem, self.z, self._data, self._a0)
         if split is None:
             first = self.kernel_table(1)
             split = None, np.diagonal(first), first[:, 0]
@@ -319,7 +321,7 @@ class ResolventApprox:
             if self._tables:
                 nxt = _compose(self._tables[0], self._tables[-1], self.dz)
             else:
-                nxt = _first_table(self.problem, self.z, self.quad_density)
+                nxt = _first_table(self.problem, self.z, self.quad_density, self._a0)
             self._tables.append(nxt)
             self._tables_max.append(float(max(nxt.max(), -nxt.min())))  # max|K_n|, no |K_n| copy
         return self._tables[n - 1]
@@ -441,24 +443,28 @@ def _check_order(problem: Problem, t: float, s: float) -> None:
 
 
 def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
-    """n-th iterated kernel at (t, s), built bottom-up on a local grid.
+    """n-th iterated kernel of K/a0 at (t, s); a zero a0 or a non-finite K/a0 is refused.
 
-    The composition integrals use the composite trapezoid rule on
-    ceil(DEFAULT_QUAD_DENSITY * (t - s)) + 1 nodes spanning [s, t].
+    For n >= 2 the compositions use the composite trapezoid rule on the
+    q + 1 = ceil(DEFAULT_QUAD_DENSITY * (t - s)) + 1 nodes z_i spanning
+    [s, t], on column 0 only: K_{n+1}(z_i, s) needs K_n(., s), O(n q^2).
     """
     if n < 1:
         raise ValueError("iterated-kernel order must be at least 1")
     _check_order(problem, t, s)
     if n == 1:
-        return float(problem.kernel(t, s) / problem.a0(t))
+        value = problem.kernel(t, s) / _checked_a0(problem, t)
+        _refuse("K/a0", value, ~np.isfinite(value), t=t, s=s)
+        return float(value)
     if t == s:
         return 0.0
     q = max(1, math.ceil(DEFAULT_QUAD_DENSITY * (t - s)))
-    first = _first_table(problem, np.linspace(s, t, q + 1), DEFAULT_QUAD_DENSITY)
-    table = first
+    z = np.linspace(s, t, q + 1)
+    first = _first_table(problem, z, DEFAULT_QUAD_DENSITY, _checked_a0(problem, z))
+    diag, column = np.diagonal(first), first[:, 0]
     for _ in range(n - 1):
-        table = _compose(first, table, (t - s) / q)
-    return float(table[-1, 0])
+        column = (first @ column - 0.5 * (first[:, 0] * column[0] + diag * column)) * ((t - s) / q)
+    return float(column[-1])
 
 
 def _triangle_interp(table: np.ndarray, z: np.ndarray, dz: float, t: float, s: float) -> float:

@@ -28,7 +28,9 @@ rows, each solved block pushing its far field ahead in dyadic squares.
 ``CollocationSystem.integral`` decides how a square is applied: in
 panels of at most ``PANEL_POINTS`` (16384) kernel points, O(m N^2) time
 and O(N/64 + N^2/16384) kernel calls, or on a lag table by windows and
-FFTs, O(m N log^2 N) time and N kernel points.  Memory is O(m N).
+FFTs, O(m N log^2 N) time and N kernel points.  Memory is O(m N).  A
+kernel that fails or gives a non-finite value, formula or plain callable,
+is the ``AssemblyError`` of its earliest row.
 """
 
 from __future__ import annotations
@@ -295,9 +297,9 @@ def structured_solve(system) -> np.ndarray:
 
     The first row at fault raises: :class:`SolvabilityError` for a
     triangular pivot below ``SINGULAR_TOL`` relative to max|a0|,
-    :class:`AssemblyError` for a kernel failure.  A failing square records
-    its earliest failing row; the block that reaches that row checks the
-    pivots before it, then raises.  Agrees with :func:`gauss_jordan` on
+    :class:`AssemblyError` for a kernel failure or non-finite kernel
+    value.  A failing square records its earliest failing row; the block
+    that reaches that row checks the pivots before it, then raises.  Agrees with :func:`gauss_jordan` on
     the materialized matrix to rounding.
     """
     n = system.size

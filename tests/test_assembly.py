@@ -214,6 +214,25 @@ class TestFailureRow:
             structured_solve(assemble(p, g, mode=mode))
         assert info.value.row == 8
 
+    @pytest.mark.parametrize(
+        "loads, row, message",
+        [
+            (True, 41, "kernel failed at row 41, t=0.621212: non-finite value nan"),
+            (False, 40, "kernel failed at row 40, t=0.615385: non-finite value nan"),
+        ],
+        ids=["loads", "no-loads"],
+    )
+    def test_non_finite_kernel_names_its_row(self, loads, row, message):
+        # A plain callable gives NaN where a formula would raise: the same error, in both modes.
+        base = builtin_problem("model1")
+        kernel = ScalarFunction(lambda t, s: np.where((0.61 < t) & (t < 0.63), np.nan, base.kernel(t, s)), 2)
+        p = dataclasses.replace(base, kernel=kernel, loads=base.loads if loads else ())
+        g = build_grid(p, Fraction(1, 64))
+        for mode in ("dense", "streaming"):
+            with pytest.raises(AssemblyError) as info:
+                structured_solve(assemble(p, g, mode))
+            assert (info.value.row, str(info.value)) == (row, message)
+
     def test_batch_only_kernel_failure_is_re_raised(self):
         # Fails on a panel of several rows but on no single row: no row to name.
         def kernel(t, s):

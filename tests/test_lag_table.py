@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lvie.assembly import BLOCK_ROWS, AssemblyError, assemble
+from lvie.assembly import BLOCK_ROWS, PANEL_POINTS, AssemblyError, assemble
 from lvie.expressions import evaluate, parse
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction
@@ -76,7 +76,8 @@ class TestKernelPoints:
         g = build_grid(p, Fraction(1, 64))
         assemble(p, g, mode="dense")
         n = g.last_index
-        assert kernel.sizes == [n * (n + 1) // 2]
+        assert sum(kernel.sizes) == n * (n + 1) // 2
+        assert max(kernel.sizes) <= PANEL_POINTS
 
 
 class TestWindows:
@@ -154,6 +155,21 @@ class TestErrorLocation:
                 self.solve(source)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+    def test_non_finite_value_leaves_the_lag_path(self):
+        # NaN where the formula raises: the lag table is refused, and the direct path names the row.
+        def nan_twin(t, s):
+            d = 0.7 - (t - s)
+            return np.where(d < 0, np.nan, np.sqrt(np.abs(d)))
+
+        row = self.failing_row()
+        p = make_problem(ScalarFunction(nan_twin, 2, self.TEXT))
+        system = assemble(p, self.grid())
+        assert system.lag_weights() is None
+        with pytest.raises(AssemblyError) as info:
+            structured_solve(system)
+        assert info.value.row == row
+        assert str(info.value) == f"kernel failed at row {row}, t={self.grid().nodes[row]:.6g}: non-finite value nan"
 
     @pytest.mark.parametrize("offset", [70, 5], ids=["earlier-block", "same-block"])
     def test_earlier_zero_pivot_wins(self, offset):

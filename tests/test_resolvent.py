@@ -78,6 +78,19 @@ class TestIteratedKernel:
     def test_coincident_arguments(self):
         assert iterated_kernel(make_problem(), 2, 0.4, 0.4) == 0.0
 
+    @pytest.mark.parametrize("kernel", ["t-2*s^2", "sqrt(t-s)*exp(s)"])
+    def test_column_recursion_matches_composed_tables(self, kernel):
+        # Column 0 of K_n from compositions of whole tables, as on the local grid of iterated_kernel.
+        p = make_problem(a0=ScalarFunction.from_expression("1+t", 1), kernel=ScalarFunction.from_expression(kernel, 2))
+        t, s = 0.9, 0.15
+        q = math.ceil(RESOLVENT_MODULE.DEFAULT_QUAD_DENSITY * (t - s))
+        z = np.linspace(s, t, q + 1)
+        first = RESOLVENT_MODULE._first_table(p, z, RESOLVENT_MODULE.DEFAULT_QUAD_DENSITY, p.a0(z))
+        table = first
+        for n in range(2, 6):
+            table = RESOLVENT_MODULE._compose(first, table, (t - s) / q)
+            assert iterated_kernel(p, n, t, s) == pytest.approx(table[-1, 0], rel=1e-12)
+
 
 class TestResolvent:
     def test_unit_kernel_exponential_resummation(self):
@@ -449,7 +462,7 @@ class TestSplitKernel:
         cfg = ResolventApprox(p, quad_density=64)
         assert cfg._tables == []
         table = cfg.kernel_table(1)
-        assert table.tobytes() == RESOLVENT_MODULE._first_table(p, cfg.z, 64).tobytes()
+        assert table.tobytes() == RESOLVENT_MODULE._first_table(p, cfg.z, 64, p.a0(cfg.z)).tobytes()
         assert np.array_equal(np.diagonal(table), cfg._diag)
         assert np.array_equal(table[:, 0], cfg._col0)
 
@@ -508,6 +521,27 @@ class TestSplitKernel:
         n = cfg.z.size
         assert n > RESOLVENT_MODULE.TABLE_MAX_NODES
         assert peak < (RESOLVENT_MODULE.MAX_TERMS + 10) * (1 + len(p.loads)) * n * 8
+
+
+@pytest.mark.parametrize(
+    "p, table",
+    [
+        (builtin_problem("model1"), False),
+        (parse_problem_config((TESTS.parent / "bench" / "fixtures" / "sqrt_ladder.cfg").read_text()), True),
+    ],
+    ids=["split", "table"],
+)
+def test_a0_evaluated_once_per_point_set(p, table):
+    # The grid (513 points) and the load points; the split or the table reads the grid's a0.
+    sizes = []
+
+    def a0(t):
+        sizes.append(np.size(t))
+        return p.a0(t)
+
+    cfg = ResolventApprox(dataclasses.replace(p, a0=ScalarFunction(a0, 1)))
+    assert (cfg._factors is None) == table
+    assert sizes == [513, len(p.loads)]
 
 
 class TestTableLimit:
@@ -763,8 +797,15 @@ class TestUnusableData:
 
     def test_iterated_kernel_refuses_a_nan_kernel(self):
         p = UNUSABLE_DATA["kernel_nan"][0]
-        with pytest.raises(ValueError, match=r"^K/a0 is nan at t=0\.1, s=0\.1$"):
-            iterated_kernel(p, 2, 0.5, 0.1)
+        for n, at in [(1, r"t=0\.5, s=0\.1"), (2, r"t=0\.1, s=0\.1")]:
+            with pytest.raises(ValueError, match=rf"^K/a0 is nan at {at}$"):
+                iterated_kernel(p, n, 0.5, 0.1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_iterated_kernel_refuses_a_zero_a0(self, n):
+        p, message = UNUSABLE_DATA["a0_zero"]
+        with pytest.raises(ValueError, match=message):
+            iterated_kernel(p, n, 0.5, 0.1)
 
 
 class TestOverflowingLambda:
