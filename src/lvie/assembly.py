@@ -14,17 +14,18 @@ has no integral term.  ``CollocationSystem(problem, grid, dense=False)``
 builds the system from those two alone, and ``assemble`` only picks the
 mode.  A dense system refuses grids of more than ``DENSE_MAX_NODES``
 nodes before it evaluates anything; then a0, f and every a_j are
-evaluated at the nodes.  A coefficient or kernel value that raises
-:class:`EvalError` or is not finite, formula or plain callable, is the
-:class:`AssemblyError` of its earliest row (``AssemblyError.row``), in
-both modes.  By default the matrix stays implicit:
-``CollocationSystem.weights`` recomputes the weights of any rows and
-columns on demand (O(N) memory).  The structured solver reads each
-block's near triangle from ``near`` and has ``integral`` add the squares
-of its far field.  ``integral`` (and so ``residual``) reads the weights
-in one schedule of panels, ``BLOCK_ROWS`` rows and at most
-``PANEL_POINTS`` kernel points, and a dense system subtracts the same
-panels into the matrix it materializes for the Gauss-Jordan reference path.
+evaluated at the nodes.  A coefficient or kernel evaluation that raises
+:class:`EvalError`, a non-finite value included (``ScalarFunction``
+refuses those, formula or plain callable), is the :class:`AssemblyError`
+of its earliest row (``AssemblyError.row``), in both modes.  By default
+the matrix stays implicit: ``CollocationSystem.weights`` recomputes the
+weights of any rows and columns on demand (O(N) memory).  The structured
+solver reads each block's near triangle from ``near`` and has
+``integral`` add the squares of its far field.  ``integral`` (and so
+``residual``) reads the weights in one schedule of panels, ``BLOCK_ROWS``
+rows and at most ``PANEL_POINTS`` kernel points, and a dense system
+subtracts the same panels into the matrix it materializes for the
+Gauss-Jordan reference path.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
@@ -33,9 +34,9 @@ j = 0..N-1, once, when it is built (``lag_weights``), copies every panel
 out of that table and builds one near triangle for every block; ``integral``
 applies a rectangle with both sides past ``PANEL_MAX_SIDE`` as a Toeplitz
 matrix, by one FFT convolution, so ``residual`` costs O(N log N).  A
-kernel failure or a non-finite value in that one call leaves the system
-on the direct path, which names the row; dense assembly and
-``quad_weight`` evaluate every pair.
+kernel failure in that one call leaves the system on the direct path,
+which names the row; dense assembly and ``quad_weight`` evaluate every
+pair.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ class CollocationSystem:
     Construction evaluates, in this order: for a ``dense`` system, the
     size refusal (``DENSE_MAX_NODES``, before any evaluation or allocation);
     ``a0_values``, ``rhs`` and ``load_entries`` (a_j(tau_i), shape
-    (N+1, number of loads)) at the nodes, refusing a failing or non-finite
-    value with the :class:`AssemblyError` of its row; then, for a dense
+    (N+1, number of loads)) at the nodes, refusing a failing evaluation
+    with the :class:`AssemblyError` of its row; then, for a dense
     system, ``matrix`` from the panels ``integral`` reads, or, for a
     streaming system (``matrix`` None) of a difference kernel on a
     uniform mesh, its lag table and near triangle; any other is direct.
@@ -147,7 +148,7 @@ class CollocationSystem:
         if h is None:
             return
         try:  # the lag table: N kernel points in one call
-            kvals = _finite(self.problem.kernel(tau[1:], self._mids[0]))
+            kvals = self.problem.kernel(tau[1:], self._mids[0])
         except EvalError:
             return  # the direct path names the failing row
         by_lag = np.zeros(2 * n - 2)  # lags N-1 .. 0, then -1 .. -N
@@ -168,8 +169,8 @@ class CollocationSystem:
         """Weights J_{k+1}^i (rows i0 <= i < i1, columns k0 <= k < k1) of x_k + x_{k+1}.
 
         The kernel is evaluated on the Volterra triangle k < i only; the
-        rest is zero.  A kernel failure or non-finite kernel value raises
-        :class:`AssemblyError` naming the first failing row and its abscissa.
+        rest is zero.  A kernel failure raises :class:`AssemblyError`
+        naming the first failing row and its abscissa.
         """
         if self._lags is not None:
             return self._lags[i0:i1, k0:k1].copy()
@@ -182,7 +183,7 @@ class CollocationSystem:
             rows, cols = np.tril_indices(i1 - i0, i0 - k0 - 1, k1 - k0)
             t, s = tau[i0 + rows], self._mids[k0 + cols]
         try:
-            kvals = _finite(self.problem.kernel(t, s))
+            kvals = self.problem.kernel(t, s)
         except EvalError as err:
             if i1 - i0 == 1:
                 msg = f"kernel failed at row {i0}, t={tau[i0]:.6g}: {err}"
@@ -298,22 +299,15 @@ class CollocationSystem:
         return float(np.abs(self.a0_values * x + load_part - acc[:, 0] - self.rhs).max())
 
 
-def _finite(values):
-    """``values`` if all are finite; else an :class:`EvalError`, as a compiled formula raises."""
-    if not np.isfinite(values).all():
-        raise EvalError(f"non-finite value {np.asarray(values)[~np.isfinite(values)][0]}")
-    return values
-
-
 def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
-    """``fn`` at the nodes; a failure or a non-finite value raises the AssemblyError of its row."""
+    """``fn`` at the nodes; a failure raises the AssemblyError of its row."""
     try:
-        return _finite(np.atleast_1d(fn(tau)))
+        return fn(tau)
     except EvalError:
         # Locate the first failing node for the error report.
         for i, t in enumerate(tau):
             try:
-                _finite(fn(float(t)))
+                fn(float(t))
             except EvalError as err:
                 raise AssemblyError(f"{label} failed at row {i}, t={t:.6g}: {err}", i) from err
         raise

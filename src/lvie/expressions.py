@@ -17,8 +17,10 @@ constant exponent or divisor fixes its operation.  Evaluation is plain
 IEEE double precision, bit for bit that of a walk of the tree, and works
 elementwise on numpy arrays as well as on scalars.  Leaving the real
 domain (division by zero, ``ln`` of a non-positive value, a fractional
-power of a non-positive base) or a non-finite result raises
-:class:`EvalError` when the function is called, never when it is compiled.
+power of a non-positive base) raises :class:`EvalError` when the function
+is called, never when it is compiled; inf and nan are values.
+:func:`finite`, the one rule that refuses them, naming the point, is
+applied by :func:`evaluate` and by every ``ScalarFunction`` call.
 A formula whose tree is deeper than ``MAX_DEPTH`` nodes does not parse.
 """
 
@@ -49,7 +51,17 @@ class ParseError(ValueError):
 
 
 class EvalError(ArithmeticError):
-    """Evaluation left the real domain or a referenced variable is missing."""
+    """Evaluation left the real domain, gave a non-finite value, or a referenced variable is missing."""
+
+
+def finite(values, t, s=None):
+    """``values``, or :class:`EvalError` naming the first non-finite entry (row-major) at ``t``, ``s``."""
+    if np.isfinite(values).all():
+        return values
+    arrays = np.broadcast_arrays(values, t) if s is None else np.broadcast_arrays(values, t, s)
+    i = np.argmax(~np.isfinite(arrays[0]))
+    at = ", ".join(f"{name}={p.flat[i]:.6g}" for name, p in zip("ts", arrays[1:]))
+    raise EvalError(f"non-finite value {arrays[0].flat[i]} at {at}")
 
 
 class Expr:
@@ -242,11 +254,9 @@ def compiled(expr: Expr):
 
     def function(t, s=None):
         vals = [t, s] + values[2:]
-        with np.errstate(all="ignore"):  # non-finite values raise below instead
+        with np.errstate(all="ignore"):  # IEEE values; finite() refuses the non-finite ones
             for at, fn, i, j in steps:
                 vals[at] = fn(vals[i]) if j is None else fn(vals[i], vals[j])
-        if not np.isfinite(vals[out]).all():
-            raise EvalError("expression evaluated to a non-finite value")
         return vals[out]
 
     return function
@@ -433,8 +443,8 @@ def evaluate(expr: Expr, t, s=None):
     """Evaluate ``expr`` at ``t`` (and ``s`` for two-variable expressions).
 
     Accepts scalars or numpy arrays; arrays broadcast elementwise.
-    Raises :class:`EvalError` when the result is not finite or a domain
-    rule is violated.  Compiles ``expr`` on every call; :func:`compiled`
-    compiles it once.
+    Raises :class:`EvalError` when a domain rule is violated or, through
+    :func:`finite`, when the result is not finite.  Compiles ``expr`` on
+    every call; :func:`compiled` compiles it once.
     """
-    return compiled(expr)(t, s)
+    return finite(compiled(expr)(t, s), t, s)

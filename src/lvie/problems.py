@@ -9,7 +9,8 @@ interval) are the load points; the values x(t_j) entering the equation
 are the loads.  Coefficient functions are :class:`ScalarFunction`
 values, built either from a parsed expression or from any Python
 callable; one call path evaluates functions of ``t`` and of ``(t, s)``
-on scalars and numpy arrays alike.
+on scalars and numpy arrays alike, and refuses a non-finite value, formula
+or callable, with an :class:`~lvie.expressions.EvalError` naming its point.
 
 Problems are immutable after construction and safe to share between
 concurrent solves.
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import EvalError, ParseError, compiled, is_difference, parse, separable
+from .expressions import ParseError, compiled, finite, is_difference, parse, separable
 
 __all__ = [
     "ScalarFunction",
@@ -45,7 +46,9 @@ class ScalarFunction:
     Wraps either a parsed expression or a plain callable.  Inputs may
     be scalars or numpy arrays; two-argument functions broadcast their
     arguments, and the output always has the broadcast shape (constants
-    are expanded).  Scalar inputs give a plain ``float`` back.
+    are expanded).  Scalar inputs give a plain ``float`` back.  Every value
+    returned is finite; :func:`lvie.expressions.finite` raises ``EvalError``
+    at the first other entry, row-major ("non-finite value nan at t=0.5, s=0").
 
     ``source`` is a promise: when it parses, the function is that formula
     (a wrapper that keeps the source must keep the values); the default
@@ -113,6 +116,7 @@ class ScalarFunction:
         out = np.asarray(self._fn(*arrays), dtype=float)
         if out.shape != arrays[0].shape:
             out = np.broadcast_to(out, arrays[0].shape)
+        finite(out, *arrays)
         return float(out) if scalar else out
 
     def __repr__(self):
@@ -163,19 +167,6 @@ class ValidationReport:
         return self.passed
 
 
-def _sample_function(fn: ScalarFunction, ts, label: str):
-    """Evaluate on the sample: ``(values, None)``, or ``(None, violation message)``."""
-    try:
-        vals = np.atleast_1d(fn(ts))
-    except (EvalError, ArithmeticError, ValueError, TypeError) as err:
-        return None, f"{label} not evaluable: {err}"
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        where = np.atleast_1d(ts)[bad][0]
-        return None, f"{label} non-finite at t={where:.6g}"
-    return vals, None
-
-
 def load_point_violation(p: Problem) -> Optional[str]:
     """Why the load points of ``p`` are misplaced, or None when they increase
     strictly and lie inside the open interval (t0, T)."""
@@ -212,29 +203,21 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
     loads = [(term.coeff, f"a{j}") for j, term in enumerate(p.loads, start=1)]
     sampled = []
     for fn, label in [(p.a0, "a0"), *loads, (p.rhs, "f")]:
-        vals, msg = _sample_function(fn, ts, label)
-        if msg:
-            return ValidationReport(False, msg)
-        sampled.append(vals)
+        try:
+            sampled.append(fn(ts))
+        except (ArithmeticError, ValueError, TypeError) as err:
+            return ValidationReport(False, f"{label} not evaluable: {err}")
 
     # Kernel is only defined on t0 <= s <= t <= T; sample that triangle in
-    # row-major order, a block of rows per call.  Every block is evaluated
-    # before a non-finite value is reported, so an error raised anywhere
-    # still takes precedence, as for one call on the whole triangle.
-    nonfinite = None
+    # row-major order, a block of rows per call.  The earliest failing
+    # block is the violation, as the earliest failing row is in assembly.
     for r0 in range(0, samples, _KERNEL_BLOCK_ROWS):
         rows, cols = np.nonzero(np.tri(min(_KERNEL_BLOCK_ROWS, samples - r0), samples, r0, bool))
         rows += r0
         try:
-            kvals = p.kernel(ts[rows], ts[cols])
-        except (EvalError, ArithmeticError, ValueError, TypeError) as err:
+            p.kernel(ts[rows], ts[cols])
+        except (ArithmeticError, ValueError, TypeError) as err:
             return ValidationReport(False, f"kernel not evaluable: {err}")
-        bad = np.flatnonzero(~np.isfinite(kvals))
-        if nonfinite is None and bad.size:
-            t, s = ts[rows[bad[0]]], ts[cols[bad[0]]]
-            nonfinite = f"kernel non-finite at t={t:.6g}, s={s:.6g}"
-    if nonfinite is not None:
-        return ValidationReport(False, nonfinite)
 
     a0_vals = sampled[0]
     zeros = np.flatnonzero(a0_vals == 0.0)

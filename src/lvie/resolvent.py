@@ -24,8 +24,9 @@ and no solution at all when it is not, each decided at ``RANK_TOL``.
 The theory takes the coefficient of x(t) to be identically one, so all
 inputs are normalized internally: K, a_j and f are divided by a0(t)
 (tilde quantities above).  For problems with a0 == 1 the formulas act
-on the raw data.  An a0 that is 0 or not finite, and a non-finite f, a_j
-or K/a0, is refused with a ``ValueError`` naming its first point.
+on the raw data.  ``ScalarFunction`` refuses a non-finite a0, f, a_j or
+K; an a0 of 0 or a non-finite K/a0 is refused with a ``ValueError``
+naming its first point.
 
 Numerics: every integral is the composite trapezoid rule on a uniform
 tensor grid.  Every function takes ``lam`` (default ``problem.lam``) and
@@ -228,22 +229,19 @@ def _refuse(label: str, values, bad, **points) -> None:
 
 
 def _checked_a0(problem: Problem, ts) -> np.ndarray:
-    """a0 at ``ts``, refused where it is 0 or not finite: every normalization divides by it."""
+    """a0 at ``ts``, refused where it is 0: every normalization divides by it."""
     a0 = problem.a0(ts)
-    _refuse("a0", a0, ~np.isfinite(a0) | (a0 == 0), t=ts)
+    _refuse("a0", a0, a0 == 0, t=ts)
     return a0
 
 
 def _tilde(problem: Problem, ts, a0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows f~, a~_1, ..., a~_m at ``ts``; a non-finite f or a_j is refused.
+    """Rows f~, a~_1, ..., a~_m at ``ts``.
 
     ``a0`` is a0 at ``ts``, already checked; by default ``_checked_a0`` evaluates it.
     """
     a0 = _checked_a0(problem, ts) if a0 is None else a0
-    data = np.array([problem.rhs(ts)] + [term.coeff(ts) for term in problem.loads])
-    for label, row in zip(["f"] + [f"a{j}" for j in range(1, data.shape[0])], data):
-        _refuse(label, row, ~np.isfinite(row), t=ts)
-    return data / a0
+    return np.array([problem.rhs(ts)] + [term.coeff(ts) for term in problem.loads]) / a0
 
 
 def _series(powers: np.ndarray, terms) -> np.ndarray:

@@ -217,8 +217,8 @@ class TestFailureRow:
     @pytest.mark.parametrize(
         "loads, row, message",
         [
-            (True, 41, "kernel failed at row 41, t=0.621212: non-finite value nan"),
-            (False, 40, "kernel failed at row 40, t=0.615385: non-finite value nan"),
+            (True, 41, "kernel failed at row 41, t=0.621212: non-finite value nan at t=0.621212, s=0.0075"),
+            (False, 40, "kernel failed at row 40, t=0.615385: non-finite value nan at t=0.615385, s=0.00769231"),
         ],
         ids=["loads", "no-loads"],
     )

@@ -19,6 +19,7 @@ from lvie.expressions import (
     Var,
     compiled,
     evaluate,
+    finite,
     is_difference,
     parse,
     separable,
@@ -208,6 +209,34 @@ def test_overflow_is_an_error():
         evaluate(parse("exp(exp(t))"), 100.0)
 
 
+class TestFinite:
+    """``finite``: the one rule that refuses a non-finite value, naming its point."""
+
+    def test_finite_values_pass_through(self):
+        values = np.array([1.0, -2.0])
+        assert finite(values, _GRID[:2]) is values
+        assert finite(0.5, 0.25) == 0.5
+
+    def test_names_the_first_entry_in_row_major_order(self):
+        t, s = _GRID[:, None], _GRID[None, :]
+        values = np.where((t > 0.5) & (s > 0.25), np.nan, t * s)
+        values[30, 1] = np.inf
+        with pytest.raises(EvalError, match=r"^non-finite value nan at t=0\.53125, s=0\.28125$"):
+            finite(values, t, s)
+
+    def test_a_constant_value_takes_the_first_point(self):
+        with pytest.raises(EvalError, match=r"^non-finite value -inf at t=0$"):
+            finite(-np.inf, _GRID)
+
+    def test_evaluate_applies_it_and_compiled_does_not(self):
+        expr = parse("ln(t+1) * exp(1000*t)")
+        with np.errstate(all="ignore"):
+            direct = np.log(_GRID + 1) * np.exp(1000 * _GRID)
+        assert compiled(expr)(_GRID).tobytes() == direct.tobytes()
+        with pytest.raises(EvalError, match=r"^non-finite value inf at t=0\.71875$"):
+            evaluate(expr, _GRID)
+
+
 def test_number_scientific_notation():
     assert evaluate(parse("1e-3 + 2.5E2"), 0.0) == pytest.approx(250.001)
 
@@ -252,7 +281,7 @@ _DOMAIN_CASES = [
     ("sqrt(s)", "sqrt of a negative value"),
     ("(t-t)^-1", "zero raised to a negative power"),
     ("s^0.5", "fractional power of a non-positive base"),
-    ("exp(exp(t*100))", "non-finite value"),
+    ("exp(exp(t*100))", "non-finite value inf at t=0.25, s=2"),
 ]
 
 
@@ -322,10 +351,10 @@ def test_not_separable(text):
 
 # ---------------------------------------------------------------------------
 # Compiled evaluation against a reference walk of the tree: every node in
-# post-order, each operator with its own domain check, one finiteness check
-# at the end.  Compiling shares repeated subtrees, folds constants and picks
-# the branch of a constant exponent; none of that may change a bit or an
-# error message.
+# post-order, each operator with its own domain check, and inf or nan kept as
+# values (finite() refuses them later).  Compiling shares repeated subtrees,
+# folds constants and picks the branch of a constant exponent; none of that
+# may change a bit, inf and nan included, or an error message.
 
 
 def _ref_checked(fn, outside, message):
@@ -381,10 +410,7 @@ def _walk(node, t, s):
 
 def _reference(expr, t, s=None):
     with np.errstate(all="ignore"):
-        out = _walk(expr, t, s)
-    if not np.all(np.isfinite(out)):
-        raise EvalError("expression evaluated to a non-finite value")
-    return out
+        return _walk(expr, t, s)
 
 
 def _outcome(fn, *args):
@@ -466,8 +492,8 @@ def test_compiled_repeated_subtree_matches_tree_walk(expr):
     _assert_matches_reference(BinOp("-", BinOp("*", expr, Call("cos", expr)), expr))
 
 
-# Constant formulas that leave the domain: compiling succeeds, and every
-# call raises the message the tree walk raises.
+# Constant formulas that leave the domain: compiling succeeds, every call of
+# the function raises the message, and the compiled function is the tree walk.
 _CONSTANT_DOMAIN_CASES = [
     ("1/0", "division by zero"),
     ("ln(0)", "ln of a non-positive value"),

@@ -169,7 +169,9 @@ class TestErrorLocation:
         with pytest.raises(AssemblyError) as info:
             structured_solve(system)
         assert info.value.row == row
-        assert str(info.value) == f"kernel failed at row {row}, t={self.grid().nodes[row]:.6g}: non-finite value nan"
+        tau = self.grid().nodes
+        at = f"t={tau[row]:.6g}, s={0.5 * (tau[0] + tau[1]):.6g}"  # the row's first pair: column 0
+        assert str(info.value) == f"kernel failed at row {row}, t={tau[row]:.6g}: non-finite value nan at {at}"
 
     @pytest.mark.parametrize("offset", [70, 5], ids=["earlier-block", "same-block"])
     def test_earlier_zero_pivot_wins(self, offset):

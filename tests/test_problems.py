@@ -1,7 +1,13 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lvie.assembly import assemble
+from lvie.expressions import evaluate, parse
+from lvie.grid import build_grid
 from lvie.problems import (
     LoadTerm,
     Problem,
@@ -10,6 +16,8 @@ from lvie.problems import (
     builtin_problem,
     validate_problem,
 )
+from lvie.resolvent import classify, iterated_kernel
+from lvie.solvers import structured_solve
 
 # Closed forms of the model right-hand sides at the interval endpoints:
 # f1(0) = 1 + cos(3/10) - 2*cos(1/2),  f1(1) = 3*cos(1) - cos(1/2) - 0.75*sin(1).
@@ -164,7 +172,7 @@ class TestValidation:
     def test_non_finite_a0_names_its_first_sample(self):
         p = make_problem(a0=ScalarFunction(lambda t: np.where(t < 0.75, 1.0, np.nan), 1))
         report = validate_problem(p, samples=1000)
-        assert report.violation == f"a0 non-finite at t={750 / 999:.6g}"
+        assert report.violation == f"a0 not evaluable: non-finite value nan at t={750 / 999:.6g}"
 
     def test_load_point_outside(self):
         p = make_problem(loads=[LoadTerm(1.5, ScalarFunction.constant(1.0))])
@@ -210,19 +218,26 @@ class TestValidation:
         # Reference: one kernel call on the whole triangle.
         rows, cols = np.tril_indices(1000)
         first = np.flatnonzero(~np.isfinite(kernel(ts[rows], ts[cols])))[0]
-        expected = f"kernel non-finite at t={ts[rows[first]]:.6g}, s={ts[cols[first]]:.6g}"
+        at = f"t={ts[rows[first]]:.6g}, s={ts[cols[first]]:.6g}"
+        expected = f"kernel not evaluable: non-finite value inf at {at}"
         assert (report.passed, report.violation) == (False, expected)
-        assert expected == "kernel non-finite at t=0.998999, s=0.517518"
+        assert at == "t=0.998999, s=0.517518"
 
-    def test_kernel_error_outranks_an_earlier_non_finite_point(self):
-        # On the whole triangle the raise came first; it still does.
-        def kernel(t, s):
-            if np.any(t == 1.0):
-                raise ValueError("boom")
-            return np.where(t == s, np.nan, 1.0)
+    def test_earliest_failing_block_wins(self):
+        # A NaN on the diagonal fails the first block of rows and a raise at
+        # t = 1 the last one; whichever comes first in row order is reported.
+        def kernel(raise_at, nan_from):
+            def fn(t, s):
+                if np.any(t == raise_at):
+                    raise ValueError("boom")
+                return np.where((t == s) & (t >= nan_from), np.nan, 1.0)
 
-        report = validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)), samples=1000)
-        assert report.violation == "kernel not evaluable: boom"
+            return ScalarFunction(fn, 2)
+
+        nan_first = validate_problem(make_problem(kernel=kernel(1.0, 0.0)), samples=1000)
+        assert nan_first.violation == "kernel not evaluable: non-finite value nan at t=0, s=0"
+        raise_first = validate_problem(make_problem(kernel=kernel(0.0, 0.5)), samples=1000)
+        assert raise_first.violation == "kernel not evaluable: boom"
 
     def test_samples_precondition(self):
         with pytest.raises(ValueError):
@@ -235,6 +250,66 @@ class TestValidation:
         p = make_problem(rhs=ScalarFunction(explode, 1))
         report = validate_problem(p)
         assert not report.passed
+
+
+def _quiet(fn):
+    """``fn`` run as a compiled formula runs: IEEE values, no numpy warnings."""
+
+    def call(*args):
+        with np.errstate(all="ignore"):
+            return fn(*args)
+
+    return call
+
+
+# field of model1: (formula, arity, its plain-callable twin), each non-finite somewhere
+_NON_FINITE_TWINS = {
+    "rhs": ("exp(1000*t)", 1, lambda t: np.exp(1000 * t)),
+    "kernel": ("exp(1000*t*s)", 2, lambda t, s: np.exp(1000 * t * s)),
+    "a0": ("(1+t)*(exp(1000)-exp(1000))", 1, lambda t: (1 + t) * np.nan),
+}
+
+
+def _outcome(call):
+    """What ``call()`` gives: the exception's type and message, or its value (an array's bytes)."""
+    try:
+        value = call()
+    except Exception as err:  # noqa: BLE001 -- the type is what is compared
+        return type(err).__name__, str(err)
+    return "value", value if isinstance(value, str) else np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_TWINS))
+def test_formula_and_callable_twins_are_refused_alike(field):
+    # One rule refuses a non-finite value, in ScalarFunction: a formula and
+    # a plain callable with the same values fail alike everywhere they are read.
+    text, arity, fn = _NON_FINITE_TWINS[field]
+    base = builtin_problem("model1")
+    twins = [
+        ScalarFunction.from_expression(text, arity),
+        ScalarFunction(_quiet(fn), arity),
+    ]
+    t, s = np.linspace(0.0, 1.0, 33)[:, None], np.linspace(0.0, 1.0, 33)[None, :]
+    args = (t, s) if arity == 2 else (t[:, 0],)
+    outcomes = []
+    for twin in twins:
+        p = dataclasses.replace(base, **{field: twin})
+        g = build_grid(p, Fraction(1, 16))
+        calls = {
+            "validate_problem": lambda: validate_problem(p).violation,
+            "dense": lambda: structured_solve(assemble(p, g, "dense")),
+            "streaming": lambda: structured_solve(assemble(p, g)),
+            "classify": lambda: classify(p).load_values,
+            "iterated_kernel": lambda: iterated_kernel(p, 1, 0.95, 0.9),
+            "call": lambda: twin(*args),
+        }
+        outcomes.append({name: _outcome(call) for name, call in calls.items()})
+    formula, callable_ = outcomes
+    assert formula == callable_
+    assert _outcome(lambda: evaluate(parse(text), *args)) == formula["call"]
+    assert formula["call"][0] == "EvalError"
+    assert "not evaluable: non-finite value" in formula["validate_problem"][1]
+    assert formula["dense"][0] == "AssemblyError"
 
 
 class TestBuiltins:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -237,6 +238,18 @@ class TestRunStudy:
                     rhs=ONE, exact=ONE)
         with pytest.raises(StudyError, match=r"level 1 \(h=1/5\)"):
             run_study(p, Fraction(2, 5), 2, solver="structured")
+
+    def test_non_finite_exact_names_level_and_point(self):
+        # A callable exact solution that is NaN past 0.5 is refused at its
+        # first node past 0.5 (h = 1/8 meets the loads on nodes k/10), not
+        # tabulated as an eps of nan.
+        base = builtin_problem("model1")
+        exact = ScalarFunction(lambda t: np.where(t > 0.5, np.nan, np.cos(t)), 1)
+        p = dataclasses.replace(base, exact=exact)
+        message = r"^study level 0 \(h=1/8\) failed: non-finite value nan at t=0\.6$"
+        for solver in ("structured", "dense"):
+            with pytest.raises(StudyError, match=message):
+                run_study(p, Fraction(1, 8), 3, solver=solver)
 
     def test_dense_level_over_node_limit_fails(self):
         with pytest.raises(StudyError, match=r"level 0 \(h=1/4096\) failed: dense assembly at N=4098"):
