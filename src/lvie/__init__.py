@@ -19,7 +19,7 @@ The package provides:
   CLI (``lvie``) binding it all together.
 """
 
-from .assembly import AssemblyError, CollocationSystem, assemble, quad_weight
+from .assembly import AssemblyError, CollocationSystem, assemble
 from .config import ConfigError, load_problem_config, parse_problem_config
 from .expressions import EvalError, ParseError, evaluate, parse
 from .grid import Grid, build_grid
@@ -100,7 +100,6 @@ __all__ = [
     "load_problem_config",
     "parse",
     "parse_problem_config",
-    "quad_weight",
     "rank_and_det",
     "reduced_coeffs",
     "resolvent",

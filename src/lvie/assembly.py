@@ -17,7 +17,8 @@ nodes before it evaluates anything; then a0, f and every a_j are
 evaluated at the nodes.  A coefficient or kernel evaluation that raises
 :class:`EvalError`, a non-finite value included (``ScalarFunction``
 refuses those, formula or plain callable), is the :class:`AssemblyError`
-of its earliest row (``AssemblyError.row``), in both modes.  By default
+of its earliest row (``AssemblyError.row``), in both modes: one loop,
+``_by_row``, re-evaluates a failed batch row by row to find it.  By default
 the matrix stays implicit: ``CollocationSystem.weights`` recomputes the
 weights of any rows and columns on demand (O(N) memory).  The structured
 solver reads each block's near triangle from ``near`` and has
@@ -35,8 +36,7 @@ out of that table and builds one near triangle for every block; ``integral``
 applies a rectangle with both sides past ``PANEL_MAX_SIDE`` as a Toeplitz
 matrix, by one FFT convolution, so ``residual`` costs O(N log N).  A
 kernel failure in that one call leaves the system on the direct path,
-which names the row; dense assembly and ``quad_weight`` evaluate every
-pair.
+which names the row; dense assembly evaluates every pair.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .expressions import EvalError
 from .grid import Grid
 from .problems import Problem, ScalarFunction
 
-__all__ = ["CollocationSystem", "AssemblyError", "quad_weight", "assemble"]
+__all__ = ["CollocationSystem", "AssemblyError", "assemble"]
 
 # Largest grid the dense path materializes: 2053 nodes (h = 1/2048 on the
 # built-in problems) make a 34 MB matrix, built in row panels, and a dense
@@ -83,22 +83,6 @@ def check_dense_size(n: int) -> None:
             f"{8 * n * n / 1e6:.0f} MB; the limit is {DENSE_MAX_NODES} nodes "
             "(use the structured solver)"
         )
-
-
-def quad_weight(p_idx: int, i: int, g: Grid, kernel: ScalarFunction, lam: float) -> float:
-    """Midpoint product-quadrature weight J_p^i for row i, subinterval p.
-
-    The weight multiplies both nodal values x_{p-1} and x_p.  It is the
-    per-pair reference, straight from the definition, that
-    ``test_rows_match_quad_weight`` checks ``CollocationSystem.weights`` against.
-    """
-    n_max = g.last_index
-    if not 1 <= p_idx <= i <= n_max:
-        raise IndexError(f"need 1 <= p ({p_idx}) <= i ({i}) <= N ({n_max})")
-    tau = g.nodes
-    dt = tau[p_idx] - tau[p_idx - 1]
-    mid = 0.5 * (tau[p_idx - 1] + tau[p_idx])
-    return 0.5 * lam * dt * float(kernel(tau[i], mid))
 
 
 @dataclass
@@ -174,29 +158,30 @@ class CollocationSystem:
         """
         if self._lags is not None:
             return self._lags[i0:i1, k0:k1].copy()
-        tau = self.grid.nodes
-        below = k1 <= i0  # every pair lies below the diagonal
-        if below:
-            rows = cols = slice(None)
-            t, s = tau[i0:i1, None], self._mids[None, k0:k1]
-        else:
-            rows, cols = np.tril_indices(i1 - i0, i0 - k0 - 1, k1 - k0)
-            t, s = tau[i0 + rows], self._mids[k0 + cols]
-        try:
-            kvals = self.problem.kernel(t, s)
-        except EvalError as err:
-            if i1 - i0 == 1:
-                msg = f"kernel failed at row {i0}, t={tau[i0]:.6g}: {err}"
-                raise AssemblyError(msg, i0) from err
-            for i in range(i0, i1):  # locate the failing row
-                self.weights(i, i + 1, k0, k1)
-            raise
+        rows, cols, kvals = _by_row(
+            lambda: self._kernel(i0, i1, k0, k1),
+            lambda i: self._kernel(i, i + 1, k0, k1),
+            range(i0, i1), self.grid.nodes, "kernel",
+        )
         w = 0.5 * self.problem.lam * self._dtau[k0:k1][cols] * kvals
-        if below:
+        if rows is None:
             return w
         out = np.zeros((i1 - i0, k1 - k0))
         out[rows, cols] = w
         return out
+
+    def _kernel(self, i0: int, i1: int, k0: int, k1: int) -> tuple:
+        """``(rows, cols, K)``: the kernel at the pairs k < i of rows i0..i1-1, columns k0..k1-1.
+
+        ``rows`` is None, ``cols`` every column and ``K`` a full block when
+        every pair lies below the diagonal (k1 <= i0); else they index the
+        triangle's pairs within the block.
+        """
+        tau = self.grid.nodes
+        if k1 <= i0:
+            return None, slice(None), self.problem.kernel(tau[i0:i1, None], self._mids[None, k0:k1])
+        rows, cols = np.tril_indices(i1 - i0, i0 - k0 - 1, k1 - k0)
+        return rows, cols, self.problem.kernel(tau[i0 + rows], self._mids[k0 + cols])
 
     def lag_weights(self) -> Optional[np.ndarray]:
         """Weights by lag, w[d] = J_p^{p+d} for d = 0..N-1, or None (direct path)."""
@@ -299,18 +284,26 @@ class CollocationSystem:
         return float(np.abs(self.a0_values * x + load_part - acc[:, 0] - self.rhs).max())
 
 
+def _by_row(batch, row, rows: range, tau: np.ndarray, label: str):
+    """``batch()``, or, when it raises :class:`EvalError`, the AssemblyError of the first failing ``row(i)``.
+
+    ``batch`` evaluates ``label`` on every row in ``rows`` at once and
+    ``row(i)`` on row i alone; the report names the row and its node tau_i.
+    """
+    try:
+        return batch()
+    except EvalError:
+        for i in rows:
+            try:
+                row(i)
+            except EvalError as err:
+                raise AssemblyError(f"{label} failed at row {i}, t={tau[i]:.6g}: {err}", i) from err
+        raise
+
+
 def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
     """``fn`` at the nodes; a failure raises the AssemblyError of its row."""
-    try:
-        return fn(tau)
-    except EvalError:
-        # Locate the first failing node for the error report.
-        for i, t in enumerate(tau):
-            try:
-                fn(float(t))
-            except EvalError as err:
-                raise AssemblyError(f"{label} failed at row {i}, t={t:.6g}: {err}", i) from err
-        raise
+    return _by_row(lambda: fn(tau), lambda i: fn(float(tau[i])), range(tau.size), tau, label)
 
 
 def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:

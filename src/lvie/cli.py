@@ -111,12 +111,16 @@ def _cmd_study(ns) -> int:
 
 
 def _cmd_analyze(ns) -> int:
+    sweep = (ns.lambda_from, ns.lambda_to, ns.steps)
+    if sweep != (None, None, None):  # a sweep option given: all three, and no --lambda
+        if ns.lam is not None:
+            raise CliError("--lambda cannot be combined with --lambda-from, --lambda-to or --steps")
+        if None in sweep:
+            raise CliError("sweep needs --lambda-from, --lambda-to, and --steps")
     problem = _load_problem(ns)  # refuses a non-finite problem lambda
     if ns.lam is not None:
         ends = [ns.lam]
-    elif ns.lambda_from is not None or ns.lambda_to is not None:
-        if ns.lambda_from is None or ns.lambda_to is None or ns.steps is None:
-            raise CliError("sweep needs --lambda-from, --lambda-to, and --steps")
+    elif ns.steps is not None:
         if ns.steps < 1:
             raise CliError("steps must be at least 1")
         ends = [ns.lambda_from, ns.lambda_to]

@@ -20,7 +20,9 @@ domain (division by zero, ``ln`` of a non-positive value, a fractional
 power of a non-positive base) raises :class:`EvalError` when the function
 is called, never when it is compiled; inf and nan are values.
 :func:`finite`, the one rule that refuses them, naming the point, is
-applied by :func:`evaluate` and by every ``ScalarFunction`` call.
+applied by :func:`evaluate`, by every ``ScalarFunction`` call, and by the
+resolvent layer to every quotient by a0, which it names ("non-finite f/a0
+inf at t=0").
 A formula whose tree is deeper than ``MAX_DEPTH`` nodes does not parse.
 """
 
@@ -54,14 +56,14 @@ class EvalError(ArithmeticError):
     """Evaluation left the real domain, gave a non-finite value, or a referenced variable is missing."""
 
 
-def finite(values, t, s=None):
-    """``values``, or :class:`EvalError` naming the first non-finite entry (row-major) at ``t``, ``s``."""
+def finite(values, t, s=None, label="value"):
+    """``values``, or :class:`EvalError` naming ``label`` and the first non-finite entry (row-major) at ``t``, ``s``."""
     if np.isfinite(values).all():
         return values
     arrays = np.broadcast_arrays(values, t) if s is None else np.broadcast_arrays(values, t, s)
     i = np.argmax(~np.isfinite(arrays[0]))
     at = ", ".join(f"{name}={p.flat[i]:.6g}" for name, p in zip("ts", arrays[1:]))
-    raise EvalError(f"non-finite value {arrays[0].flat[i]} at {at}")
+    raise EvalError(f"non-finite {label} {arrays[0].flat[i]} at {at}")
 
 
 class Expr:

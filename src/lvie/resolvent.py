@@ -25,8 +25,9 @@ The theory takes the coefficient of x(t) to be identically one, so all
 inputs are normalized internally: K, a_j and f are divided by a0(t)
 (tilde quantities above).  For problems with a0 == 1 the formulas act
 on the raw data.  ``ScalarFunction`` refuses a non-finite a0, f, a_j or
-K; an a0 of 0 or a non-finite K/a0 is refused with a ``ValueError``
-naming its first point.
+K, and every division by a0 goes through ``_over_a0``, which refuses a
+non-finite quotient (a zero a0 among them) with the ``EvalError`` of
+``expressions.finite``, naming the quotient and its first point.
 
 Numerics: every integral is the composite trapezoid rule on a uniform
 tensor grid.  Every function takes ``lam`` (default ``problem.lam``) and
@@ -66,6 +67,7 @@ from typing import Optional
 
 import numpy as np
 
+from .expressions import finite
 from .problems import Problem
 # gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
 from .solvers import RANK_TOL, SolvabilityError, gauss_jordan, nullspace, rank_and_det  # noqa: F401
@@ -114,14 +116,14 @@ def _compose(first: np.ndarray, prev: np.ndarray, dz: float) -> np.ndarray:
 
 
 def _first_table(problem: Problem, z: np.ndarray, density: int, a0: np.ndarray) -> np.ndarray:
-    """Normalized kernel K(t,s)/a0(t) tabulated on the lower triangle; ``a0`` is a0 on ``z``, checked.
+    """Normalized kernel K(t,s)/a0(t) tabulated on the lower triangle; ``a0`` is a0 on ``z``.
 
     A grid of more than ``TABLE_MAX_NODES`` nodes (``density`` per unit
     length) is refused before anything is allocated.  The kernel is
     evaluated in row panels of ``COMPOSE_PANEL_ROWS``, so the build holds
     the table and one panel; a kernel that fails in several places raises
     the failure of the first failing panel, and a non-finite K/a0 the
-    ``ValueError`` of its first point.
+    ``EvalError`` of its first point.
     """
     npts = z.shape[0]
     if npts > TABLE_MAX_NODES:
@@ -133,9 +135,8 @@ def _first_table(problem: Problem, z: np.ndarray, density: int, a0: np.ndarray) 
     for r0 in range(0, npts, COMPOSE_PANEL_ROWS):
         rows, cols = np.tril_indices(min(COMPOSE_PANEL_ROWS, npts - r0), r0, npts)
         rows += r0
-        values = problem.kernel(z[rows], z[cols]) / a0[rows]
-        _refuse("K/a0", values, ~np.isfinite(values), t=z[rows], s=z[cols])
-        table[rows, cols] = values
+        t, s = z[rows], z[cols]
+        table[rows, cols] = _over_a0(problem.kernel(t, s), a0[rows], "K/a0", t, s)
     return table
 
 
@@ -156,8 +157,8 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray, a0: np.ndar
 
     Returns ``((U, V), diag, col0)``: the rows u_r/a0 and v_r on the grid,
     and the callable's K/a0 on the diagonal and on column 0.  None keeps
-    the table: no split (``ScalarFunction.separable``), a raising factor
-    or callable (the table reports it), values off the callable's by more
+    the table: no split (``ScalarFunction.separable``), a raising factor,
+    callable or quotient (the table reports it), values off the callable's by more
     than ``SPLIT_TOL`` max|K| on the diagonal, column 0 or last row, or
     running sums of ``data`` off the direct sums on the last row by more
     than ``SPLIT_TOL`` times the sums of magnitudes.
@@ -166,24 +167,24 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray, a0: np.ndar
     if pairs is None:
         return None
     try:
-        factors = (np.array([u(z) for u, _ in pairs]) / a0, np.array([v(z) for _, v in pairs]))
-        diag = problem.kernel(z, z) / a0
-        col0 = problem.kernel(z, z[0]) / a0
-        last = problem.kernel(z[-1], z) / a0[-1]
+        U = np.array([_over_a0(u(z), a0, f"u{r}/a0", z) for r, (u, _) in enumerate(pairs, 1)])
+        V = np.array([v(z) for _, v in pairs])
+        diag = _over_a0(problem.kernel(z, z), a0, "K/a0", z, z)
+        col0 = _over_a0(problem.kernel(z, z[0]), a0, "K/a0", z, z[0])
+        last = _over_a0(problem.kernel(z[-1], z), a0[-1], "K/a0", z[-1], z)
     except (ArithmeticError, ValueError, TypeError):
         return None
-    U, V = factors
     scale = SPLIT_TOL * max(np.abs(diag).max(), np.abs(col0).max(), np.abs(last).max())
     sums_tol = SPLIT_TOL * (np.abs(data) @ np.abs(last))
     checks = [
         (np.sum(U * V, axis=0), diag, scale),
         (U.T @ V[:, 0], col0, scale),
         (U[:, -1] @ V, last, scale),
-        (_running_sums(factors, data)[:, -1], data @ last, sums_tol),
+        (_running_sums((U, V), data)[:, -1], data @ last, sums_tol),
     ]
     if not all(np.all(np.abs(split - exact) <= tol) for split, exact, tol in checks):
         return None
-    return factors, diag, col0
+    return (U, V), diag, col0
 
 
 def _bracket(z: np.ndarray, ts) -> tuple:
@@ -220,28 +221,23 @@ def _lam(problem: Problem, lam: Optional[float]) -> float:
     return lam
 
 
-def _refuse(label: str, values, bad, **points) -> None:
-    """Raise ``ValueError`` naming ``label``, its value and ``points`` where ``bad`` first holds."""
-    if np.any(bad):
-        i = np.argmax(np.ravel(bad))
-        at = ", ".join(f"{name}={np.ravel(p)[i]:.6g}" for name, p in points.items())
-        raise ValueError(f"{label} is {np.ravel(values)[i]:g} at {at}")
+def _over_a0(values, a0, label: str, t, s=None) -> np.ndarray:
+    """``values / a0``, refused by ``expressions.finite`` as ``label`` at its first non-finite entry.
 
-
-def _checked_a0(problem: Problem, ts) -> np.ndarray:
-    """a0 at ``ts``, refused where it is 0: every normalization divides by it."""
-    a0 = problem.a0(ts)
-    _refuse("a0", a0, a0 == 0, t=ts)
-    return a0
+    Every normalization divides through here.  x/0 is never finite, so
+    this also refuses a zero a0; ``np.divide`` keeps Python floats from
+    raising ``ZeroDivisionError``, and no warning escapes.
+    """
+    with np.errstate(all="ignore"):
+        quotient = np.divide(values, a0)
+    return finite(quotient, t, s, label)
 
 
 def _tilde(problem: Problem, ts, a0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows f~, a~_1, ..., a~_m at ``ts``.
-
-    ``a0`` is a0 at ``ts``, already checked; by default ``_checked_a0`` evaluates it.
-    """
-    a0 = _checked_a0(problem, ts) if a0 is None else a0
-    return np.array([problem.rhs(ts)] + [term.coeff(ts) for term in problem.loads]) / a0
+    """Rows f~, a~_1, ..., a~_m at ``ts``; ``a0`` is a0 at ``ts`` (by default evaluated here)."""
+    a0 = problem.a0(ts) if a0 is None else a0
+    rows = [("f", problem.rhs)] + [(f"a{j}", term.coeff) for j, term in enumerate(problem.loads, 1)]
+    return np.array([_over_a0(fn(ts), a0, f"{name}/a0", ts) for name, fn in rows])
 
 
 def _series(powers: np.ndarray, terms) -> np.ndarray:
@@ -293,7 +289,7 @@ class ResolventApprox:
         self.z = np.linspace(problem.t0, problem.T, intervals + 1)
         self.dz = span / intervals
         self.quad_density = quad_density
-        self._a0 = _checked_a0(problem, self.z)  # the grid's a0 that every normalization reads
+        self._a0 = problem.a0(self.z)  # the grid's a0 that every normalization reads
         self._data = _tilde(problem, self.z, self._a0)
         self._load_data = _tilde(problem, problem.load_points)
         self._load_cols, *self._load_bracket = _bracket(self.z, problem.load_points)
@@ -441,7 +437,7 @@ def _check_order(problem: Problem, t: float, s: float) -> None:
 
 
 def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
-    """n-th iterated kernel of K/a0 at (t, s); a zero a0 or a non-finite K/a0 is refused.
+    """n-th iterated kernel of K/a0 at (t, s); a non-finite K/a0 (a zero a0 among them) is refused.
 
     For n >= 2 the compositions use the composite trapezoid rule on the
     q + 1 = ceil(DEFAULT_QUAD_DENSITY * (t - s)) + 1 nodes z_i spanning
@@ -451,14 +447,12 @@ def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
         raise ValueError("iterated-kernel order must be at least 1")
     _check_order(problem, t, s)
     if n == 1:
-        value = problem.kernel(t, s) / _checked_a0(problem, t)
-        _refuse("K/a0", value, ~np.isfinite(value), t=t, s=s)
-        return float(value)
+        return float(_over_a0(problem.kernel(t, s), problem.a0(t), "K/a0", t, s))
     if t == s:
         return 0.0
     q = max(1, math.ceil(DEFAULT_QUAD_DENSITY * (t - s)))
     z = np.linspace(s, t, q + 1)
-    first = _first_table(problem, z, DEFAULT_QUAD_DENSITY, _checked_a0(problem, z))
+    first = _first_table(problem, z, DEFAULT_QUAD_DENSITY, problem.a0(z))
     diag, column = np.diagonal(first), first[:, 0]
     for _ in range(n - 1):
         column = (first @ column - 0.5 * (first[:, 0] * column[0] + diag * column)) * ((t - s) / q)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvie.assembly import DENSE_MAX_NODES, AssemblyError, assemble, quad_weight
+from lvie.assembly import DENSE_MAX_NODES, AssemblyError, assemble
 from lvie.config import load_problem_config
 from lvie.expressions import EvalError
 from lvie.grid import build_grid
@@ -18,11 +18,29 @@ ONE = ScalarFunction.constant(1.0)
 ONE2 = ScalarFunction.constant(1.0, arity=2)
 
 
+def quad_weight(p_idx, i, g, kernel, lam):
+    """Midpoint product-quadrature weight J_p^i for row i, subinterval p, straight from the definition.
+
+    The per-pair reference that ``test_rows_match_quad_weight`` checks
+    ``CollocationSystem.weights`` against; the weight multiplies both
+    nodal values x_{p-1} and x_p.
+    """
+    n_max = g.last_index
+    if not 1 <= p_idx <= i <= n_max:
+        raise IndexError(f"need 1 <= p ({p_idx}) <= i ({i}) <= N ({n_max})")
+    tau = g.nodes
+    dt = tau[p_idx] - tau[p_idx - 1]
+    mid = 0.5 * (tau[p_idx - 1] + tau[p_idx])
+    return 0.5 * lam * dt * float(kernel(tau[i], mid))
+
+
 def make_problem(lam=0.0, loads=(), a0=ONE, kernel=ONE2, rhs=ONE, t0=0.0, T=1.0, exact=None):
     return Problem(t0=t0, T=T, lam=lam, loads=tuple(loads), a0=a0, kernel=kernel, rhs=rhs, exact=exact)
 
 
 class TestQuadWeight:
+    """The reference weight itself, on hand values."""
+
     def test_zero_lambda_kills_weight(self):
         g = build_grid(make_problem(), 0.25)
         assert quad_weight(1, 3, g, ONE2, 0.0) == 0.0

@@ -303,6 +303,26 @@ def test_analyze_incomplete_sweep(capsys):
     assert "sweep needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--steps", "5"], "sweep needs --lambda-from, --lambda-to, and --steps"),
+        (["--lambda-to", "1", "--steps", "5"], "sweep needs --lambda-from, --lambda-to, and --steps"),
+        (
+            ["--lambda", "0.5", "--lambda-from", "0", "--lambda-to", "1", "--steps", "5"],
+            "--lambda cannot be combined with --lambda-from, --lambda-to or --steps",
+        ),
+        (["--lambda", "0.5", "--steps", "5"], "--lambda cannot be combined with --lambda-from, --lambda-to or --steps"),
+    ],
+    ids=["steps-alone", "no-lambda-from", "lambda-and-sweep", "lambda-and-steps"],
+)
+def test_analyze_refuses_options_it_would_ignore(capsys, options, message):
+    assert main(["analyze", "--builtin", "model1", "--density", "16", *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_analyze_has_no_tol_flag(capsys):
     code = main(["analyze", "--builtin", "model1", "--tol", "1e-8"])
     assert code == 1

@@ -769,30 +769,55 @@ def _model1_with(**fields):
 
 
 _F1 = builtin_problem("model1").rhs
-# A non-finite value is refused by ScalarFunction where it is read; a zero
-# a0 by the normalization, which divides by it.
+# A non-finite value is refused by ScalarFunction where it is read; a
+# non-finite quotient by a0 (a zero a0 among them) by the normalization.
 UNUSABLE_DATA = {
     "f_nan": (
         _model1_with(rhs=ScalarFunction(lambda t: np.where(t > 0.7, np.nan, _F1(t)), 1)),
         EvalError,
         r"^non-finite value nan at t=0\.701172$",
     ),
-    "a0_zero": (_model1_with(a0=ScalarFunction.from_expression("t-0.5", 1)), ValueError, r"^a0 is 0 at t=0\.5$"),
+    "a0_zero": (
+        _model1_with(a0=ScalarFunction.from_expression("t-0.5", 1)),
+        EvalError,
+        r"^non-finite f/a0 inf at t=0\.5$",
+    ),
     "kernel_nan": (
         _model1_with(kernel=ScalarFunction(lambda t, s: np.full(np.shape(t), np.nan), 2)),
         EvalError,
         r"^non-finite value nan at t=0, s=0$",
     ),
+    "a0_tiny_f_large": (
+        _model1_with(a0=ScalarFunction.constant(1e-300), rhs=ScalarFunction.constant(1e10)),
+        EvalError,
+        r"^non-finite f/a0 inf at t=0$",
+    ),
+    "a0_subnormal": (_model1_with(a0=ScalarFunction.constant(1e-310)), EvalError, r"^non-finite f/a0 inf at t=0$"),
+    # u_1/a0 = 1e310 fails the kernel split, and the table names the first K/a0.
+    "split_factor_overflows": (
+        _model1_with(
+            a0=ScalarFunction.constant(1e-10),
+            kernel=ScalarFunction.from_expression("1e300*exp(t)*exp(s)", 2),
+        ),
+        EvalError,
+        r"^non-finite K/a0 inf at t=0, s=0$",
+    ),
 }
 
 
 class TestUnusableData:
-    """Data the normalization cannot use is refused before any division, without a warning."""
+    """Data the normalization cannot use is refused at its first point, without a warning."""
 
     @pytest.mark.parametrize("name", sorted(UNUSABLE_DATA))
     def test_refused_with_the_first_point(self, name):
         p, error, message = UNUSABLE_DATA[name]
-        for call in (classify, lambda p: semi_analytic_solve(p, np.linspace(0.0, 1.0, 5))):
+        calls = (
+            ResolventApprox,
+            classify,
+            lambda p: reduced_coeffs(p, 0.3),
+            lambda p: semi_analytic_solve(p, np.linspace(0.0, 1.0, 5)),
+        )
+        for call in calls:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(error, match=message):
@@ -807,9 +832,19 @@ class TestUnusableData:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_iterated_kernel_refuses_a_zero_a0(self, n):
-        p, _, message = UNUSABLE_DATA["a0_zero"]
-        with pytest.raises(ValueError, match=message):
+        p = UNUSABLE_DATA["a0_zero"][0]
+        with pytest.raises(EvalError, match=r"^non-finite K/a0 inf at t=0\.5, s=0\.1$"):
             iterated_kernel(p, n, 0.5, 0.1)
+
+    @pytest.mark.parametrize("name", ["a0_subnormal", "split_factor_overflows"])
+    def test_iterated_kernel_refuses_an_overflowing_quotient(self, name):
+        p = UNUSABLE_DATA[name][0]
+        for n, at in [(1, r"t=0\.5, s=0\.1"), (2, r"t=0\.1, s=0\.1")]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(EvalError, match=rf"^non-finite K/a0 inf at {at}$"):
+                    iterated_kernel(p, n, 0.5, 0.1)
+            assert caught == []
 
 
 class TestOverflowingLambda:
