@@ -114,7 +114,7 @@ def _expression(entry: tuple[str, int], arity: int, key: str) -> ScalarFunction:
 
 
 def parse_problem_config(text: str, name: str = "config") -> Problem:
-    """Parse problem-file text into a :class:`Problem`."""
+    """Parse problem-file text into a :class:`Problem`; every error is a :class:`ConfigError`."""
     values: dict = {}  # key -> (value, line)
     loads: list[dict] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -134,10 +134,7 @@ def parse_problem_config(text: str, name: str = "config") -> Problem:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    return Problem(
-        t0=values["t0"][0],
-        T=values["T"][0],
-        lam=values["lambda"][0],
+    fields = dict(
         loads=tuple(LoadTerm(ld["point"][0], _expression(ld["coeff"], 1, "load coeff")) for ld in loads),
         a0=_expression(values["a0"], 1, "a0"),
         kernel=_expression(values["kernel"], 2, "kernel"),
@@ -145,6 +142,10 @@ def parse_problem_config(text: str, name: str = "config") -> Problem:
         exact=_expression(values["exact"], 1, "exact") if "exact" in values else None,
         name=values.get("name", (name,))[0],
     )
+    try:
+        return Problem(t0=values["t0"][0], T=values["T"][0], lam=values["lambda"][0], **fields)
+    except ValueError as err:  # the interval, lambda or load points
+        raise ConfigError(str(err)) from None
 
 
 def load_problem_config(path: os.PathLike | str) -> Problem:

@@ -202,7 +202,7 @@ def compiled(expr: Expr):
     """
     values: list = [None, None]  # t, s, then every constant and step (None until called)
     steps: list = []  # (slot, fn, operand slot, second operand slot or None)
-    slots: dict = {}  # a constant's (type, repr), or a step's (fn, i, j) -> its slot
+    slots: dict = {}  # a constant's (type, bytes), or a step's (fn, i, j) -> its slot
 
     def slot(node: Expr, done: list) -> int:
         """The slot of ``node``, whose operands' slots end ``done`` (taken off it)."""
@@ -218,7 +218,7 @@ def compiled(expr: Expr):
         return operation(_binary(node.op, values[right]), left, right)
 
     def constant(value) -> int:
-        key = (type(value), repr(value))
+        key = (type(value), np.asarray(value).tobytes())  # every NaN's repr is 'nan'
         if key not in slots:
             slots[key] = len(values)
             values.append(value)

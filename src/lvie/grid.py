@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .problems import Problem, load_point_violation
+from .problems import Problem
 
 __all__ = ["Grid", "build_grid"]
 
@@ -80,18 +80,13 @@ def build_grid(p: Problem, h: float | Fraction) -> Grid:
 
     ``h`` may be a float or an exact :class:`~fractions.Fraction`
     (preferred inside step-halving ladders, where drift in the floored
-    ratio would otherwise change node counts).  Load points must increase
-    strictly and lie inside (t0, T); any other layout raises ``ValueError``
-    naming the points.
+    ratio would otherwise change node counts).  Every load point is a node.
     """
     hf = float(h)
     if not hf > 0:
         raise ValueError("h must be positive")
     if hf >= p.T - p.t0:
         raise ValueError("h must be smaller than the interval length")
-    violation = load_point_violation(p)
-    if violation:
-        raise ValueError(f"cannot place load points {p.load_points.tolist()}: {violation}")
 
     breakpoints = [p.t0, *(term.point for term in p.loads), p.T]
     counts = []

@@ -6,11 +6,13 @@ A problem describes
 
 on an interval [t0, T].  The fixed abscissae t_j (strictly inside the
 interval) are the load points; the values x(t_j) entering the equation
-are the loads.  Coefficient functions are :class:`ScalarFunction`
-values, built either from a parsed expression or from any Python
-callable; one call path evaluates functions of ``t`` and of ``(t, s)``
-on scalars and numpy arrays alike, and refuses a non-finite value, formula
-or callable, with an :class:`~lvie.expressions.EvalError` naming its point.
+are the loads.  A :class:`Problem` is well-formed once built, and
+:meth:`Problem.check_inside` is the one test of points against [t0, T].
+Coefficient functions are :class:`ScalarFunction` values, built either
+from a parsed expression or from any Python callable; one call path
+evaluates functions of ``t`` and of ``(t, s)`` on scalars and numpy
+arrays alike, and refuses a non-finite value, formula or callable, with
+an :class:`~lvie.expressions.EvalError` naming its point.
 
 Problems are immutable after construction and safe to share between
 concurrent solves.
@@ -18,6 +20,7 @@ concurrent solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -32,7 +35,6 @@ __all__ = [
     "Problem",
     "ValidationReport",
     "validate_problem",
-    "load_point_violation",
     "builtin_problem",
     "builtin_names",
 ]
@@ -139,7 +141,11 @@ class LoadTerm:
 
 @dataclass(frozen=True)
 class Problem:
-    """A loaded Volterra equation instance; see the module docstring."""
+    """A loaded Volterra equation instance; see the module docstring.
+
+    Construction (``dataclasses.replace`` too) raises ``ValueError`` for a non-finite
+    t0, T or lam, t0 >= T, or load points not strictly increasing inside (t0, T).
+    """
 
     t0: float
     T: float
@@ -151,9 +157,31 @@ class Problem:
     exact: Optional[ScalarFunction] = None
     name: str = ""
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.t0, self.T, self.lam))):
+            raise ValueError("interval endpoints and lambda must be finite")
+        if not self.t0 < self.T:
+            raise ValueError("interval start must precede interval end")
+        points = self.load_points.tolist()
+        if any(b <= a for a, b in zip(points, points[1:])):
+            raise ValueError(f"cannot place load points {points}: load points not increasing")
+        outside = [tj for tj in points if not self.t0 < tj < self.T]
+        if outside:
+            raise ValueError(f"cannot place load points {points}: load point {outside[0]:.6g} outside the open interval")
+
     @property
     def load_points(self) -> np.ndarray:
         return np.array([term.point for term in self.loads], dtype=float)
+
+    def check_inside(self, **points) -> None:
+        """``ValueError`` at the first point outside [t0, T], by keyword, then row-major:
+        ``check_inside(sample=[0.5, nan])`` raises "sample=nan outside [0, 1]"."""
+        for name, values in points.items():
+            values = np.asarray(values, dtype=float)
+            outside = ~((values >= self.t0) & (values <= self.T))
+            if outside.any():
+                at = f"{name}={values.flat[outside.argmax()]:.6g}"
+                raise ValueError(f"{at} outside [{self.t0:.6g}, {self.T:.6g}]")
 
 
 @dataclass(frozen=True)
@@ -167,39 +195,14 @@ class ValidationReport:
         return self.passed
 
 
-def load_point_violation(p: Problem) -> Optional[str]:
-    """Why the load points of ``p`` are misplaced, or None when they increase
-    strictly and lie inside the open interval (t0, T)."""
-    points = p.load_points
-    if np.any(points[1:] <= points[:-1]):
-        return "load points not increasing"
-    for tj in points:
-        if not (p.t0 < tj < p.T):
-            return f"load point {tj:.6g} outside the open interval"
-    return None
+def validate_problem(p: Problem) -> ValidationReport:
+    """Check the coefficient functions of ``p`` on 1000 uniform samples of [t0, T].
 
-
-def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
-    """Check problem invariants on a uniform sample of the interval.
-
-    Returns a report (never raises for bad problem data): interval
-    sanity, strictly increasing interior load points, finiteness of all
-    coefficient functions, and a0 nonvanishing on the sample grid.
-    Sign changes of a0 between adjacent samples are treated as zeros.
+    Returns a report (never raises for bad problem data): every function
+    evaluable and finite on the samples (the kernel on their triangle s <= t),
+    and a0 nonvanishing there; a sign change between samples counts as a zero.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-
-    if not (np.isfinite(p.t0) and np.isfinite(p.T) and np.isfinite(p.lam)):
-        return ValidationReport(False, "interval endpoints and lambda must be finite")
-    if not p.t0 < p.T:
-        return ValidationReport(False, "interval start must precede interval end")
-
-    violation = load_point_violation(p)
-    if violation:
-        return ValidationReport(False, violation)
-
-    ts = np.linspace(p.t0, p.T, samples)
+    ts = np.linspace(p.t0, p.T, 1000)
     loads = [(term.coeff, f"a{j}") for j, term in enumerate(p.loads, start=1)]
     sampled = []
     for fn, label in [(p.a0, "a0"), *loads, (p.rhs, "f")]:
@@ -211,8 +214,8 @@ def validate_problem(p: Problem, samples: int = 1000) -> ValidationReport:
     # Kernel is only defined on t0 <= s <= t <= T; sample that triangle in
     # row-major order, a block of rows per call.  The earliest failing
     # block is the violation, as the earliest failing row is in assembly.
-    for r0 in range(0, samples, _KERNEL_BLOCK_ROWS):
-        rows, cols = np.nonzero(np.tri(min(_KERNEL_BLOCK_ROWS, samples - r0), samples, r0, bool))
+    for r0 in range(0, ts.size, _KERNEL_BLOCK_ROWS):
+        rows, cols = np.nonzero(np.tri(min(_KERNEL_BLOCK_ROWS, ts.size - r0), ts.size, r0, bool))
         rows += r0
         try:
             p.kernel(ts[rows], ts[cols])

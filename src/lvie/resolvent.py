@@ -23,11 +23,11 @@ and no solution at all when it is not, each decided at ``RANK_TOL``.
 
 The theory takes the coefficient of x(t) to be identically one, so all
 inputs are normalized internally: K, a_j and f are divided by a0(t)
-(tilde quantities above).  For problems with a0 == 1 the formulas act
-on the raw data.  ``ScalarFunction`` refuses a non-finite a0, f, a_j or
-K, and every division by a0 goes through ``_over_a0``, which refuses a
-non-finite quotient (a zero a0 among them) with the ``EvalError`` of
-``expressions.finite``, naming the quotient and its first point.
+(tilde quantities above).  ``ScalarFunction`` refuses a non-finite a0,
+f, a_j or K, and every division by a0 goes through ``_over_a0``, which
+refuses a non-finite quotient (a zero a0 among them) with the
+``EvalError`` of ``expressions.finite``, naming the quotient and its
+first point, as it does a series term that overflows (``I_n``, K_n).
 
 Numerics: every integral is the composite trapezoid rule on a uniform
 tensor grid.  Every function takes ``lam`` (default ``problem.lam``) and
@@ -41,10 +41,10 @@ against its callable), O(terms * r * n) work and no n x n array; else
 one table of K on at most ``TABLE_MAX_NODES`` nodes, O(terms * n^2).
 A sweep over L lams is one pass: the I_n grow once, to the term count
 of the largest |lam|; every lam's count is read off the stored max|I_n|;
-the L load systems are one stack, the sums of lam^n I_n on the 3m
+the L load systems are one stack, the sums of lam^n I_n on the 2m
 grid columns np.interp reads at the m load points (each bracket's two
-nodes and the node it takes as is), O(L * terms * m^2) work; and one
-``rank_and_det`` call eliminates them all.  ``classify`` and
+nodes), O(L * terms * m^2) work; and one ``rank_and_det`` call
+eliminates them all.  ``classify`` and
 ``load_matrix`` are the sweep of one lam, and nothing per lam is kept.
 At any other points F and the b_j are the rows of ``reduced_tables``,
 the sums on every node, and np.interp.  Only the point evaluator
@@ -161,7 +161,7 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray, a0: np.ndar
     callable or quotient (the table reports it), values off the callable's by more
     than ``SPLIT_TOL`` max|K| on the diagonal, column 0 or last row, or
     running sums of ``data`` off the direct sums on the last row by more
-    than ``SPLIT_TOL`` times the sums of magnitudes.
+    than ``SPLIT_TOL`` times the sums of magnitudes (an overflow fails).
     """
     pairs = problem.kernel.separable
     if pairs is None:
@@ -175,32 +175,29 @@ def _kernel_split(problem: Problem, z: np.ndarray, data: np.ndarray, a0: np.ndar
     except (ArithmeticError, ValueError, TypeError):
         return None
     scale = SPLIT_TOL * max(np.abs(diag).max(), np.abs(col0).max(), np.abs(last).max())
-    sums_tol = SPLIT_TOL * (np.abs(data) @ np.abs(last))
-    checks = [
-        (np.sum(U * V, axis=0), diag, scale),
-        (U.T @ V[:, 0], col0, scale),
-        (U[:, -1] @ V, last, scale),
-        (_running_sums((U, V), data)[:, -1], data @ last, sums_tol),
-    ]
-    if not all(np.all(np.abs(split - exact) <= tol) for split, exact, tol in checks):
-        return None
+    with np.errstate(all="ignore"):  # an overflow fails its check
+        sums_tol = SPLIT_TOL * (np.abs(data) @ np.abs(last))
+        checks = [
+            (np.sum(U * V, axis=0), diag, scale),
+            (U.T @ V[:, 0], col0, scale),
+            (U[:, -1] @ V, last, scale),
+            (_running_sums((U, V), data)[:, -1], data @ last, sums_tol),
+        ]
+        if not all(np.all(np.abs(split - exact) <= tol) for split, exact, tol in checks):
+            return None
     return (U, V), diag, col0
 
 
 def _bracket(z: np.ndarray, ts) -> tuple:
     """The grid columns ``np.interp(ts, z, y)`` reads at the points ``ts``, with ``dt``, ``dz``, ``exact``.
 
-    The columns are, point by point, the bracket's low node, its high node,
-    and the node whose value np.interp takes as is (z_lo for a point on
-    it, else z_hi: the last node); ``dt`` = t - z_lo, ``dz`` = z_hi - z_lo,
-    and ``exact`` marks the points on a node.
+    The points lie in [z_0, z_n), as load points inside (t0, T) do.  The columns
+    are, point by point, the bracket's low node z_lo <= t, then its high node
+    z_hi > t; ``dt`` = t - z_lo, ``dz`` = z_hi - z_lo, ``exact`` marks t == z_lo.
     """
     ts = np.asarray(ts, dtype=float)
-    j = np.searchsorted(z, ts, side="right").clip(1, z.shape[0] - 1)
-    z_lo, z_hi = z[j - 1], z[j]
-    on_lo = ts == z_lo
-    cols = np.concatenate([j - 1, j, np.where(on_lo, j - 1, j)])
-    return cols, ts - z_lo, z_hi - z_lo, on_lo | (ts == z_hi)
+    j = np.searchsorted(z, ts, side="right")
+    return np.concatenate([j - 1, j]), ts - z[j - 1], z[j] - z[j - 1], ts == z[j - 1]
 
 
 def _interp(y: np.ndarray, dt: np.ndarray, dz: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -209,16 +206,15 @@ def _interp(y: np.ndarray, dt: np.ndarray, dz: np.ndarray, exact: np.ndarray) ->
     ``slope*(t - z_lo) + y_lo`` with ``slope = (y_hi - y_lo)/dz``, and the
     node's value as is for a point on a node.
     """
-    y_lo, y_hi, y_on = np.split(y, 3, axis=-1)
-    return np.where(exact, y_on, (y_hi - y_lo) / dz * dt + y_lo)
+    y_lo, y_hi = np.split(y, 2, axis=-1)
+    return np.where(exact, y_lo, (y_hi - y_lo) / dz * dt + y_lo)
 
 
 def _lam(problem: Problem, lam: Optional[float]) -> float:
-    """The lam a call works at: ``lam`` if given, else ``problem.lam``; must be finite."""
-    lam = problem.lam if lam is None else float(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
-    return lam
+    """The lam a call works at: ``lam`` if given (it must be finite), else ``problem.lam``."""
+    if lam is not None and not math.isfinite(float(lam)):
+        raise ValueError(f"lambda must be finite, got {float(lam)}")
+    return problem.lam if lam is None else float(lam)
 
 
 def _over_a0(values, a0, label: str, t, s=None) -> np.ndarray:
@@ -273,19 +269,19 @@ class ResolventApprox:
     keeps f~ and a~_j on the grid and at the load points, K on the
     diagonal and on column 0 (or its split, ``_kernel_split``, or its
     table), and the I_n against f~ and every a~_j, grown lazily by the
-    vector recursion (at most ``MAX_TERMS``), also stacked on the 3m grid
+    vector recursion (at most ``MAX_TERMS``), also stacked on the 2m grid
     columns np.interp reads at the load points (``_bracket``, gathered
-    once per term).  The tables K_n exist
-    only once the point evaluator has asked for them, and per lam nothing
-    is kept but the resolvent table of the last lam it was asked for.
+    once per term).  The tables K_n exist only once the point evaluator
+    has asked for them, and per lam nothing is kept but the resolvent
+    table of the last lam it was asked for.
     """
 
     def __init__(self, problem: Problem, quad_density: int = DEFAULT_QUAD_DENSITY):
-        if quad_density < 1:
-            raise ValueError("quad_density must be at least 1")
+        if not (math.isfinite(quad_density) and quad_density >= 1):
+            raise ValueError(f"quad_density must be at least 1 and finite, got {quad_density}")
         self.problem = problem
         span = problem.T - problem.t0
-        intervals = max(1, math.ceil(quad_density * span))
+        intervals = math.ceil(quad_density * span)  # at least 1: Problem has t0 < T
         self.z = np.linspace(problem.t0, problem.T, intervals + 1)
         self.dz = span / intervals
         self.quad_density = quad_density
@@ -302,10 +298,8 @@ class ResolventApprox:
             first = self.kernel_table(1)
             split = None, np.diagonal(first), first[:, 0]
         self._factors, self._diag, self._col0 = split
-        data = self._data
-        first_ints = self._product(data) - 0.5 * (self._col0 * data[:, :1] + self._diag * data)
         self._ints, self._ints_max = [], []  # I_n and max|I_n|, n = 1, 2, ...
-        self._append(self.dz * first_ints)
+        self._grow_integrals()
 
     def kernel_table(self, n: int) -> np.ndarray:
         """Table of the n-th iterated kernel (1-based) on the tensor grid, built on first use."""
@@ -313,11 +307,15 @@ class ResolventApprox:
             raise ValueError("iterated-kernel order must be at least 1")
         while len(self._tables) < n:
             if self._tables:
-                nxt = _compose(self._tables[0], self._tables[-1], self.dz)
+                with np.errstate(all="ignore"):
+                    nxt = _compose(self._tables[0], self._tables[-1], self.dz)
             else:
                 nxt = _first_table(self.problem, self.z, self.quad_density, self._a0)
+            peak = float(max(nxt.max(), -nxt.min()))  # max|K_n|, no |K_n| copy; NaN if any is
+            if not math.isfinite(peak):
+                finite(nxt, self.z[:, None], self.z, f"K_{len(self._tables) + 1}")
             self._tables.append(nxt)
-            self._tables_max.append(float(max(nxt.max(), -nxt.min())))  # max|K_n|, no |K_n| copy
+            self._tables_max.append(peak)
         return self._tables[n - 1]
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
@@ -327,28 +325,32 @@ class ResolventApprox:
         return _running_sums(self._factors, rows)
 
     def _grow_integrals(self) -> None:
-        """Append I_{n+1}: one trapezoid Volterra step on the rows of I_n.
+        """Append I_{n+1}: one trapezoid Volterra step on the rows of I_n (I_1 on the data).
 
         With w the data at half weight in its first entry, I_n = dz K_n w
         for n >= 2, so I_2 = dz^2 (D K w - K (diag(K) w) / 2) and
-        I_{n+1} = dz D I_n, D = K - diag(K)/2, K acting as ``@ K.T``.
+        I_{n+1} = dz D I_n, D = K - diag(K)/2, K acting as ``@ K.T``.  A term
+        that overflows is refused, read off its max, without a warning.
         """
-        diag = self._diag
-        if len(self._ints) == 1:
-            w = self._data.copy()
-            w[:, 0] *= 0.5
-            kw = self._product(w)
-            nxt = self._product(kw) - 0.5 * diag * kw - 0.5 * self._product(diag * w)
-            nxt *= self.dz**2
-        else:
-            prev = self._ints[-1]
-            nxt = self.dz * (self._product(prev) - 0.5 * diag * prev)
-        self._append(nxt)
-
-    def _append(self, ints: np.ndarray) -> None:
-        self._load_ints[len(self._ints)] = ints[:, self._load_cols]
-        self._ints.append(ints)
-        self._ints_max.append(float(np.abs(ints).max()))
+        diag, data = self._diag, self._data
+        with np.errstate(all="ignore"):
+            if not self._ints:
+                nxt = self.dz * (self._product(data) - 0.5 * (self._col0 * data[:, :1] + diag * data))
+            elif len(self._ints) == 1:
+                w = data.copy()
+                w[:, 0] *= 0.5
+                kw = self._product(w)
+                nxt = self._product(kw) - 0.5 * diag * kw - 0.5 * self._product(diag * w)
+                nxt *= self.dz**2
+            else:
+                prev = self._ints[-1]
+                nxt = self.dz * (self._product(prev) - 0.5 * diag * prev)
+        peak = float(np.abs(nxt).max())  # NaN if any entry is
+        if not math.isfinite(peak):
+            finite(nxt, self.z, label=f"I_{len(self._ints) + 1}")
+        self._load_ints[len(self._ints)] = nxt[:, self._load_cols]
+        self._ints.append(nxt)
+        self._ints_max.append(peak)
 
     def _powers(self, lams: list, maxima: list, grow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero-padded powers ``lam**n``, term counts and convergence of every lam in ``lams``.
@@ -429,11 +431,9 @@ def _approx(problem: Problem, cfg: Optional[ResolventApprox]) -> ResolventApprox
 
 
 def _check_order(problem: Problem, t: float, s: float) -> None:
-    if not (problem.t0 <= s <= t <= problem.T):
-        raise ValueError(
-            f"need t0 <= s <= t <= T, got s={s:.6g}, t={t:.6g} "
-            f"on [{problem.t0:.6g}, {problem.T:.6g}]"
-        )
+    problem.check_inside(t=t, s=s)
+    if not s <= t:
+        raise ValueError(f"need s <= t, got s={s:.6g}, t={t:.6g}")
 
 
 def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
@@ -454,8 +454,10 @@ def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
     z = np.linspace(s, t, q + 1)
     first = _first_table(problem, z, DEFAULT_QUAD_DENSITY, problem.a0(z))
     diag, column = np.diagonal(first), first[:, 0]
-    for _ in range(n - 1):
-        column = (first @ column - 0.5 * (first[:, 0] * column[0] + diag * column)) * ((t - s) / q)
+    for k in range(2, n + 1):
+        with np.errstate(all="ignore"):
+            column = (first @ column - 0.5 * (first[:, 0] * column[0] + diag * column)) * ((t - s) / q)
+        finite(column, z, s, f"K_{k}")
     return float(column[-1])
 
 
@@ -528,8 +530,7 @@ def reduced_coeffs(
 ) -> tuple[float, np.ndarray]:
     """Reduced-equation coefficients (F(t, lam), [b_j(t, lam)])."""
     cfg = _approx(problem, cfg)
-    if not (problem.t0 <= t <= problem.T):
-        raise ValueError(f"t={t:.6g} outside [{problem.t0:.6g}, {problem.T:.6g}]")
+    problem.check_inside(t=t)
     F, B = _reduced_at(cfg, lam, float(t))
     return float(F), np.array(B, dtype=float)
 
@@ -596,8 +597,7 @@ def semi_analytic_solve(
     :class:`SolvabilityError` otherwise.
     """
     ts = np.asarray(t_samples, dtype=float)
-    if not np.all((ts >= problem.t0) & (ts <= problem.T)):
-        raise ValueError("sample points must lie inside the problem interval")
+    problem.check_inside(sample=ts)
     cfg = _approx(problem, cfg)
     report = classify(problem, cfg, lam)
     if report.classification != "unique":

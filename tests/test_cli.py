@@ -86,6 +86,16 @@ def test_solve_invalid_problem(tmp_path, capsys):
     assert "a0 vanishes" in capsys.readouterr().err
 
 
+def test_study_misplaced_load_names_the_points(tmp_path, capsys):
+    cfg = tmp_path / "misplaced.cfg"
+    cfg.write_text(CONFIG + 'load = { point = 0.3, coeff = "1" }\nload = { point = 1.5, coeff = "t" }\n')
+    code = main(["study", "--config", str(cfg), "--h0", "1/8", "--levels", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot place load points [0.3, 1.5]: load point 1.5 outside the open interval\n"
+
+
 def test_solve_too_deep_formula_names_its_position(tmp_path, capsys):
     cfg = tmp_path / "deep.cfg"
     cfg.write_text(CONFIG.replace('kernel = "1"', 'kernel = "' + "-" * 5000 + 't"'))

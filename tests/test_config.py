@@ -146,3 +146,20 @@ def test_load_file(tmp_path):
     p = load_problem_config(path)
     assert p.name == "wobble"
     np.testing.assert_allclose(p.a0(np.array([0.0, 1.0])), [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("T      = 1.0", "T      = -1.0", "interval start must precede interval end"),
+        ("lambda = 0.25", "lambda = nan", "interval endpoints and lambda must be finite"),
+        ("point = 0.5", "point = 1.5", "cannot place load points [0.3, 1.5]: load point 1.5 outside the open interval"),
+        ("point = 0.5", "point = 0.3", "cannot place load points [0.3, 0.3]: load points not increasing"),
+    ],
+    ids=["interval", "lambda", "outside", "repeated"],
+)
+def test_ill_formed_problem_is_a_config_error(old, new, message):
+    # Problem's own refusal, as a ConfigError with the same text.
+    with pytest.raises(ConfigError) as info:
+        parse_problem_config(GOOD.replace(old, new))
+    assert str(info.value) == message

@@ -79,10 +79,10 @@ MISPLACED_LOADS = [
 
 @pytest.mark.parametrize("points", MISPLACED_LOADS, ids=str)
 def test_misplaced_load_points_rejected(points):
-    p = make_problem(0.0, 1.0, points)
+    # Problem refuses them when it is built, so no grid is asked to place them.
     with pytest.raises(ValueError, match=r"cannot place load points \[") as info:
-        build_grid(p, Fraction(1, 8))
-    assert str(p.load_points.tolist()) in str(info.value)
+        make_problem(0.0, 1.0, points)
+    assert str([float(x) for x in points]) in str(info.value)
 
 
 def test_load_index_lookup():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -119,29 +120,26 @@ class TestScalarFunction:
 
 
 class TestValidation:
+    """``validate_problem`` samples the functions; the interval, lambda and
+    load-point cases are refused when the problem is built."""
+
     def test_model1_passes(self):
-        assert validate_problem(builtin_problem("model1"), samples=1000).passed
+        assert validate_problem(builtin_problem("model1")).passed
 
     def test_model2_passes(self):
-        assert validate_problem(builtin_problem("model2"), samples=1000).passed
+        assert validate_problem(builtin_problem("model2")).passed
 
     def test_unordered_loads(self):
-        p = make_problem(
-            loads=[
-                LoadTerm(0.5, ScalarFunction.constant(1.0)),
-                LoadTerm(0.3, ScalarFunction.constant(1.0)),
-            ]
-        )
-        report = validate_problem(p)
-        assert not report
-        assert report.violation == "load points not increasing"
+        loads = [LoadTerm(0.5, ScalarFunction.constant(1.0)), LoadTerm(0.3, ScalarFunction.constant(1.0))]
+        with pytest.raises(ValueError) as info:
+            make_problem(loads=loads)
+        assert str(info.value) == "cannot place load points [0.5, 0.3]: load points not increasing"
 
     def test_vanishing_a0(self):
-        p = make_problem(a0=ScalarFunction.from_expression("t-0.5", 1))
-        report = validate_problem(p, samples=1001)
+        # a0 = t is exactly zero at the first sample, t0 = 0.
+        report = validate_problem(make_problem(a0=ScalarFunction.from_expression("t", 1)))
         assert not report
-        assert "a0 vanishes" in report.violation
-        assert "0.5" in report.violation
+        assert report.violation == "a0 vanishes near t=0"
 
     def test_a0_sampled_once(self):
         calls = []
@@ -151,36 +149,38 @@ class TestValidation:
             return 1.0 + t
 
         p = make_problem(a0=ScalarFunction(a0, 1, "1+t"))
-        assert validate_problem(p, samples=1000)
+        assert validate_problem(p)
         assert calls == [1000]
 
     def test_sign_change_between_samples(self):
         p = make_problem(a0=ScalarFunction.from_expression("t-0.5", 1))
-        report = validate_problem(p, samples=1000)  # 0.5 is not a sample point
+        report = validate_problem(p)  # 0.5 is not a sample point
         assert not report
-        assert "a0 vanishes" in report.violation
+        assert report.violation == f"a0 vanishes near t={0.5 * (499 + 500) / 999:.6g}"
 
     def test_bad_interval(self):
-        p = make_problem(t0=1.0, T=0.0)
-        assert "interval" in validate_problem(p).violation
+        with pytest.raises(ValueError, match="^interval start must precede interval end$"):
+            make_problem(t0=1.0, T=0.0)
 
     @pytest.mark.parametrize("field", [{"T": np.inf}, {"lam": np.nan}], ids=["T", "lambda"])
     def test_non_finite_interval_or_lambda(self, field):
-        report = validate_problem(make_problem(**field))
-        assert report.violation == "interval endpoints and lambda must be finite"
+        with pytest.raises(ValueError, match="^interval endpoints and lambda must be finite$"):
+            make_problem(**field)
 
     def test_non_finite_a0_names_its_first_sample(self):
         p = make_problem(a0=ScalarFunction(lambda t: np.where(t < 0.75, 1.0, np.nan), 1))
-        report = validate_problem(p, samples=1000)
+        report = validate_problem(p)
         assert report.violation == f"a0 not evaluable: non-finite value nan at t={750 / 999:.6g}"
 
     def test_load_point_outside(self):
-        p = make_problem(loads=[LoadTerm(1.5, ScalarFunction.constant(1.0))])
-        assert "outside" in validate_problem(p).violation
+        with pytest.raises(ValueError) as info:
+            make_problem(loads=[LoadTerm(1.5, ScalarFunction.constant(1.0))])
+        assert str(info.value) == "cannot place load points [1.5]: load point 1.5 outside the open interval"
 
     def test_load_point_at_endpoint(self):
-        p = make_problem(loads=[LoadTerm(1.0, ScalarFunction.constant(1.0))])
-        assert "outside" in validate_problem(p).violation
+        with pytest.raises(ValueError) as info:
+            make_problem(loads=[LoadTerm(1.0, ScalarFunction.constant(1.0))])
+        assert str(info.value) == "cannot place load points [1.0]: load point 1 outside the open interval"
 
     def test_non_evaluable_rhs(self):
         p = make_problem(rhs=ScalarFunction.from_expression("1/t", 1))
@@ -191,7 +191,7 @@ class TestValidation:
     def test_kernel_sampled_on_triangle_only(self):
         # Defined only for s <= t; must still validate.
         p = make_problem(kernel=ScalarFunction.from_expression("sqrt(t-s)", 2))
-        assert validate_problem(p, samples=300).passed
+        assert validate_problem(p).passed
 
     def test_kernel_sampled_by_row_blocks_in_row_major_order(self):
         calls = []
@@ -200,7 +200,7 @@ class TestValidation:
             calls.append((t.copy(), s.copy()))
             return t - s
 
-        assert validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)), samples=1000)
+        assert validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)))
         ts = np.linspace(0.0, 1.0, 1000)
         rows, cols = np.tril_indices(1000)
         assert len(calls) > 1
@@ -214,7 +214,7 @@ class TestValidation:
         def kernel(t, s):
             return np.where((t == ts[998]) & (s >= ts[517]), np.inf, t - s)
 
-        report = validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)), samples=1000)
+        report = validate_problem(make_problem(kernel=ScalarFunction(kernel, 2)))
         # Reference: one kernel call on the whole triangle.
         rows, cols = np.tril_indices(1000)
         first = np.flatnonzero(~np.isfinite(kernel(ts[rows], ts[cols])))[0]
@@ -234,14 +234,10 @@ class TestValidation:
 
             return ScalarFunction(fn, 2)
 
-        nan_first = validate_problem(make_problem(kernel=kernel(1.0, 0.0)), samples=1000)
+        nan_first = validate_problem(make_problem(kernel=kernel(1.0, 0.0)))
         assert nan_first.violation == "kernel not evaluable: non-finite value nan at t=0, s=0"
-        raise_first = validate_problem(make_problem(kernel=kernel(0.0, 0.5)), samples=1000)
+        raise_first = validate_problem(make_problem(kernel=kernel(0.0, 0.5)))
         assert raise_first.violation == "kernel not evaluable: boom"
-
-    def test_samples_precondition(self):
-        with pytest.raises(ValueError):
-            validate_problem(make_problem(), samples=1)
 
     def test_never_raises_for_bad_callables(self):
         def explode(t):
@@ -250,6 +246,43 @@ class TestValidation:
         p = make_problem(rhs=ScalarFunction(explode, 1))
         report = validate_problem(p)
         assert not report.passed
+
+
+# model1 made ill-formed: the fields changed, its load points (None: kept), and the refusal
+_ILL_FORMED_MODEL1 = {
+    "reversed": ({"t0": 1.0, "T": 0.0}, None, "interval start must precede interval end"),
+    "load-outside": (
+        {}, (0.3, 1.5), "cannot place load points [0.3, 1.5]: load point 1.5 outside the open interval"
+    ),
+    "unordered": ({}, (0.5, 0.3), "cannot place load points [0.5, 0.3]: load points not increasing"),
+    "repeated": ({}, (0.3, 0.3), "cannot place load points [0.3, 0.3]: load points not increasing"),
+    "T-nan": ({"T": float("nan")}, None, "interval endpoints and lambda must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ILL_FORMED_MODEL1))
+def test_ill_formed_problem_refused_when_built(monkeypatch, name):
+    # The resolvent checks nothing of its own: these never reach it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ResolventApprox was built for an ill-formed problem")
+
+    monkeypatch.setattr(importlib.import_module("lvie.resolvent"), "ResolventApprox", refuse)
+    changes, points, message = _ILL_FORMED_MODEL1[name]
+    base = builtin_problem("model1")
+    if points is not None:
+        changes = {"loads": tuple(LoadTerm(x, term.coeff) for x, term in zip(points, base.loads))}
+    with pytest.raises(ValueError) as info:
+        classify(dataclasses.replace(base, **changes))
+    assert str(info.value) == message
+
+
+def test_check_inside_names_the_first_point_outside():
+    p = builtin_problem("model1")
+    p.check_inside(t=0.0, s=np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match=r"^s=1\.5 outside \[0, 1\]$"):
+        p.check_inside(t=1.0, s=np.array([[0.2, 1.5], [np.nan, -1.0]]))
+    with pytest.raises(ValueError, match=r"^t=nan outside \[0, 1\]$"):
+        p.check_inside(t=np.nan, s=2.0)
 
 
 def _quiet(fn):

@@ -71,6 +71,18 @@ class TestIteratedKernel:
         with pytest.raises(ValueError, match="quad_density must be at least 1"):
             ResolventApprox(make_problem(), quad_density=0)
 
+    @pytest.mark.parametrize("density", [0.5, float("nan"), float("inf"), -float("inf")])
+    def test_density_must_be_finite_and_at_least_one(self, density):
+        with pytest.raises(ValueError, match=rf"^quad_density must be at least 1 and finite, got {density}$"):
+            ResolventApprox(make_problem(), quad_density=density)
+
+    def test_points_outside_the_interval_are_named(self):
+        p = make_problem()
+        with pytest.raises(ValueError, match=r"^t=1\.5 outside \[0, 1\]$"):
+            iterated_kernel(p, 1, 1.5, 0.2)
+        with pytest.raises(ValueError, match=r"^s=nan outside \[0, 1\]$"):
+            resolvent(p, 0.5, float("nan"), ResolventApprox(p, quad_density=16))
+
     def test_argument_order_validation(self):
         with pytest.raises(ValueError, match="s <= t"):
             iterated_kernel(make_problem(), 1, 0.2, 0.5)
@@ -847,6 +859,25 @@ class TestUnusableData:
             assert caught == []
 
 
+def test_overflowing_series_term_refused_without_a_warning():
+    # K/a0 and f/a0 near 1e300 are finite; their products are not.  With f = 0
+    # and no loads every I_n is zero, and the table K_2 is the first to overflow.
+    p = _model1_with(a0=ScalarFunction.constant(1e-300))
+    no_data = _model1_with(a0=p.a0, rhs=ScalarFunction.constant(0.0), loads=())
+    calls = [
+        (lambda: classify(p), r"^non-finite I_1 nan at t=0\.00195312$"),
+        (lambda: iterated_kernel(p, 2, 0.5, 0.1), r"^non-finite K_2 nan at t=0\.1, s=0\.1$"),
+        (lambda: resolvent(p, 0.5, 0.1), r"^non-finite I_1 nan at t=0\.00195312$"),
+        (lambda: resolvent(no_data, 0.5, 0.1), r"^non-finite K_2 nan at t=0\.00195312, s=0$"),
+    ]
+    for call, message in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EvalError, match=message):
+                call()
+        assert caught == []
+
+
 class TestOverflowingLambda:
     # |lambda|^n overflows a float for |lambda| above about 5e7 and n near MAX_TERMS.
     @pytest.mark.parametrize("lam", [1e8, -1e8, 6e7])
@@ -916,13 +947,13 @@ class TestSemiAnalytic:
 
     def test_sample_range_validated(self):
         p = make_problem(lam=0.0)
-        with pytest.raises(ValueError, match="interval"):
-            semi_analytic_solve(p, [1.5])
+        with pytest.raises(ValueError, match=r"^sample=1\.5 outside \[0, 1\]$"):
+            semi_analytic_solve(p, [0.5, 1.5, -1.0])
 
     @pytest.mark.parametrize("name", ["constant", "model1"])
     def test_nan_sample_rejected(self, name):
         p = make_problem(lam=0.0) if name == "constant" else builtin_problem(name)
-        with pytest.raises(ValueError, match="interval"):
+        with pytest.raises(ValueError, match=r"^sample=nan outside \[0, 1\]$"):
             semi_analytic_solve(p, [np.nan, 0.5], ResolventApprox(p, quad_density=16))
 
     def test_samples_checked_before_classify(self, monkeypatch):
@@ -930,7 +961,7 @@ class TestSemiAnalytic:
             raise AssertionError("classify ran before the sample check")
 
         monkeypatch.setattr(RESOLVENT_MODULE, "classify", fail)
-        with pytest.raises(ValueError, match="interval"):
+        with pytest.raises(ValueError, match=r"^sample=1\.5 outside"):
             semi_analytic_solve(builtin_problem("model1"), [1.5])
 
 
@@ -1071,9 +1102,11 @@ ORACLE_PROBLEMS = {
         (TESTS.parent / "bench" / "fixtures" / "sqrt_ladder.cfg").read_text()
     ),
     "unit": make_problem(**UNIT_ONE_LOAD),
-    # loads at t0, on an interior node (at densities 64 and 512) and at T
+    # loads next to the ends, in the first and last brackets at density 1 and on
+    # the first and last interior nodes at density 64, and on an interior node
+    # at 0.5 (at densities 64 and 512); Problem keeps loads off t0 and T
     "ends_and_node": dataclasses.replace(
-        builtin_problem("model1"), loads=_loads((0.0, "t+1"), (0.5, "1-t"), (1.0, "t^2/2"))
+        builtin_problem("model1"), loads=_loads((1 / 64, "t+1"), (0.5, "1-t"), (63 / 64, "t^2/2"))
     ),
 }
 
@@ -1444,14 +1477,14 @@ class TestFirstIndexCounts:
 
 
 class TestInterp:
-    """``_bracket`` and ``_interp`` give np.interp's bits: between nodes, on nodes and at the last node."""
+    """``_bracket`` and ``_interp`` give np.interp's bits on [z_0, z_n): between nodes and on nodes."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_np_interp(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 300))
         z = np.linspace(rng.uniform(-1.0, 0.0), rng.uniform(0.5, 3.0), n)
-        ts = np.concatenate([rng.uniform(z[0], z[-1], 30), z[rng.integers(0, n, 10)], [z[0], z[-1]]])
+        ts = np.concatenate([rng.uniform(z[0], z[-1], 30), z[rng.integers(0, n - 1, 10)], [z[0], z[-2]]])
         rng.shuffle(ts)
         y = rng.normal(size=(2, 3, n)) * 10.0 ** rng.integers(-6, 7, size=(2, 3, 1))
         y[:, :, rng.integers(0, n, 5)] = -0.0
@@ -1459,12 +1492,3 @@ class TestInterp:
         got = RESOLVENT_MODULE._interp(y[..., cols], *bracket)
         for index in np.ndindex(y.shape[:2]):
             assert got[index].tobytes() == np.interp(ts, z, y[index]).tobytes()
-
-    def test_last_node_takes_its_value(self):
-        # slope * (z_hi - z_lo) + y_lo is not y_hi here; np.interp returns y_hi itself.
-        z = np.linspace(0.0, 1.0, 4)
-        y = np.array([0.0, 0.5, 0.1, 0.01])
-        assert (y[-1] - y[-2]) / (z[-1] - z[-2]) * (z[-1] - z[-2]) + y[-2] != y[-1]
-        cols, *bracket = RESOLVENT_MODULE._bracket(z, [1.0, z[1]])
-        got = RESOLVENT_MODULE._interp(y[cols], *bracket)
-        assert got.tobytes() == np.interp([1.0, z[1]], z, y).tobytes()
