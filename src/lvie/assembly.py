@@ -17,8 +17,8 @@ nodes before it evaluates anything; then a0, f and every a_j are
 evaluated at the nodes.  A coefficient or kernel evaluation that raises
 :class:`EvalError`, a non-finite value included (``ScalarFunction``
 refuses those, formula or plain callable), is the :class:`AssemblyError`
-of its earliest row (``AssemblyError.row``), in both modes: one loop,
-``_by_row``, re-evaluates a failed batch row by row to find it.  By default
+of its earliest row (``AssemblyError.row``), in both modes: the row whose
+node is the t of its first failing point (``expressions.located``).  By default
 the matrix stays implicit: ``CollocationSystem.weights`` recomputes the
 weights of any rows and columns on demand (O(N) memory).  The structured
 solver reads each block's near triangle from ``near`` and has
@@ -110,11 +110,11 @@ class CollocationSystem:
         n = tau.shape[0]
         if self.dense:
             check_dense_size(n)
-        self.a0_values = _eval_nodes(self.problem.a0, tau, "a0")
-        self.rhs = _eval_nodes(self.problem.rhs, tau, "f")
+        self.a0_values = _eval_nodes(tau, "a0", self.problem.a0, tau)
+        self.rhs = _eval_nodes(tau, "f", self.problem.rhs, tau)
         self.load_entries = np.empty((n, len(self.problem.loads)))
         for j, term in enumerate(self.problem.loads):
-            self.load_entries[:, j] = _eval_nodes(term.coeff, tau, f"a{j + 1}")
+            self.load_entries[:, j] = _eval_nodes(tau, f"a{j + 1}", term.coeff, tau)
         self._dtau = np.diff(tau)
         self._mids = 0.5 * (tau[:-1] + tau[1:])
         self._lag = self._lags = self._near = self.matrix = None
@@ -158,11 +158,7 @@ class CollocationSystem:
         """
         if self._lags is not None:
             return self._lags[i0:i1, k0:k1].copy()
-        rows, cols, kvals = _by_row(
-            lambda: self._kernel(i0, i1, k0, k1),
-            lambda i: self._kernel(i, i + 1, k0, k1),
-            range(i0, i1), self.grid.nodes, "kernel",
-        )
+        rows, cols, kvals = _eval_nodes(self.grid.nodes, "kernel", self._kernel, i0, i1, k0, k1)
         w = 0.5 * self.problem.lam * self._dtau[k0:k1][cols] * kvals
         if rows is None:
             return w
@@ -284,26 +280,16 @@ class CollocationSystem:
         return float(np.abs(self.a0_values * x + load_part - acc[:, 0] - self.rhs).max())
 
 
-def _by_row(batch, row, rows: range, tau: np.ndarray, label: str):
-    """``batch()``, or, when it raises :class:`EvalError`, the AssemblyError of the first failing ``row(i)``.
-
-    ``batch`` evaluates ``label`` on every row in ``rows`` at once and
-    ``row(i)`` on row i alone; the report names the row and its node tau_i.
-    """
+def _eval_nodes(tau: np.ndarray, label: str, fn, *args):
+    """``fn(*args)``, ``label`` at points whose t are nodes of ``tau``; an :class:`EvalError`
+    naming its point is the AssemblyError of the row of that t, one naming none is raised as is."""
     try:
-        return batch()
-    except EvalError:
-        for i in rows:
-            try:
-                row(i)
-            except EvalError as err:
-                raise AssemblyError(f"{label} failed at row {i}, t={tau[i]:.6g}: {err}", i) from err
-        raise
-
-
-def _eval_nodes(fn: ScalarFunction, tau: np.ndarray, label: str) -> np.ndarray:
-    """``fn`` at the nodes; a failure raises the AssemblyError of its row."""
-    return _by_row(lambda: fn(tau), lambda i: fn(float(tau[i])), range(tau.size), tau, label)
+        return fn(*args)
+    except EvalError as err:
+        if not err.point:
+            raise
+        i = int(np.searchsorted(tau, err.point[0]))
+        raise AssemblyError(f"{label} failed at row {i}, t={tau[i]:.6g}: {err}", i) from err
 
 
 def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:

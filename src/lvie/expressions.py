@@ -22,7 +22,9 @@ is called, never when it is compiled; inf and nan are values.
 :func:`finite`, the one rule that refuses them, naming the point, is
 applied by :func:`evaluate`, by every ``ScalarFunction`` call, and by the
 resolvent layer to every quotient by a0, which it names ("non-finite f/a0
-inf at t=0").
+inf at t=0").  :func:`located`, called by the same two, makes a domain
+error name its first failing point too ("ln of a non-positive value at
+t=0"), so every layer reads the point off ``EvalError.point``.
 A formula whose tree is deeper than ``MAX_DEPTH`` nodes does not parse.
 """
 
@@ -53,7 +55,15 @@ class ParseError(ValueError):
 
 
 class EvalError(ArithmeticError):
-    """Evaluation left the real domain, gave a non-finite value, or a referenced variable is missing."""
+    """Evaluation left the real domain, gave a non-finite value, or a referenced variable is missing.
+
+    ``point``: None until located, then ``(t,)`` or ``(t, s)``, ending the message ("at t=0, s=1"); ``()``: none.
+    """
+
+    def __init__(self, message: str, point=None):
+        at = ", ".join(f"{name}={x:.6g}" for name, x in zip("ts", point or ()))
+        super().__init__(f"{message} at {at}" if at else message)
+        self.point = point
 
 
 def finite(values, t, s=None, label="value"):
@@ -62,8 +72,35 @@ def finite(values, t, s=None, label="value"):
         return values
     arrays = np.broadcast_arrays(values, t) if s is None else np.broadcast_arrays(values, t, s)
     i = np.argmax(~np.isfinite(arrays[0]))
-    at = ", ".join(f"{name}={p.flat[i]:.6g}" for name, p in zip("ts", arrays[1:]))
-    raise EvalError(f"non-finite {label} {arrays[0].flat[i]} at {at}")
+    raise EvalError(f"non-finite {label} {arrays[0].flat[i]}", tuple(float(p.flat[i]) for p in arrays[1:]))
+
+
+def located(fn, *args):
+    """``fn(*args)``; an :class:`EvalError` naming no point is raised as the first failing point's own.
+
+    Bisection over the broadcast ``args`` (row-major) evaluates 1-D parts as the whole call,
+    :func:`finite` included: "ln of a non-positive value at t=0".  An error that no single
+    point reproduces (``fn`` not elementwise) is raised as it is.
+    """
+    try:
+        return fn(*args)
+    except EvalError as err:
+        if err.point is not None:
+            raise
+        points = [p.ravel() for p in np.broadcast_arrays(*args)]
+        lo, hi, first = 0, points[0].size, err  # [lo, hi) fails with ``first`` (None: not evaluated)
+        while lo < hi and (first is None or hi - lo > 1):
+            mid = max((lo + hi) // 2, lo + 1)
+            try:
+                fn(*(p[lo:mid] for p in points))
+                lo, first = mid, None
+            except EvalError as part:
+                hi, first = mid, part
+        if first is None or hi - lo != 1:
+            raise
+        if first.point is None:
+            first = EvalError(str(first), tuple(float(p[lo]) for p in points))
+        raise first from None
 
 
 class Expr:
@@ -185,7 +222,7 @@ def _binary(op: str, b):
 
 def _given_s(s):
     if s is None:
-        raise EvalError("expression references 's' but no value was supplied")
+        raise EvalError("expression references 's' but no value was supplied", ())
     return s
 
 
@@ -445,8 +482,9 @@ def evaluate(expr: Expr, t, s=None):
     """Evaluate ``expr`` at ``t`` (and ``s`` for two-variable expressions).
 
     Accepts scalars or numpy arrays; arrays broadcast elementwise.
-    Raises :class:`EvalError` when a domain rule is violated or, through
-    :func:`finite`, when the result is not finite.  Compiles ``expr`` on
-    every call; :func:`compiled` compiles it once.
+    Raises :class:`EvalError`, at its first failing point (:func:`located`),
+    when a domain rule is violated or, through :func:`finite`, when the
+    result is not finite.  Compiles ``expr`` on every call.
     """
-    return finite(compiled(expr)(t, s), t, s)
+    fn = compiled(expr)
+    return located(lambda *a: finite(fn(*a), *a), *((t,) if s is None else (t, s)))

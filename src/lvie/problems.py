@@ -7,12 +7,14 @@ A problem describes
 on an interval [t0, T].  The fixed abscissae t_j (strictly inside the
 interval) are the load points; the values x(t_j) entering the equation
 are the loads.  A :class:`Problem` is well-formed once built, and
-:meth:`Problem.check_inside` is the one test of points against [t0, T].
+:func:`check_inside` is the one test of points against an interval.
 Coefficient functions are :class:`ScalarFunction` values, built either
 from a parsed expression or from any Python callable; one call path
 evaluates functions of ``t`` and of ``(t, s)`` on scalars and numpy
-arrays alike, and refuses a non-finite value, formula or callable, with
-an :class:`~lvie.expressions.EvalError` naming its point.
+arrays alike, and raises a domain error or a non-finite value, formula or
+callable, as an :class:`~lvie.expressions.EvalError` naming its first
+failing point (``expressions.located``).  :func:`validate_problem` checks
+the functions in assembly's order: a0, f, a_1 ... a_m, then the kernel.
 
 Problems are immutable after construction and safe to share between
 concurrent solves.
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import ParseError, compiled, finite, is_difference, parse, separable
+from .expressions import ParseError, compiled, finite, is_difference, located, parse, separable
 
 __all__ = [
     "ScalarFunction",
@@ -50,7 +52,9 @@ class ScalarFunction:
     arguments, and the output always has the broadcast shape (constants
     are expanded).  Scalar inputs give a plain ``float`` back.  Every value
     returned is finite; :func:`lvie.expressions.finite` raises ``EvalError``
-    at the first other entry, row-major ("non-finite value nan at t=0.5, s=0").
+    at the first other entry, row-major ("non-finite value nan at t=0.5, s=0"),
+    and a domain error names its first failing point the same way
+    (:func:`lvie.expressions.located`).
 
     ``source`` is a promise: when it parses, the function is that formula
     (a wrapper that keeps the source must keep the values); the default
@@ -115,11 +119,15 @@ class ScalarFunction:
         scalar = not any(a.ndim for a in arrays)
         if len(arrays) == 2:
             arrays = np.broadcast_arrays(*arrays)
+        out = located(self._values, *arrays)
+        return float(out) if scalar else out
+
+    def _values(self, *arrays):
+        """The callable's finite values on ``arrays`` (one shape), as an array of that shape."""
         out = np.asarray(self._fn(*arrays), dtype=float)
         if out.shape != arrays[0].shape:
             out = np.broadcast_to(out, arrays[0].shape)
-        finite(out, *arrays)
-        return float(out) if scalar else out
+        return finite(out, *arrays)
 
     def __repr__(self):
         return f"ScalarFunction({self.source!r}, arity={self.arity})"
@@ -174,14 +182,18 @@ class Problem:
         return np.array([term.point for term in self.loads], dtype=float)
 
     def check_inside(self, **points) -> None:
-        """``ValueError`` at the first point outside [t0, T], by keyword, then row-major:
-        ``check_inside(sample=[0.5, nan])`` raises "sample=nan outside [0, 1]"."""
-        for name, values in points.items():
-            values = np.asarray(values, dtype=float)
-            outside = ~((values >= self.t0) & (values <= self.T))
-            if outside.any():
-                at = f"{name}={values.flat[outside.argmax()]:.6g}"
-                raise ValueError(f"{at} outside [{self.t0:.6g}, {self.T:.6g}]")
+        """:func:`check_inside` on [t0, T]."""
+        check_inside(self.t0, self.T, **points)
+
+
+def check_inside(t0: float, T: float, **points) -> None:
+    """``ValueError`` at the first point outside [t0, T], by keyword, then row-major:
+    ``check_inside(0, 1, sample=[0.5, nan])`` raises "sample=nan outside [0, 1]"."""
+    for name, values in points.items():
+        values = np.asarray(values, dtype=float)
+        outside = ~((values >= t0) & (values <= T))
+        if outside.any():
+            raise ValueError(f"{name}={values.flat[outside.argmax()]:.6g} outside [{t0:.6g}, {T:.6g}]")
 
 
 @dataclass(frozen=True)
@@ -205,15 +217,15 @@ def validate_problem(p: Problem) -> ValidationReport:
     ts = np.linspace(p.t0, p.T, 1000)
     loads = [(term.coeff, f"a{j}") for j, term in enumerate(p.loads, start=1)]
     sampled = []
-    for fn, label in [(p.a0, "a0"), *loads, (p.rhs, "f")]:
+    for fn, label in [(p.a0, "a0"), (p.rhs, "f"), *loads]:  # assembly's order
         try:
             sampled.append(fn(ts))
         except (ArithmeticError, ValueError, TypeError) as err:
             return ValidationReport(False, f"{label} not evaluable: {err}")
 
     # Kernel is only defined on t0 <= s <= t <= T; sample that triangle in
-    # row-major order, a block of rows per call.  The earliest failing
-    # block is the violation, as the earliest failing row is in assembly.
+    # row-major order, a block of rows per call.  The failure of the
+    # earliest failing block names its first failing point, as in assembly.
     for r0 in range(0, ts.size, _KERNEL_BLOCK_ROWS):
         rows, cols = np.nonzero(np.tri(min(_KERNEL_BLOCK_ROWS, ts.size - r0), ts.size, r0, bool))
         rows += r0

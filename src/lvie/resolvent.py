@@ -23,11 +23,13 @@ and no solution at all when it is not, each decided at ``RANK_TOL``.
 
 The theory takes the coefficient of x(t) to be identically one, so all
 inputs are normalized internally: K, a_j and f are divided by a0(t)
-(tilde quantities above).  ``ScalarFunction`` refuses a non-finite a0,
-f, a_j or K, and every division by a0 goes through ``_over_a0``, which
-refuses a non-finite quotient (a zero a0 among them) with the
-``EvalError`` of ``expressions.finite``, naming the quotient and its
-first point, as it does a series term that overflows (``I_n``, K_n).
+(tilde quantities above).  ``ScalarFunction`` refuses a domain error or
+a non-finite value of a0, f, a_j or K at its first failing point, and
+``_labeled`` names the function ("a1 failed: ln of a non-positive value
+at t=0").  Every division by a0 goes through ``_over_a0``, which refuses
+a non-finite quotient (a zero a0 among them) with the ``EvalError`` of
+``expressions.finite``, naming the quotient and its first point, as it
+does a series term that overflows (``I_n``, K_n).
 
 Numerics: every integral is the composite trapezoid rule on a uniform
 tensor grid.  Every function takes ``lam`` (default ``problem.lam``) and
@@ -67,7 +69,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expressions import finite
+from .expressions import EvalError, finite
 from .problems import Problem
 # gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
 from .solvers import RANK_TOL, SolvabilityError, gauss_jordan, nullspace, rank_and_det  # noqa: F401
@@ -121,9 +123,10 @@ def _first_table(problem: Problem, z: np.ndarray, density: int, a0: np.ndarray) 
     A grid of more than ``TABLE_MAX_NODES`` nodes (``density`` per unit
     length) is refused before anything is allocated.  The kernel is
     evaluated in row panels of ``COMPOSE_PANEL_ROWS``, so the build holds
-    the table and one panel; a kernel that fails in several places raises
-    the failure of the first failing panel, and a non-finite K/a0 the
-    ``EvalError`` of its first point.
+    the table and one panel; a kernel that fails raises "K failed: ..." at
+    the first failing point of the first failing panel, which is the first
+    failing point of the triangle, and a non-finite K/a0 the ``EvalError``
+    of its first point.
     """
     npts = z.shape[0]
     if npts > TABLE_MAX_NODES:
@@ -136,7 +139,7 @@ def _first_table(problem: Problem, z: np.ndarray, density: int, a0: np.ndarray) 
         rows, cols = np.tril_indices(min(COMPOSE_PANEL_ROWS, npts - r0), r0, npts)
         rows += r0
         t, s = z[rows], z[cols]
-        table[rows, cols] = _over_a0(problem.kernel(t, s), a0[rows], "K/a0", t, s)
+        table[rows, cols] = _over_a0(_labeled("K", problem.kernel, t, s), a0[rows], "K/a0", t, s)
     return table
 
 
@@ -229,11 +232,20 @@ def _over_a0(values, a0, label: str, t, s=None) -> np.ndarray:
     return finite(quotient, t, s, label)
 
 
+def _labeled(label: str, fn, *args):
+    """``fn(*args)``; an :class:`EvalError` is raised again as "<label> failed: ...", at its point."""
+    try:
+        return fn(*args)
+    except EvalError as err:
+        err.args = (f"{label} failed: {err}",)
+        raise
+
+
 def _tilde(problem: Problem, ts, a0: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows f~, a~_1, ..., a~_m at ``ts``; ``a0`` is a0 at ``ts`` (by default evaluated here)."""
-    a0 = problem.a0(ts) if a0 is None else a0
+    a0 = _labeled("a0", problem.a0, ts) if a0 is None else a0
     rows = [("f", problem.rhs)] + [(f"a{j}", term.coeff) for j, term in enumerate(problem.loads, 1)]
-    return np.array([_over_a0(fn(ts), a0, f"{name}/a0", ts) for name, fn in rows])
+    return np.array([_over_a0(_labeled(name, fn, ts), a0, f"{name}/a0", ts) for name, fn in rows])
 
 
 def _series(powers: np.ndarray, terms) -> np.ndarray:
@@ -285,7 +297,7 @@ class ResolventApprox:
         self.z = np.linspace(problem.t0, problem.T, intervals + 1)
         self.dz = span / intervals
         self.quad_density = quad_density
-        self._a0 = problem.a0(self.z)  # the grid's a0 that every normalization reads
+        self._a0 = _labeled("a0", problem.a0, self.z)  # the grid's a0 that every normalization reads
         self._data = _tilde(problem, self.z, self._a0)
         self._load_data = _tilde(problem, problem.load_points)
         self._load_cols, *self._load_bracket = _bracket(self.z, problem.load_points)
@@ -447,12 +459,12 @@ def iterated_kernel(problem: Problem, n: int, t: float, s: float) -> float:
         raise ValueError("iterated-kernel order must be at least 1")
     _check_order(problem, t, s)
     if n == 1:
-        return float(_over_a0(problem.kernel(t, s), problem.a0(t), "K/a0", t, s))
+        return float(_over_a0(_labeled("K", problem.kernel, t, s), _labeled("a0", problem.a0, t), "K/a0", t, s))
     if t == s:
         return 0.0
     q = max(1, math.ceil(DEFAULT_QUAD_DENSITY * (t - s)))
     z = np.linspace(s, t, q + 1)
-    first = _first_table(problem, z, DEFAULT_QUAD_DENSITY, problem.a0(z))
+    first = _first_table(problem, z, DEFAULT_QUAD_DENSITY, _labeled("a0", problem.a0, z))
     diag, column = np.diagonal(first), first[:, 0]
     for k in range(2, n + 1):
         with np.errstate(all="ignore"):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import assemble, check_dense_size
 from .grid import Grid, build_grid
-from .problems import Problem, ScalarFunction
+from .problems import Problem, ScalarFunction, check_inside
 from .solvers import gauss_jordan, structured_solve
 
 __all__ = [
@@ -64,13 +64,13 @@ class PiecewiseLinearSolution:
         object.__setattr__(self, "values", values)
 
     def evaluate(self, t):
-        """Interpolant value(s) at ``t``; exact nodal values at nodes."""
+        """Interpolant value(s) at ``t``; exact nodal values at nodes.
+
+        A point outside the grid raises ``ValueError`` naming the first one ("t=nan outside [0, 1]").
+        """
         t_arr = np.asarray(t, dtype=float)
         tau = self.grid.nodes
-        if not np.all((t_arr >= tau[0]) & (t_arr <= tau[-1])):
-            raise ValueError(
-                f"evaluation point outside [{tau[0]:.6g}, {tau[-1]:.6g}]"
-            )
+        check_inside(tau[0], tau[-1], t=t_arr)
         out = np.interp(t_arr, tau, self.values)
         return float(out) if np.ndim(t) == 0 else out
 

@@ -19,6 +19,10 @@ for model1, model2 and ``bench/fixtures/sqrt_ladder.cfg``:
 * a seeded 41-lambda ``solvability_sweep`` (det, rank, label, defect and
   load values), ``semi_analytic_solve`` at 101 points, and
   ``iterated_kernel`` (n = 1, 2, 3) and ``resolvent`` at a few points;
+* at h = 1/64 ... 1/512, in both modes, the ``AssemblyError.row`` of three
+  failing problems: model1 with the kernel ``sqrt(0.9 - t) * (t - 2*s^2)``,
+  ``sqrt_ladder`` (a uniform mesh) with the difference kernel
+  ``sqrt(0.6-(t-s))``, and model1 with a callable a1 that is nan past 0.7;
 
 plus the ``--no-timing`` stdout of ``lvie study`` and the stdout of
 ``lvie analyze`` on every problem.  Entries are compared byte for byte,
@@ -31,6 +35,7 @@ collect this file.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -47,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SQRT_LADDER = ROOT / "bench" / "fixtures" / "sqrt_ladder.cfg"
 FIXTURES = ROOT / "tests" / "fixtures"
 STEPS = [Fraction(1, 2**k) for k in range(3, 10)]  # h = 1/8 ... 1/512
+FAILING_STEPS = STEPS[3:]  # h = 1/64 ... 1/512
 SWEEP_SEED = 20250
 KERNEL_POINTS = [(0.9, 0.1), (0.5, 0.5), (0.7, 0.2), (1.0, 0.0)]
 STUDIES = [
@@ -114,6 +120,36 @@ def _resolvent(entries: dict, name: str, problem) -> None:
     entries[f"{name}/resolvent"] = [resolvent(problem, t, s, cfg) for t, s in KERNEL_POINTS]
 
 
+def _failing_problems(problems: dict) -> dict:
+    from lvie import ScalarFunction
+    from lvie.problems import LoadTerm
+
+    model1, a1 = problems["model1"], problems["model1"].loads[0].coeff
+    nan_a1 = ScalarFunction(lambda t: np.where(t > 0.7, np.nan, a1(t)), 1)
+    return {
+        "model1_sqrt_kernel": dataclasses.replace(
+            model1, kernel=ScalarFunction.from_expression("sqrt(0.9 - t) * (t - 2*s^2)", 2)),
+        "sqrt_ladder_lag_kernel": dataclasses.replace(
+            problems["sqrt_ladder"], kernel=ScalarFunction.from_expression("sqrt(0.6-(t-s))", 2)),
+        "model1_nan_a1": dataclasses.replace(model1, loads=(LoadTerm(0.3, nan_a1), *model1.loads[1:])),
+    }
+
+
+def _failure_rows(entries: dict, name: str, problem) -> None:
+    from lvie import AssemblyError, assemble, build_grid, structured_solve
+
+    for h in FAILING_STEPS:
+        grid = build_grid(problem, h)
+        for mode, call in [("dense", lambda: assemble(problem, grid, mode="dense")),
+                           ("structured", lambda: structured_solve(assemble(problem, grid)))]:
+            try:
+                call()
+            except AssemblyError as err:
+                entries[f"failing/{name}/h={h}/{mode}/row"] = err.row
+            else:
+                sys.exit(f"same_bits: {name} at h={h} did not fail in {mode} mode")
+
+
 def _stdout(argv: list) -> str:
     from lvie.cli import main
 
@@ -128,9 +164,12 @@ def manifest() -> dict:
     entries = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncated series at large lambda
-        for name, problem in _problems().items():
+        problems = _problems()
+        for name, problem in problems.items():
             _collocation(entries, name, problem)
             _resolvent(entries, name, problem)
+        for name, problem in _failing_problems(problems).items():
+            _failure_rows(entries, name, problem)
         for argv in STUDIES:
             entries["lvie study " + " ".join(argv)] = _stdout(["study", *argv, "--no-timing"])
         for argv in ANALYSES:

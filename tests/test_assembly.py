@@ -13,6 +13,7 @@ from lvie.expressions import EvalError
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.solvers import gauss_jordan, structured_solve
+from lvie.study import solve_collocation
 
 ONE = ScalarFunction.constant(1.0)
 ONE2 = ScalarFunction.constant(1.0, arity=2)
@@ -358,8 +359,18 @@ class TestDensePanels:
         with pytest.raises(AssemblyError) as info:
             assemble(p, g, mode="dense")
         assert info.value.row == row
-        assert str(info.value) == f"kernel failed at row {row}, t={g.nodes[row]:.6g}: sqrt of a negative value"
+        at = f"t={g.nodes[row]:.6g}"
+        assert str(info.value) == f"kernel failed at row {row}, {at}: sqrt of a negative value at {at}, s=0.000974026"
         assert calls[0] < row * (row + 1) // 2  # the first panel ended before the failing row
+
+    def test_both_solve_modes_name_the_same_row_and_point(self):
+        kernel = ScalarFunction.from_expression("sqrt(0.9 - t) * (t - 2*s^2)", 2)
+        p = dataclasses.replace(builtin_problem("model1"), kernel=kernel)
+        message = "kernel failed at row 463, t=0.900778: sqrt of a negative value at t=0.900778, s=0.000974026"
+        for solver in ("dense", "structured"):
+            with pytest.raises(AssemblyError) as info:
+                solve_collocation(p, Fraction(1, 512), solver)
+            assert (info.value.row, str(info.value)) == (463, message)
 
     def test_memory_is_the_matrix_and_one_panel(self):
         p = builtin_problem("model2")

@@ -367,6 +367,15 @@ def test_analyze_refuses_a_table_past_the_node_limit(capsys):
     assert "quad_density 20000" in err and "3200 MB" in err
 
 
+def test_analyze_names_the_point_of_a_domain_error(tmp_path, capsys):
+    sqrt_ladder = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "sqrt_ladder.cfg"
+    cfg = tmp_path / "ln.cfg"
+    cfg.write_text(sqrt_ladder.read_text().replace('coeff = "t" }', 'coeff = "ln(t-0.7)" }'))
+    code = main(["analyze", "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: invalid problem: a1 not evaluable: ln of a non-positive value at t=0\n"
+
+
 def test_list_problems(capsys):
     code = main(["list-problems"])
     assert code == 0

@@ -21,6 +21,7 @@ from lvie.expressions import (
     evaluate,
     finite,
     is_difference,
+    located,
     parse,
     separable,
 )
@@ -235,6 +236,85 @@ class TestFinite:
         assert compiled(expr)(_GRID).tobytes() == direct.tobytes()
         with pytest.raises(EvalError, match=r"^non-finite value inf at t=0\.71875$"):
             evaluate(expr, _GRID)
+
+
+class TestLocated:
+    """``located``: a domain error names its first failing point, row-major, in every caller."""
+
+    def test_scalar_function_names_the_point_of_a_domain_error(self):
+        with pytest.raises(EvalError, match=r"^ln of a non-positive value at t=0$") as info:
+            ScalarFunction.from_expression("ln(t)", 1)(0.0)
+        assert info.value.point == (0.0,)
+
+    def test_first_failing_point_in_row_major_order(self):
+        t, s = _GRID[:, None], _GRID[None, :]
+        i, j = np.argwhere(np.broadcast_to(0.5 - t * s < 0, (33, 33)))[0]
+        with pytest.raises(EvalError) as info:
+            ScalarFunction.from_expression("sqrt(0.5-t*s)", 2)(t, s)
+        assert info.value.point == (_GRID[i], _GRID[j])
+        assert str(info.value) == f"sqrt of a negative value at t={_GRID[i]:.6g}, s={_GRID[j]:.6g}"
+
+    def test_evaluate_names_the_point(self):
+        with pytest.raises(EvalError, match=r"^ln of a non-positive value at t=0\.71875$"):
+            evaluate(parse("ln(0.7-t)"), _GRID)
+
+    def test_the_points_own_error_is_raised(self):
+        # The whole call fails on ln(0) at t=0, but t=1 comes first: 0 * inf is nan there.
+        with pytest.raises(EvalError, match=r"^non-finite value nan at t=1$") as info:
+            evaluate(parse("ln(t) * exp(1000*t)"), np.array([1.0, 0.0]))
+        assert info.value.point == (1.0,)
+
+    def test_parts_are_evaluated_as_the_whole_call(self):
+        # The whole call raises at t=1; bisection meets the nan at t=0.625
+        # first, because every 1-D part goes through finite as the whole call.
+        shapes = []
+
+        def fn(t):
+            shapes.append(t.shape)
+            if np.any(t == 1.0):
+                raise EvalError("undefined at 1")
+            return np.where(t > 0.6, np.nan, 1.0)
+
+        with pytest.raises(EvalError, match=r"^non-finite value nan at t=0\.625$"):
+            ScalarFunction(fn, 1)(_GRID)
+        assert shapes[0] == (33,) and all(len(shape) == 1 for shape in shapes)
+
+    def test_bisection_is_logarithmic(self):
+        calls = []
+        function = ScalarFunction.from_expression("sqrt(0.6-t)", 1)
+
+        def counted(t):
+            calls.append(np.size(t))
+            if np.any(t > 0.6):
+                raise EvalError("sqrt of a negative value")
+            return np.sqrt(0.6 - t)
+
+        grid = np.linspace(0.0, 1.0, 1025)
+        with pytest.raises(EvalError) as info:
+            ScalarFunction(counted, 1)(grid)
+        with pytest.raises(EvalError) as reference:
+            function(grid)
+        assert str(info.value) == str(reference.value) == f"sqrt of a negative value at t={grid[615]:.6g}"
+        assert len(calls) <= 2 + math.ceil(math.log2(grid.size))
+
+    def test_missing_s_names_no_point(self):
+        with pytest.raises(EvalError, match=r"^expression references 's' but no value was supplied$") as info:
+            evaluate(parse("t+s"), _GRID)
+        assert info.value.point == ()
+
+    def test_an_error_no_point_reproduces_is_raised_as_is(self):
+        def fn(t):
+            if np.size(t) > 1:
+                raise EvalError("batch only")
+            return np.zeros(np.shape(t))
+
+        with pytest.raises(EvalError, match="^batch only$") as info:
+            ScalarFunction(fn, 1)(_GRID)
+        assert info.value.point is None
+
+    def test_an_empty_call_has_no_point(self):
+        with pytest.raises(EvalError, match="^ln of a non-positive value$"):
+            ScalarFunction.from_expression("ln(0)", 1)(np.array([]))
 
 
 def test_number_scientific_notation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvie.assembly import assemble
+from lvie.assembly import AssemblyError, assemble
 from lvie.expressions import evaluate, parse
 from lvie.grid import build_grid
 from lvie.problems import (
@@ -238,6 +238,25 @@ class TestValidation:
         assert nan_first.violation == "kernel not evaluable: non-finite value nan at t=0, s=0"
         raise_first = validate_problem(make_problem(kernel=kernel(0.0, 0.5)))
         assert raise_first.violation == "kernel not evaluable: boom"
+
+    def test_a_domain_error_names_its_first_sample(self):
+        p = dataclasses.replace(builtin_problem("model1"), loads=(
+            LoadTerm(0.3, ScalarFunction.from_expression("ln(t-0.7)", 1)), builtin_problem("model1").loads[1],
+        ))
+        assert validate_problem(p).violation == "a1 not evaluable: ln of a non-positive value at t=0"
+        kernel = ScalarFunction.from_expression("sqrt(0.9 - t) * (t - 2*s^2)", 2)
+        at = f"t={np.linspace(0, 1, 1000)[900]:.6g}, s=0"
+        report = validate_problem(dataclasses.replace(builtin_problem("model1"), kernel=kernel))
+        assert report.violation == f"kernel not evaluable: sqrt of a negative value at {at}"
+
+    def test_functions_are_checked_in_assemblys_order(self):
+        # a0, f, then a_1 ... a_m: with f and a1 both failing, both layers name f.
+        bad = ScalarFunction.from_expression("ln(t-0.7)", 1)
+        model1 = builtin_problem("model1")
+        p = dataclasses.replace(model1, rhs=bad, loads=(LoadTerm(0.3, bad), model1.loads[1]))
+        assert validate_problem(p).violation == "f not evaluable: ln of a non-positive value at t=0"
+        with pytest.raises(AssemblyError, match=r"^f failed at row 0, t=0: ln of a non-positive value at t=0$"):
+            assemble(p, build_grid(p, Fraction(1, 8)))
 
     def test_never_raises_for_bad_callables(self):
         def explode(t):

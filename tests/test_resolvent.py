@@ -781,13 +781,14 @@ def _model1_with(**fields):
 
 
 _F1 = builtin_problem("model1").rhs
-# A non-finite value is refused by ScalarFunction where it is read; a
-# non-finite quotient by a0 (a zero a0 among them) by the normalization.
+# A non-finite value is refused by ScalarFunction where it is read, named by
+# its function; a non-finite quotient by a0 (a zero a0 among them) by the
+# normalization.
 UNUSABLE_DATA = {
     "f_nan": (
         _model1_with(rhs=ScalarFunction(lambda t: np.where(t > 0.7, np.nan, _F1(t)), 1)),
         EvalError,
-        r"^non-finite value nan at t=0\.701172$",
+        r"^f failed: non-finite value nan at t=0\.701172$",
     ),
     "a0_zero": (
         _model1_with(a0=ScalarFunction.from_expression("t-0.5", 1)),
@@ -797,7 +798,7 @@ UNUSABLE_DATA = {
     "kernel_nan": (
         _model1_with(kernel=ScalarFunction(lambda t, s: np.full(np.shape(t), np.nan), 2)),
         EvalError,
-        r"^non-finite value nan at t=0, s=0$",
+        r"^K failed: non-finite value nan at t=0, s=0$",
     ),
     "a0_tiny_f_large": (
         _model1_with(a0=ScalarFunction.constant(1e-300), rhs=ScalarFunction.constant(1e10)),
@@ -815,6 +816,63 @@ UNUSABLE_DATA = {
         r"^non-finite K/a0 inf at t=0, s=0$",
     ),
 }
+
+
+def _nan_past(fn, arity=1):
+    """``fn`` as a plain callable that is nan where t > 0.7."""
+    if arity == 1:
+        return ScalarFunction(lambda t: np.where(t > 0.7, np.nan, fn(t)), 1)
+    return ScalarFunction(lambda t, s: np.where(t > 0.7, np.nan, fn(t, s)), 2)
+
+
+_M1 = builtin_problem("model1")
+_LN = ScalarFunction.from_expression("ln(t-0.7)", 1)
+# Every function the resolvent layer evaluates, failing by a domain error and
+# by a non-finite value, and the message that names it and its first point.
+FAILING_FUNCTIONS = {
+    "a0_domain": ({"a0": ScalarFunction.from_expression("1+sqrt(t-0.3)", 1)}, "a0", "sqrt of a negative value at t=0"),
+    "a0_nan": ({"a0": _nan_past(_M1.a0)}, "a0", "non-finite value nan at t=0.701172"),
+    "f_domain": ({"rhs": _LN}, "f", "ln of a non-positive value at t=0"),
+    "f_nan": ({"rhs": _nan_past(_M1.rhs)}, "f", "non-finite value nan at t=0.701172"),
+    "a1_domain": ({"loads": (LoadTerm(0.3, _LN), _M1.loads[1])}, "a1", "ln of a non-positive value at t=0"),
+    "a1_nan": (
+        {"loads": (LoadTerm(0.3, _nan_past(_M1.loads[0].coeff)), _M1.loads[1])},
+        "a1", "non-finite value nan at t=0.701172",
+    ),
+    "K_domain": (
+        {"kernel": ScalarFunction.from_expression("sqrt(0.9 - t) * (t - 2*s^2)", 2)},
+        "K", "sqrt of a negative value at t=0.900391, s=0",
+    ),
+    "K_nan": ({"kernel": _nan_past(_M1.kernel, 2)}, "K", "non-finite value nan at t=0.701172, s=0"),
+}
+
+
+class TestFailingFunctions:
+    """An evaluation of a0, f, an a_j or K that fails is named by its function, at its point."""
+
+    @pytest.mark.parametrize("name", sorted(FAILING_FUNCTIONS))
+    def test_named_with_its_first_point(self, name):
+        fields, label, message = FAILING_FUNCTIONS[name]
+        p = _model1_with(**fields)
+        calls = (ResolventApprox, classify, lambda p: semi_analytic_solve(p, np.linspace(0.0, 1.0, 5)))
+        for call in calls:
+            with pytest.raises(EvalError) as info:
+                call(p)
+            assert str(info.value) == f"{label} failed: {message}"
+            assert info.value.point is not None
+
+    @pytest.mark.parametrize(
+        "n,kernel_at,a0_at", [(1, "t=0.95, s=0.1", "t=0.2"), (2, "t=0.901261, s=0.1", "t=0.1")]
+    )
+    def test_iterated_kernel_names_the_kernel_and_a0(self, n, kernel_at, a0_at):
+        kernel = _model1_with(**FAILING_FUNCTIONS["K_domain"][0])
+        with pytest.raises(EvalError) as info:
+            iterated_kernel(kernel, n, 0.95, 0.1)
+        assert str(info.value) == f"K failed: sqrt of a negative value at {kernel_at}"
+        a0 = _model1_with(**FAILING_FUNCTIONS["a0_domain"][0])
+        with pytest.raises(EvalError) as info:
+            iterated_kernel(a0, n, 0.2, 0.1)
+        assert str(info.value) == f"a0 failed: sqrt of a negative value at {a0_at}"
 
 
 class TestUnusableData:
@@ -839,7 +897,7 @@ class TestUnusableData:
     def test_iterated_kernel_refuses_a_nan_kernel(self):
         p = UNUSABLE_DATA["kernel_nan"][0]
         for n, at in [(1, r"t=0\.5, s=0\.1"), (2, r"t=0\.1, s=0\.1")]:
-            with pytest.raises(EvalError, match=rf"^non-finite value nan at {at}$"):
+            with pytest.raises(EvalError, match=rf"^K failed: non-finite value nan at {at}$"):
                 iterated_kernel(p, n, 0.5, 0.1)
 
     @pytest.mark.parametrize("n", [1, 2])

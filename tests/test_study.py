@@ -79,6 +79,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="outside"):
             sol.evaluate(np.array([0.5, np.nan]))
 
+    def test_first_point_outside_is_named(self):
+        sol = PiecewiseLinearSolution(grid=two_node_solution(), values=np.zeros(3))
+        for t in (float("nan"), [0.2, np.nan, -1.0]):
+            with pytest.raises(ValueError, match=r"^t=nan outside \[0, 1\]$"):
+                sol.evaluate(t)
+        with pytest.raises(ValueError, match=r"^t=1\.5 outside \[0, 1\]$"):
+            sol(np.array([[0.5, 1.5]]))
+
     def test_vectorized_evaluation(self):
         g = two_node_solution()
         sol = PiecewiseLinearSolution(grid=g, values=np.array([1.0, 2.0, 0.0]))
