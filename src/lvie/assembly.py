@@ -26,7 +26,12 @@ solver reads each block's near triangle from ``near`` and has
 ``residual``) reads the weights in one schedule of panels, ``BLOCK_ROWS``
 rows and at most ``PANEL_POINTS`` kernel points, and a dense system
 subtracts the same panels into the matrix it materializes for the
-Gauss-Jordan reference path.
+Gauss-Jordan reference path.  That matrix is a view of the system's one
+N^2 array, ``augmented``: ``[A | b]`` stored transposed, the layout of
+``solvers.augmented``, which ``solvers.solve_augmented`` eliminates in
+place.  A weight 0.5 lam dtau K that overflows is refused like a failing
+kernel, by row; an entry that overflows as a sum is left to the
+elimination, which refuses non-finite entries.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
@@ -47,16 +52,17 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .expressions import EvalError
+from .expressions import EvalError, finite
 from .grid import Grid
 from .problems import Problem, ScalarFunction
+from .solvers import BUFFER_SIZE, augmented
 
 __all__ = ["CollocationSystem", "AssemblyError", "assemble"]
 
-# Largest grid the dense path materializes: 2053 nodes (h = 1/2048 on the
-# built-in problems) make a 34 MB matrix, built in row panels, and a dense
-# solve holds it and one transposed copy, 67 MB; past that the O(N^3)
-# Gauss-Jordan reference takes minutes and the matrix gigabytes.
+# Largest grid the dense path materializes: at 2053 nodes (h = 1/2048 on the
+# built-in problems) a dense system is one 34 MB array, [A | b] stored
+# transposed, assembled in row panels and eliminated in place; past that the
+# O(N^3) Gauss-Jordan reference takes minutes and the array gigabytes.
 DENSE_MAX_NODES = 2053
 
 # Panels of the blocked paths: past 16384 points (128 KiB per temporary) a
@@ -80,8 +86,8 @@ def check_dense_size(n: int) -> None:
     if n > DENSE_MAX_NODES:
         raise AssemblyError(
             f"dense assembly at N={n - 1} needs a {n}x{n} matrix of "
-            f"{8 * n * n / 1e6:.0f} MB; the limit is {DENSE_MAX_NODES} nodes "
-            "(use the structured solver)"
+            f"{8 * n * (n + 1) / 1e6:.0f} MB with its right-hand side; "
+            f"the limit is {DENSE_MAX_NODES} nodes (use the structured solver)"
         )
 
 
@@ -94,9 +100,11 @@ class CollocationSystem:
     ``a0_values``, ``rhs`` and ``load_entries`` (a_j(tau_i), shape
     (N+1, number of loads)) at the nodes, refusing a failing evaluation
     with the :class:`AssemblyError` of its row; then, for a dense
-    system, ``matrix`` from the panels ``integral`` reads, or, for a
-    streaming system (``matrix`` None) of a difference kernel on a
-    uniform mesh, its lag table and near triangle; any other is direct.
+    system, ``augmented`` (``solvers.augmented``: row j is column j of
+    ``[A | b]``) from the panels ``integral`` reads, with ``matrix`` a
+    view of its A, or, for a streaming system (``matrix`` and
+    ``augmented`` None) of a difference kernel on a uniform mesh, its lag
+    table and near triangle; any other is direct.
     ``weights`` reproduces the quadrature weights of any rows and columns
     without materializing the matrix; ``row_weights`` is its one-row case.
     """
@@ -117,26 +125,33 @@ class CollocationSystem:
             self.load_entries[:, j] = _eval_nodes(tau, f"a{j + 1}", term.coeff, tau)
         self._dtau = np.diff(tau)
         self._mids = 0.5 * (tau[:-1] + tau[1:])
-        self._lag = self._lags = self._near = self.matrix = None
+        self._lag = self._lags = self._near = self.matrix = self.augmented = None
         self._spectra = {}
         if self.dense:
-            self.matrix = matrix = np.zeros((n, n))
+            self.augmented = at = augmented(n)
+            self.matrix = matrix = at[:n].T
+            # An entry that overflows is left to the elimination, which refuses it.
             for r0, r1, c0, c1, weights in self._panels(0, n, 0, n - 1):
-                matrix[r0:r1, c0:c1] -= weights  # the weights of x_k
-                matrix[r0:r1, c0 + 1 : c1 + 1] -= weights  # and of x_{k+1}
-            np.fill_diagonal(matrix, matrix.diagonal() + self.a0_values)
-            for j, v in enumerate(self.load_columns):
-                matrix[:, v] += self.load_entries[:, j]
+                with np.errstate(over="ignore"):
+                    matrix[r0:r1, c0:c1] -= weights  # the weights of x_k
+                    matrix[r0:r1, c0 + 1 : c1 + 1] -= weights  # and of x_{k+1}
+                del weights  # not held while the next panel is evaluated
+            with np.errstate(over="ignore"):
+                at.reshape(-1)[: n * n : n + 1] += self.a0_values  # the diagonal
+                for j, v in enumerate(self.load_columns):
+                    at[v] += self.load_entries[:, j]  # column v of the matrix
+            at[n] = self.rhs
             return
         h = self.grid.uniform_step() if self.problem.kernel.is_difference else None
         if h is None:
             return
+        by_lag = np.zeros(2 * n - 2)  # lags N-1 .. 0, then -1 .. -N
         try:  # the lag table: N kernel points in one call
             kvals = self.problem.kernel(tau[1:], self._mids[0])
-        except EvalError:
+            with np.errstate(over="raise"):
+                by_lag[: n - 1] = 0.5 * self.problem.lam * h * kvals[::-1]
+        except (EvalError, FloatingPointError):
             return  # the direct path names the failing row
-        by_lag = np.zeros(2 * n - 2)  # lags N-1 .. 0, then -1 .. -N
-        by_lag[: n - 1] = 0.5 * self.problem.lam * h * kvals[::-1]
         self._lag = by_lag[n - 2 :: -1]
         self._lags = sliding_window_view(by_lag, n - 1)[::-1]  # read-only, row i = J_1^i .. J_N^i
         self._near = self.near(1, min(BLOCK_ROWS + 1, n))
@@ -152,32 +167,50 @@ class CollocationSystem:
     def weights(self, i0: int, i1: int, k0: int, k1: int) -> np.ndarray:
         """Weights J_{k+1}^i (rows i0 <= i < i1, columns k0 <= k < k1) of x_k + x_{k+1}.
 
-        The kernel is evaluated on the Volterra triangle k < i only; the
-        rest is zero.  A kernel failure raises :class:`AssemblyError`
-        naming the first failing row and its abscissa.
+        The kernel is evaluated on the Volterra triangle k < i only, with
+        numpy's ufunc buffer at ``solvers.BUFFER_SIZE``; the rest is zero.
+        A kernel failure or a weight that overflows raises
+        :class:`AssemblyError` naming the first failing row and its abscissa.
         """
         if self._lags is not None:
             return self._lags[i0:i1, k0:k1].copy()
-        rows, cols, kvals = _eval_nodes(self.grid.nodes, "kernel", self._kernel, i0, i1, k0, k1)
-        w = 0.5 * self.problem.lam * self._dtau[k0:k1][cols] * kvals
-        if rows is None:
+        tau = self.grid.nodes
+        try:
+            with np.errstate():  # leaving it restores the buffer size
+                np.setbufsize(BUFFER_SIZE)
+                below, kvals = _eval_nodes(tau, "kernel", self._on_pairs, self.problem.kernel, i0, i1, k0, k1)
+        except AssemblyError as err:
+            if err.row > i0:  # a weight that overflows in an earlier row comes first
+                self.weights(i0, err.row, k0, k1)
+            raise
+        scale = 0.5 * self.problem.lam * self._dtau[k0:k1]
+        if below is not None:
+            scale = np.broadcast_to(scale, below.shape)[below]
+        try:
+            with np.errstate(over="raise"):
+                w = scale * kvals
+        except FloatingPointError:
+            with np.errstate(over="ignore"):  # raises at the first weight that overflows
+                check = lambda t, s: finite(scale * kvals, t, s)  # noqa: E731
+                _eval_nodes(tau, "weight", self._on_pairs, check, i0, i1, k0, k1)
+        if below is None:
             return w
         out = np.zeros((i1 - i0, k1 - k0))
-        out[rows, cols] = w
+        out[below] = w
         return out
 
-    def _kernel(self, i0: int, i1: int, k0: int, k1: int) -> tuple:
-        """``(rows, cols, K)``: the kernel at the pairs k < i of rows i0..i1-1, columns k0..k1-1.
+    def _on_pairs(self, fn, i0: int, i1: int, k0: int, k1: int) -> tuple:
+        """``(below, fn(t, s))`` over the pairs k < i of rows i0..i1-1, columns k0..k1-1.
 
-        ``rows`` is None, ``cols`` every column and ``K`` a full block when
-        every pair lies below the diagonal (k1 <= i0); else they index the
-        triangle's pairs within the block.
+        ``below`` is None and ``t``, ``s`` broadcast to the full block when
+        every pair lies below the diagonal (k1 <= i0); else ``below`` is the
+        block's mask of the pairs and ``t``, ``s`` list them in row-major order.
         """
-        tau = self.grid.nodes
+        t, s = self.grid.nodes[i0:i1, None], self._mids[None, k0:k1]
         if k1 <= i0:
-            return None, slice(None), self.problem.kernel(tau[i0:i1, None], self._mids[None, k0:k1])
-        rows, cols = np.tril_indices(i1 - i0, i0 - k0 - 1, k1 - k0)
-        return rows, cols, self.problem.kernel(tau[i0 + rows], self._mids[k0 + cols])
+            return None, fn(t, s)
+        below = np.tri(i1 - i0, k1 - k0, i0 - k0 - 1, dtype=bool)
+        return below, fn(np.broadcast_to(t, below.shape)[below], np.broadcast_to(s, below.shape)[below])
 
     def lag_weights(self) -> Optional[np.ndarray]:
         """Weights by lag, w[d] = J_p^{p+d} for d = 0..N-1, or None (direct path)."""

@@ -1,7 +1,9 @@
 """Dense and structure-exploiting linear solvers.
 
-One full-pivot Gauss-Jordan core, ``_eliminate``, serves three callers:
-``gauss_jordan``, the reference solver, eliminates ``[a | b]``;
+One full-pivot Gauss-Jordan core, ``_eliminate``, serves four callers:
+``gauss_jordan``, the reference solver, eliminates a copy of ``[a | b]``;
+``solve_augmented`` eliminates one in place, an ``augmented`` array that
+dense assembly fills, so a dense solve holds one (N+2) x (N+1) array;
 ``rank_and_det``, the solvability diagnostics, reads rank and
 determinant off the pivots and the swap parity, and eliminates an
 optional right-hand side with them; ``nullspace`` reads a basis off the
@@ -41,15 +43,17 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import BLOCK_ROWS, AssemblyError
+from . import assembly  # a module import: assembly imports this module while it loads
 
 __all__ = [
     "SingularMatrixError",
     "SolvabilityError",
     "RankReport",
+    "augmented",
     "gauss_jordan",
     "nullspace",
     "rank_and_det",
+    "solve_augmented",
     "structured_solve",
 ]
 
@@ -75,7 +79,7 @@ class SolvabilityError(ValueError):
 
 
 def _transposed(a, b=None, stacked: bool = False) -> np.ndarray:
-    """``[a | b]`` (``b`` optional) stored as its transpose, the layout of ``_eliminate``.
+    """A copy of ``[a | b]`` (``b`` optional) stored as its transpose, the layout of ``_eliminate``.
 
     ``a`` is one square matrix and ``b`` one vector, or with ``stacked`` a
     stack (L, n, n) and a stack (L, n); the result has the stack axis
@@ -88,9 +92,7 @@ def _transposed(a, b=None, stacked: bool = False) -> np.ndarray:
     n = a.shape[-1]
     stack = a if stacked else a[None]
     at = np.empty((stack.shape[0], n + (b is not None), n))
-    copy = np.add(stack.transpose(0, 2, 1), 0.0, out=at[:, :n])  # -0.0 + 0.0 is +0.0
-    if not (math.isfinite(copy.max(initial=0.0)) and math.isfinite(copy.min(initial=0.0))):
-        raise ValueError("matrix entries must be finite")
+    np.add(stack.transpose(0, 2, 1), 0.0, out=at[:, :n])  # -0.0 + 0.0 is +0.0
     if b is not None:
         b = np.asarray(b, dtype=float)
         if b.shape != a.shape[:-1]:
@@ -121,16 +123,21 @@ def _eliminate(at: np.ndarray, tol: float):
     the full update.  ``x - c*(+-0)`` is ``x`` unless x is -0.0, and the
     unpivoted rows hold no -0.0 if ``at`` has none: an update that gives
     zero there is a difference of equal values or ``+0 - (+-0)``, both
-    +0.0, and only the pivot row is divided (``_transposed`` turns -0.0
-    into +0.0).  Dropping an all-zero column from a row leaves its maximum
-    magnitude as it is, so the pivots, ties and swaps stay too.  This
+    +0.0, and only the pivot row is divided (``_transposed`` and
+    ``solve_augmented`` turn -0.0 into +0.0).  Dropping an all-zero
+    column from a row leaves its maximum magnitude as it is, so the
+    pivots, ties and swaps stay too.  This
     holds for finite values; an infinite or NaN right-hand side, or an
     overflow, may leave other NaNs and infinities than the full update.  A
-    member stopping recomputes the maxima.
+    member stopping recomputes the maxima.  A non-finite entry of any A
+    raises ``ValueError`` before any step.
     """
     count, width, n = at.shape
     a = at[:, :n]  # max|A| as max(max A, -min A): no |A| copy
-    scales = (tol * np.maximum(a.max(axis=(1, 2), initial=0.0), -a.min(axis=(1, 2), initial=0.0))).tolist()
+    hi, lo = a.max(axis=(1, 2), initial=0.0), a.min(axis=(1, 2), initial=0.0)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise ValueError("matrix entries must be finite")
+    scales = (tol * np.maximum(hi, -lo)).tolist()
     pivots: list[list[float]] = [[] for _ in range(count)]
     cols = [list(range(n)) for _ in range(count)]
     swaps = [0] * count
@@ -200,14 +207,42 @@ def _solutions(at: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return x
 
 
+def augmented(n: int) -> np.ndarray:
+    """A zero ``[A | b]`` of an n x n system in the layout :func:`solve_augmented` eliminates.
+
+    The array has shape (n + 1, n): row j holds column j of ``[A | b]``,
+    so ``A`` is ``out[:n].T`` and ``b`` is ``out[n]``.
+    """
+    return np.zeros((n + 1, n))
+
+
+def solve_augmented(at: np.ndarray) -> np.ndarray:
+    """Solve A x = b stored as ``at``, an :func:`augmented` array, by eliminating it in place.
+
+    The bits, the pivots, the refusals and the messages are those of
+    :func:`gauss_jordan` on ``(at[:n].T, at[n])``, which works on a copy;
+    afterwards ``at`` holds the reduced system, not A and b.
+    """
+    if at.ndim != 2 or at.shape[0] != at.shape[1] + 1:
+        raise ValueError(f"expected an augmented array of shape (n + 1, n), got shape {at.shape}")
+    np.add(at, 0.0, out=at)  # -0.0 + 0.0 is +0.0, as in gauss_jordan's copy
+    return _solve(at[None])
+
+
 def gauss_jordan(a, b) -> np.ndarray:
     """Solve a x = b by Gauss-Jordan elimination with full pivoting.
 
     The pivot at each step is the maximum-magnitude element of the
     remaining submatrix; a pivot below ``SINGULAR_TOL`` relative to the
-    largest initial entry raises :class:`SingularMatrixError`.
+    largest initial entry raises :class:`SingularMatrixError`, a
+    non-finite entry of ``a`` ``ValueError``.  ``a`` and ``b`` are left
+    as they are.
     """
-    at = _transposed(a, b)
+    return _solve(_transposed(a, b))
+
+
+def _solve(at: np.ndarray) -> np.ndarray:
+    """x of a x = b from the stack of one ``[a | b]`` stored as ``at[0] = [a | b].T``, eliminated in place."""
     n = at.shape[2]
     pivots, cols, _ = _eliminate(at, SINGULAR_TOL)
     k = len(pivots[0])
@@ -319,11 +354,11 @@ def structured_solve(system) -> np.ndarray:
     check_pivots(0, a0[:1])
     X[0] = B[0] / a0[0]
     fault = None  # the earliest kernel failure met so far
-    for b, r0 in enumerate(range(1, n, BLOCK_ROWS)):
-        r1 = min(r0 + BLOCK_ROWS, n if fault is None else fault.row)
+    for b, r0 in enumerate(range(1, n, assembly.BLOCK_ROWS)):
+        r1 = min(r0 + assembly.BLOCK_ROWS, n if fault is None else fault.row)
         try:
             near = system.near(r0, r1)
-        except AssemblyError as err:
+        except assembly.AssemblyError as err:
             fault, r1 = err, err.row
             near = system.near(r0, r1)
         k = r1 - r0
@@ -336,10 +371,10 @@ def structured_solve(system) -> np.ndarray:
         X[r0:r1] = np.linalg.solve(T, B[r0:r1] - near[:, :1] * X[r0 - 1])
         Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
         if r1 < n:
-            m = BLOCK_ROWS * ((b + 1) & -(b + 1))
+            m = assembly.BLOCK_ROWS * ((b + 1) & -(b + 1))
             try:
                 system.integral(B[r1 : r1 + m], r1, Y, r1 - 1 - m, r1 - 1)
-            except AssemblyError as err:
+            except assembly.AssemblyError as err:
                 if fault is None or err.row < fault.row:
                     fault = err
     if m1 == 0:

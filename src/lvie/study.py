@@ -25,7 +25,8 @@ import numpy as np
 from .assembly import assemble, check_dense_size
 from .grid import Grid, build_grid
 from .problems import Problem, ScalarFunction, check_inside
-from .solvers import gauss_jordan, structured_solve
+# gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
+from .solvers import gauss_jordan, solve_augmented, structured_solve  # noqa: F401
 
 __all__ = [
     "PiecewiseLinearSolution",
@@ -81,7 +82,8 @@ def solve_collocation(p: Problem, h, solver: str = "structured") -> PiecewiseLin
     """Build the grid, assemble, and solve at step ``h``.
 
     ``solver``: ``"dense"`` runs Gauss-Jordan on the materialized
-    matrix (the reference path, O(N^2) memory and O(N^3) time);
+    matrix, eliminating the system's one ``augmented`` array in place
+    (the reference path, O(N^2) memory and O(N^3) time);
     ``"structured"`` (the default) runs the triangular-plus-load-columns
     path on a streaming system, which recomputes the weights panel by
     panel and never builds the matrix.  Both treat pivots below
@@ -92,8 +94,7 @@ def solve_collocation(p: Problem, h, solver: str = "structured") -> PiecewiseLin
         raise ValueError(f"solver must be one of {SOLVER_CHOICES}")
     g = build_grid(p, h)
     if solver == "dense":
-        system = assemble(p, g, mode="dense")
-        x = gauss_jordan(system.matrix, system.rhs)
+        x = solve_augmented(assemble(p, g, mode="dense").augmented)
     else:
         x = structured_solve(assemble(p, g))
     return PiecewiseLinearSolution(grid=g, values=x)

@@ -14,15 +14,19 @@ for model1, model2 and ``bench/fixtures/sqrt_ladder.cfg``:
 * at h = 1/8 ... 1/512, the streaming system's ``a0_values``, ``rhs``,
   ``load_entries`` and every weight J_p^i (read through ``weights``, so
   from the lag table where there is one), the structured solution and its
-  residual, and the
-  dense matrix, its Gauss-Jordan solution and that solution's residual;
+  residual, the
+  dense matrix, its Gauss-Jordan solution and that solution's residual,
+  and the dense ``solve_collocation`` solution (the in-place elimination
+  the CLI runs);
 * a seeded 41-lambda ``solvability_sweep`` (det, rank, label, defect and
   load values), ``semi_analytic_solve`` at 101 points, and
   ``iterated_kernel`` (n = 1, 2, 3) and ``resolvent`` at a few points;
-* at h = 1/64 ... 1/512, in both modes, the ``AssemblyError.row`` of three
+* at h = 1/64 ... 1/512, in both modes, the ``AssemblyError.row`` of four
   failing problems: model1 with the kernel ``sqrt(0.9 - t) * (t - 2*s^2)``,
   ``sqrt_ladder`` (a uniform mesh) with the difference kernel
-  ``sqrt(0.6-(t-s))``, and model1 with a callable a1 that is nan past 0.7;
+  ``sqrt(0.6-(t-s))``, model1 with a callable a1 that is nan past 0.7, and
+  model1 at lambda = 1e308 with a callable kernel that is 1e10 past
+  t = 0.5, whose weights overflow there;
 
 plus the ``--no-timing`` stdout of ``lvie study`` and the stdout of
 ``lvie analyze`` on every problem.  Entries are compared byte for byte,
@@ -78,7 +82,7 @@ def _problems():
 
 
 def _collocation(entries: dict, name: str, problem) -> None:
-    from lvie import assemble, build_grid, gauss_jordan, structured_solve
+    from lvie import assemble, build_grid, gauss_jordan, solve_collocation, structured_solve
 
     for h in STEPS:
         key = f"{name}/h={h}"
@@ -96,6 +100,7 @@ def _collocation(entries: dict, name: str, problem) -> None:
         entries[f"{key}/matrix"] = dense.matrix
         entries[f"{key}/x_gauss_jordan"] = xd
         entries[f"{key}/residual_dense"] = dense.residual(xd)
+        entries[f"{key}/x_dense_solve"] = solve_collocation(problem, h, "dense").values
 
 
 def _resolvent(entries: dict, name: str, problem) -> None:
@@ -132,6 +137,8 @@ def _failing_problems(problems: dict) -> dict:
         "sqrt_ladder_lag_kernel": dataclasses.replace(
             problems["sqrt_ladder"], kernel=ScalarFunction.from_expression("sqrt(0.6-(t-s))", 2)),
         "model1_nan_a1": dataclasses.replace(model1, loads=(LoadTerm(0.3, nan_a1), *model1.loads[1:])),
+        "model1_weight_overflow": dataclasses.replace(
+            model1, lam=1e308, kernel=ScalarFunction(lambda t, s: np.where(t > 0.5, 1e10, 1.0), 2)),
     }
 
 

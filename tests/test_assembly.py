@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvie.assembly import DENSE_MAX_NODES, AssemblyError, assemble
+from lvie.assembly import DENSE_MAX_NODES, PANEL_POINTS, AssemblyError, assemble
 from lvie.config import load_problem_config
 from lvie.expressions import EvalError
 from lvie.grid import build_grid
@@ -371,6 +371,57 @@ class TestDensePanels:
             with pytest.raises(AssemblyError) as info:
                 solve_collocation(p, Fraction(1, 512), solver)
             assert (info.value.row, str(info.value)) == (463, message)
+
+    @pytest.mark.parametrize("solver", ["dense", "structured"])
+    @pytest.mark.parametrize("k", [6, 9])
+    @pytest.mark.parametrize("name", ["model1", "sqrt_ladder"])
+    def test_a_weight_that_overflows_names_its_row(self, name, k, solver):
+        # 0.5 * 1e308 * dtau * K passes the largest double where K jumps past ~1e3, a little
+        # past t - s = 0.5 for sqrt_ladder, past t = 0.5 for model1: every kernel value up to
+        # that row is finite, and so is every sum of two weights.  sqrt_ladder's mesh is uniform
+        # and its kernel a difference kernel, which overflows itself further on, in the same
+        # 64-row panel at k = 6: a streaming system would take the lag table.
+        if name == "model1":
+            kernel = ScalarFunction(lambda t, s: np.where(t > 0.5, 1e10, 1.0), 2)
+            p = dataclasses.replace(builtin_problem("model1"), lam=1e308, kernel=kernel)
+        else:
+            kernel = ScalarFunction.from_expression("exp(2000*((t-s)-0.5))", 2)
+            p = dataclasses.replace(load_problem_config(SQRT_LADDER), lam=1e308, kernel=kernel)
+        g = build_grid(p, Fraction(1, 2**k))
+        assert assemble(p, g).lag_weights() is None
+        tau = g.nodes
+        s = 0.5 * (tau[0] + tau[1])
+        with np.errstate(over="ignore"):  # column 0 has the largest weight of every row
+            w = 0.5 * p.lam * (tau[1] - tau[0]) * p.kernel(tau[tau < 0.8], s)
+        row = int(np.flatnonzero(np.isinf(w))[0])
+        at = f"t={tau[row]:.6g}"
+        with pytest.raises(AssemblyError) as info:
+            solve_collocation(p, Fraction(1, 2**k), solver)  # RuntimeWarnings are errors under pytest
+        assert str(info.value) == f"weight failed at row {row}, {at}: non-finite value inf at {at}, s={s:.6g}"
+        assert info.value.row == row
+
+    def test_matrix_and_rhs_are_held_in_the_augmented_array(self):
+        p = builtin_problem("model2")
+        system = assemble(p, build_grid(p, Fraction(1, 16)), mode="dense")
+        n = system.size
+        assert system.augmented.shape == (n + 1, n)
+        assert np.shares_memory(system.matrix, system.augmented)
+        assert system.augmented.tobytes() == np.vstack([system.matrix.T, system.rhs]).tobytes()
+        assert system.matrix.tobytes() == whole_triangle_matrix(system).tobytes()
+
+    def test_dense_solve_holds_one_augmented_array(self):
+        # Assembled into [A | b] stored transposed and eliminated in place: one n x (n + 1)
+        # array and a few panels of temporaries, not the matrix and a transposed copy.
+        p = builtin_problem("model2")
+        n = build_grid(p, Fraction(1, 256)).n_nodes
+        tracemalloc.start()
+        try:
+            solve_collocation(p, Fraction(1, 256), "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 259
+        assert peak <= 8 * n * (n + 1) + 5 * 8 * PANEL_POINTS
 
     def test_memory_is_the_matrix_and_one_panel(self):
         p = builtin_problem("model2")

@@ -18,11 +18,14 @@ from lvie.solvers import (
     SolvabilityError,
     _eliminate,
     _transposed,
+    augmented,
     gauss_jordan,
     nullspace,
     rank_and_det,
+    solve_augmented,
     structured_solve,
 )
+from lvie.study import solve_collocation
 
 SQRT_LADDER_CONFIG = """
 t0 = 0.0
@@ -442,6 +445,69 @@ class TestEliminateTriangular:
             if rank_and_det(aug[:, :8], SINGULAR_TOL).rank == 8:
                 want = gauss_jordan(aug[:, :8], aug[:, 8])
                 assert gauss_jordan(neg[:, :8], neg[:, 8]).tobytes() == want.tobytes()
+
+
+class TestSolveAugmented:
+    """The in-place solve of an ``augmented`` array keeps gauss_jordan's bits, pivots and refusals."""
+
+    def test_layout(self):
+        at = augmented(3)
+        assert at.shape == (4, 3) and not at.any()
+        at[:3].T[:] = [[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 4.0]]  # A
+        at[3] = [2.0, 3.0, 8.0]  # b
+        np.testing.assert_array_equal(solve_augmented(at), [1.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_and_singular_messages_match_gauss_jordan(self, seed):
+        rng = np.random.default_rng(31_000 + seed)
+        for _ in range(50):
+            aug = triangular_with_loads(rng, 8, 1)
+            aug = np.where((aug == 0.0) & (rng.random(aug.shape) < 0.5), -0.0, aug)
+            at = np.ascontiguousarray(aug.T)
+            try:
+                want = gauss_jordan(aug[:, :8], aug[:, 8])
+            except SingularMatrixError as err:
+                with pytest.raises(SingularMatrixError) as info:
+                    solve_augmented(at)
+                assert (str(info.value), info.value.step) == (str(err), err.step)
+            else:
+                assert solve_augmented(at).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3,), (2, 4, 3)])
+    def test_shape_validated(self, shape):
+        with pytest.raises(ValueError, match=r"augmented array of shape \(n \+ 1, n\)"):
+            solve_augmented(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused(self, bad):
+        at = augmented(3)
+        at[:3].T[:] = np.eye(3)
+        at[1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            gauss_jordan(at[:3].T, at[3])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            solve_augmented(at)
+
+    def test_assembled_entry_that_overflows_is_refused_on_the_dense_path(self):
+        # Every weight is finite (|J| < 1.6e307), but a0 + |J| passes the largest double.
+        p = dataclasses.replace(builtin_problem("model1"), lam=1e308, a0=ScalarFunction.constant(1.7e308),
+                                kernel=ScalarFunction.constant(-20.0, arity=2))
+        system = assemble(p, build_grid(p, Fraction(1, 64)), mode="dense")
+        assert np.isfinite(system.weights(0, system.size, 0, system.size - 1)).all()
+        assert not np.isfinite(system.matrix).all()
+        with pytest.raises(ValueError) as copy:
+            gauss_jordan(system.matrix, system.rhs)
+        with pytest.raises(ValueError) as in_place:
+            solve_collocation(p, Fraction(1, 64), "dense")
+        assert str(in_place.value) == str(copy.value) == "matrix entries must be finite"
+
+    @pytest.mark.parametrize("name", ["model1", "model2"])
+    def test_dense_solve_is_gauss_jordan_on_a_copy(self, name):
+        p = builtin_problem(name)
+        for k in (3, 6):
+            system = assemble(p, build_grid(p, Fraction(1, 2**k)), mode="dense")
+            want = gauss_jordan(system.matrix, system.rhs)
+            assert solve_collocation(p, Fraction(1, 2**k), "dense").values.tobytes() == want.tobytes()
 
 
 def planted_rank_matrix(seed):

@@ -224,7 +224,7 @@ class TestRunStudy:
         def refuse(*args, **kwargs):
             raise AssertionError("default study reached the dense reference")
 
-        monkeypatch.setattr(lvie.study, "gauss_jordan", refuse)
+        monkeypatch.setattr(lvie.study, "solve_augmented", refuse)
         rows = run_study(builtin_problem("model1"), Fraction(1, 8), 3)
         assert len(rows) == 3
 
@@ -267,7 +267,7 @@ class TestRunStudy:
         def refuse(*args, **kwargs):
             raise AssertionError("an oversized dense ladder reached Gauss-Jordan")
 
-        monkeypatch.setattr(lvie.study, "gauss_jordan", refuse)
+        monkeypatch.setattr(lvie.study, "solve_augmented", refuse)
         with pytest.raises(
             StudyError,
             match=r"level 11 \(h=1/16384\) failed: dense assembly at N=16386 .* "
