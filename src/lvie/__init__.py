@@ -19,7 +19,7 @@ The package provides:
   CLI (``lvie``) binding it all together.
 """
 
-from .assembly import AssemblyError, CollocationSystem, assemble
+from .assembly import AssemblyError, CollocationSystem, assemble, structured_solve
 from .config import ConfigError, load_problem_config, parse_problem_config
 from .expressions import EvalError, ParseError, evaluate, parse
 from .grid import Grid, build_grid
@@ -45,14 +45,7 @@ from .resolvent import (
     solvability_sweep,
     sweep_csv,
 )
-from .solvers import (
-    RankReport,
-    SingularMatrixError,
-    SolvabilityError,
-    gauss_jordan,
-    rank_and_det,
-    structured_solve,
-)
+from .solvers import RankReport, SingularMatrixError, SolvabilityError, gauss_jordan, rank_and_det
 from .study import (
     PiecewiseLinearSolution,
     StudyError,

@@ -20,18 +20,32 @@ refuses those, formula or plain callable), is the :class:`AssemblyError`
 of its earliest row (``AssemblyError.row``), in both modes: the row whose
 node is the t of its first failing point (``expressions.located``).  By default
 the matrix stays implicit: ``CollocationSystem.weights`` recomputes the
-weights of any rows and columns on demand (O(N) memory).  The structured
-solver reads each block's near triangle from ``near`` and has
-``integral`` add the squares of its far field.  ``integral`` (and so
-``residual``) reads the weights in one schedule of panels, ``BLOCK_ROWS``
-rows and at most ``PANEL_POINTS`` kernel points, and a dense system
-subtracts the same panels into the matrix it materializes for the
-Gauss-Jordan reference path.  That matrix is a view of the system's one
-N^2 array, ``augmented``: ``[A | b]`` stored transposed, the layout of
-``solvers.augmented``, which ``solvers.solve_augmented`` eliminates in
-place.  A weight 0.5 lam dtau K that overflows is refused like a failing
-kernel, by row; an entry that overflows as a sum is left to the
-elimination, which refuses non-finite entries.
+weights of any rows and columns on demand (O(N) memory).  ``integral``
+(and so ``residual``) reads the weights in one schedule of panels,
+``BLOCK_ROWS`` rows and at most ``PANEL_POINTS`` kernel points, and a
+dense system subtracts the same panels into its one N^2 array,
+``augmented`` (``[A | b]`` stored transposed, ``matrix`` a view of A),
+which ``solvers.solve_augmented`` eliminates in place: the Gauss-Jordan
+reference path.
+
+``structured_solve`` exploits the shape by superposition and never builds
+the matrix: one forward substitution per right-hand side (f and each
+negated load column), then a small consistency solve for the load values.
+In O(m N) memory, its one schedule solves ``BLOCK_ROWS`` rows at a time
+(one ``np.linalg.solve``) on the triangle ``near`` gives and pushes the
+far field ahead in dyadic squares, which ``integral`` adds in panels
+(O(m N^2) time, O(N/64 + N^2/16384) kernel calls) or on a lag table by
+FFTs (O(m N log^2 N) time, N kernel points).
+
+A weight 0.5 lam dtau K that overflows is refused like a failing kernel,
+by row.  An entry that overflows as a sum (the two weights of a pair, or a
+diagonal weight plus a0) raises the elimination's row-less
+``ValueError("matrix entries must be finite")``: from ``solve_augmented``
+once every weight is assembled, from ``structured_solve`` before it solves
+the block (a lag system's one triangle: before the first).  So on model1
+with K = exp(10 (t - s)), lam = 1e308 and h = 1/64, where a pair sum
+overflows at row 33 and a weight at row 37, the structured path raises the
+``ValueError`` and the dense path the ``AssemblyError`` of row 37.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
@@ -52,12 +66,13 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import solvers  # the load consistency solve calls solvers.gauss_jordan, which bench/tracing.py wraps
 from .expressions import EvalError, finite
 from .grid import Grid
 from .problems import Problem, ScalarFunction
-from .solvers import BUFFER_SIZE, augmented
+from .solvers import BUFFER_SIZE, SINGULAR_TOL, SingularMatrixError, SolvabilityError, augmented
 
-__all__ = ["CollocationSystem", "AssemblyError", "assemble"]
+__all__ = ["CollocationSystem", "AssemblyError", "assemble", "structured_solve"]
 
 # Largest grid the dense path materializes: at 2053 nodes (h = 1/2048 on the
 # built-in problems) a dense system is one 34 MB array, [A | b] stored
@@ -118,11 +133,11 @@ class CollocationSystem:
         n = tau.shape[0]
         if self.dense:
             check_dense_size(n)
-        self.a0_values = _eval_nodes(tau, "a0", self.problem.a0, tau)
-        self.rhs = _eval_nodes(tau, "f", self.problem.rhs, tau)
+        values = (_eval_nodes(tau, label, fn, tau) for label, fn in self.problem.coefficients)
+        self.a0_values, self.rhs = next(values), next(values)
         self.load_entries = np.empty((n, len(self.problem.loads)))
-        for j, term in enumerate(self.problem.loads):
-            self.load_entries[:, j] = _eval_nodes(tau, f"a{j + 1}", term.coeff, tau)
+        for j, column in enumerate(values):  # one load's values alive at a time
+            self.load_entries[:, j] = column
         self._dtau = np.diff(tau)
         self._mids = 0.5 * (tau[:-1] + tau[1:])
         self._lag = self._lags = self._near = self.matrix = self.augmented = None
@@ -233,8 +248,9 @@ class CollocationSystem:
             return self._near[:k, : k + 1]
         J = self.weights(i0, i1, i0 - 1, i1 - 1)
         block = np.zeros((k, k + 1))
-        block[:, :k] -= J
-        block[:, 1:] -= J
+        with np.errstate(over="ignore"):  # structured_solve refuses a sum that overflows
+            block[:, :k] -= J
+            block[:, 1:] -= J
         block.flags.writeable = False
         return block
 
@@ -335,3 +351,81 @@ def assemble(p: Problem, g: Grid, mode: str = "streaming") -> CollocationSystem:
     if mode not in ("dense", "streaming"):
         raise ValueError(f"unknown assembly mode {mode!r}")
     return CollocationSystem(p, g, dense=mode == "dense")
+
+
+def structured_solve(system: CollocationSystem) -> np.ndarray:
+    """Solve a collocation system via its triangular-plus-load-columns shape.
+
+    Rows after row 0 go in blocks of ``BLOCK_ROWS``, each one LU solve.
+    Once block b (rows r0..r1-1) is solved, the last M = BLOCK_ROWS * 2^v
+    pair sums in Y[:r1 - 1], 2^v the largest power of two dividing b + 1,
+    are pushed into the next M rows of B: squares that tile the strict
+    lower triangle of blocks (the dyadic splitting of Hairer, Lubich and
+    Schlichte, 1985), adding every pair of a row and an earlier column
+    outside the row's own block once.
+
+    The first row at fault raises: :class:`SolvabilityError` for a
+    triangular pivot below ``SINGULAR_TOL`` relative to max|a0|,
+    :class:`AssemblyError` for a kernel failure or non-finite kernel
+    value.  A failing square records its earliest failing row; the block
+    that reaches that row checks the pivots before it, then raises.
+    Agrees with ``gauss_jordan`` on the materialized matrix to rounding.
+    """
+    n = system.size
+    m1 = len(system.load_columns)
+    B = np.column_stack([system.rhs, -system.load_entries])
+    a0 = system.a0_values
+    tiny = SINGULAR_TOL * (float(np.abs(a0).max()) or 1.0)
+
+    def check_pivots(r0, d):
+        if np.abs(d).min(initial=np.inf) < tiny:
+            bad = np.flatnonzero(np.abs(d) < tiny)[0]
+            raise SolvabilityError(f"zero diagonal entry in the triangular part at row {r0 + bad}")
+
+    def check_finite(near, diagonal, a0_rows):  # the refusal of a sum that overflows
+        with np.errstate(over="ignore"):
+            if not (np.isfinite(near).all() and np.isfinite(diagonal + a0_rows).all()):
+                raise ValueError("matrix entries must be finite")
+
+    X = np.empty_like(B)
+    Y = np.empty((n - 1, 1 + m1))  # pair sums X[q] + X[q+1]
+    check_pivots(0, a0[:1])
+    X[0] = B[0] / a0[0]
+    shared = system._near  # every block of a lag system reads this one triangle, of one diagonal weight
+    if shared is not None:
+        check_finite(shared, shared[0, 1], a0[1:])
+    fault = None  # the earliest kernel failure met so far
+    for b, r0 in enumerate(range(1, n, BLOCK_ROWS)):
+        r1 = min(r0 + BLOCK_ROWS, n if fault is None else fault.row)
+        try:
+            near = system.near(r0, r1)
+        except AssemblyError as err:
+            fault, r1 = err, err.row
+            near = system.near(r0, r1)
+        if shared is None:
+            check_finite(near, np.diagonal(near, 1), a0[r0:r1])
+        k = r1 - r0
+        T = near[:, 1:].copy()
+        d = T.reshape(-1)[:: k + 1]  # the diagonal, a view
+        d += a0[r0:r1]
+        check_pivots(r0, d)
+        if fault is not None and fault.row == r1:
+            raise fault
+        X[r0:r1] = np.linalg.solve(T, B[r0:r1] - near[:, :1] * X[r0 - 1])
+        Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
+        if r1 < n:
+            m = BLOCK_ROWS * ((b + 1) & -(b + 1))
+            try:
+                system.integral(B[r1 : r1 + m], r1, Y, r1 - 1 - m, r1 - 1)
+            except AssemblyError as err:
+                if fault is None or err.row < fault.row:
+                    fault = err
+    if m1 == 0:
+        return X[:, 0]
+
+    vs = list(system.load_columns)
+    try:
+        c = solvers.gauss_jordan(np.eye(m1) - X[vs, 1:], X[vs, 0])
+    except SingularMatrixError as err:
+        raise SolvabilityError(f"load consistency system is singular: {err}") from err
+    return X[:, 0] + X[:, 1:] @ c

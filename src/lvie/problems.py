@@ -13,8 +13,8 @@ from a parsed expression or from any Python callable; one call path
 evaluates functions of ``t`` and of ``(t, s)`` on scalars and numpy
 arrays alike, and raises a domain error or a non-finite value, formula or
 callable, as an :class:`~lvie.expressions.EvalError` naming its first
-failing point (``expressions.located``).  :func:`validate_problem` checks
-the functions in assembly's order: a0, f, a_1 ... a_m, then the kernel.
+failing point (``expressions.located``).  ``Problem.coefficients`` is the
+one order of a0, f, a_1 ... a_m for assembly, the resolvent and validation.
 
 Problems are immutable after construction and safe to share between
 concurrent solves.
@@ -178,6 +178,11 @@ class Problem:
             raise ValueError(f"cannot place load points {points}: load point {outside[0]:.6g} outside the open interval")
 
     @property
+    def coefficients(self) -> tuple[tuple[str, ScalarFunction], ...]:
+        """``(("a0", a0), ("f", rhs), ("a1", a_1), ...)``: the functions of t in assembly's order."""
+        return (("a0", self.a0), ("f", self.rhs), *((f"a{j}", term.coeff) for j, term in enumerate(self.loads, 1)))
+
+    @property
     def load_points(self) -> np.ndarray:
         return np.array([term.point for term in self.loads], dtype=float)
 
@@ -215,9 +220,8 @@ def validate_problem(p: Problem) -> ValidationReport:
     and a0 nonvanishing there; a sign change between samples counts as a zero.
     """
     ts = np.linspace(p.t0, p.T, 1000)
-    loads = [(term.coeff, f"a{j}") for j, term in enumerate(p.loads, start=1)]
     sampled = []
-    for fn, label in [(p.a0, "a0"), (p.rhs, "f"), *loads]:  # assembly's order
+    for label, fn in p.coefficients:
         try:
             sampled.append(fn(ts))
         except (ArithmeticError, ValueError, TypeError) as err:

@@ -243,8 +243,8 @@ def _labeled(label: str, fn, *args):
 
 def _tilde(problem: Problem, ts, a0: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows f~, a~_1, ..., a~_m at ``ts``; ``a0`` is a0 at ``ts`` (by default evaluated here)."""
-    a0 = _labeled("a0", problem.a0, ts) if a0 is None else a0
-    rows = [("f", problem.rhs)] + [(f"a{j}", term.coeff) for j, term in enumerate(problem.loads, 1)]
+    (a0_label, a0_fn), *rows = problem.coefficients
+    a0 = _labeled(a0_label, a0_fn, ts) if a0 is None else a0
     return np.array([_over_a0(_labeled(name, fn, ts), a0, f"{name}/a0", ts) for name, fn in rows])
 
 

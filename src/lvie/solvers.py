@@ -1,4 +1,4 @@
-"""Dense and structure-exploiting linear solvers.
+"""Dense linear algebra: Gauss-Jordan solves, rank, determinant and null space.
 
 One full-pivot Gauss-Jordan core, ``_eliminate``, serves four callers:
 ``gauss_jordan``, the reference solver, eliminates a copy of ``[a | b]``;
@@ -19,20 +19,6 @@ It takes a stack of matrices: each member picks its own pivots and stops
 at its own rank, with the bits of its own elimination.  ``rank_and_det``
 eliminates a whole stack (the load systems of a lambda sweep) in one
 call; the other callers pass a stack of one.
-
-``structured_solve`` exploits the collocation shape (lower triangular
-plus a handful of load columns) by superposition: one forward
-substitution for the right-hand side, one per load column, and a small
-consistency solve for the load values.  The substitution never builds
-the matrix and has one schedule for every system: one ``np.linalg.solve``
-(a general LU with partial pivoting) per block of ``BLOCK_ROWS`` (64)
-rows, each solved block pushing its far field ahead in dyadic squares.
-``CollocationSystem.integral`` decides how a square is applied: in
-panels of at most ``PANEL_POINTS`` (16384) kernel points, O(m N^2) time
-and O(N/64 + N^2/16384) kernel calls, or on a lag table by windows and
-FFTs, O(m N log^2 N) time and N kernel points.  Memory is O(m N).  A
-kernel that fails or gives a non-finite value, formula or plain callable,
-is the ``AssemblyError`` of its earliest row.
 """
 
 from __future__ import annotations
@@ -43,8 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import assembly  # a module import: assembly imports this module while it loads
-
 __all__ = [
     "SingularMatrixError",
     "SolvabilityError",
@@ -54,7 +38,6 @@ __all__ = [
     "nullspace",
     "rank_and_det",
     "solve_augmented",
-    "structured_solve",
 ]
 
 # Pivots below this share of the largest matrix entry count as zero.
@@ -314,78 +297,3 @@ def rank_and_det(a, tol: float = RANK_TOL, rhs=None) -> RankReport | list[RankRe
         det = float((-1) ** swaps * math.prod(pivots))
         reports.append(RankReport(rank, det, None if solutions is None else solutions[i]))
     return reports if stacked else reports[0]
-
-
-def structured_solve(system) -> np.ndarray:
-    """Solve a collocation system via its triangular-plus-load-columns shape.
-
-    Forward-substitutes the triangular part once against the right-hand
-    side and once against the negated entries of each load column, then
-    solves the small load consistency system and superposes.  Rows after
-    row 0 go in blocks of ``BLOCK_ROWS``, each one ``np.linalg.solve``.
-    Once block b (rows r0..r1-1) is solved, the last M = BLOCK_ROWS * 2^v
-    pair sums in Y[:r1 - 1], 2^v the largest power of two dividing b + 1,
-    are pushed into the next M rows of B.  These squares tile the strict
-    lower triangle of blocks (the dyadic splitting of Hairer, Lubich and
-    Schlichte, 1985): every pair of a row and an earlier column outside
-    the row's own block is added once.
-
-    The first row at fault raises: :class:`SolvabilityError` for a
-    triangular pivot below ``SINGULAR_TOL`` relative to max|a0|,
-    :class:`AssemblyError` for a kernel failure or non-finite kernel
-    value.  A failing square records its earliest failing row; the block
-    that reaches that row checks the pivots before it, then raises.  Agrees with :func:`gauss_jordan` on
-    the materialized matrix to rounding.
-    """
-    n = system.size
-    m1 = len(system.load_columns)
-    B = np.column_stack([system.rhs, -system.load_entries])
-
-    a0 = system.a0_values
-    tiny = SINGULAR_TOL * (float(np.abs(a0).max()) or 1.0)
-
-    def check_pivots(r0, d):
-        if np.abs(d).min(initial=np.inf) < tiny:
-            bad = np.flatnonzero(np.abs(d) < tiny)[0]
-            raise SolvabilityError(f"zero diagonal entry in the triangular part at row {r0 + bad}")
-
-    X = np.empty_like(B)
-    Y = np.empty((n - 1, 1 + m1))  # pair sums X[q] + X[q+1]
-    check_pivots(0, a0[:1])
-    X[0] = B[0] / a0[0]
-    fault = None  # the earliest kernel failure met so far
-    for b, r0 in enumerate(range(1, n, assembly.BLOCK_ROWS)):
-        r1 = min(r0 + assembly.BLOCK_ROWS, n if fault is None else fault.row)
-        try:
-            near = system.near(r0, r1)
-        except assembly.AssemblyError as err:
-            fault, r1 = err, err.row
-            near = system.near(r0, r1)
-        k = r1 - r0
-        T = near[:, 1:].copy()
-        d = T.reshape(-1)[:: k + 1]  # the diagonal, a view
-        d += a0[r0:r1]
-        check_pivots(r0, d)
-        if fault is not None and fault.row == r1:
-            raise fault
-        X[r0:r1] = np.linalg.solve(T, B[r0:r1] - near[:, :1] * X[r0 - 1])
-        Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
-        if r1 < n:
-            m = assembly.BLOCK_ROWS * ((b + 1) & -(b + 1))
-            try:
-                system.integral(B[r1 : r1 + m], r1, Y, r1 - 1 - m, r1 - 1)
-            except assembly.AssemblyError as err:
-                if fault is None or err.row < fault.row:
-                    fault = err
-    if m1 == 0:
-        return X[:, 0]
-
-    vs = list(system.load_columns)
-    consistency = np.eye(m1) - X[vs, 1:]
-    try:
-        c = gauss_jordan(consistency, X[vs, 0])
-    except SingularMatrixError as err:
-        raise SolvabilityError(
-            f"load consistency system is singular: {err}"
-        ) from err
-    return X[:, 0] + X[:, 1:] @ c

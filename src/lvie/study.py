@@ -22,11 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import assemble, check_dense_size
+from .assembly import assemble, check_dense_size, structured_solve
 from .grid import Grid, build_grid
 from .problems import Problem, ScalarFunction, check_inside
 # gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
-from .solvers import gauss_jordan, solve_augmented, structured_solve  # noqa: F401
+from .solvers import gauss_jordan, solve_augmented  # noqa: F401
 
 __all__ = [
     "PiecewiseLinearSolution",

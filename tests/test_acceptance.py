@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvie.assembly import structured_solve
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
 from lvie.resolvent import ResolventApprox, classify, resolvent, semi_analytic_solve
-from lvie.solvers import gauss_jordan, structured_solve
+from lvie.solvers import gauss_jordan
 from lvie.study import run_study, solve_collocation, sup_error
 
 from test_solvers import random_structured_problem

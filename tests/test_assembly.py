@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvie.assembly import DENSE_MAX_NODES, PANEL_POINTS, AssemblyError, assemble
+from lvie.assembly import DENSE_MAX_NODES, PANEL_POINTS, AssemblyError, assemble, structured_solve
 from lvie.config import load_problem_config
 from lvie.expressions import EvalError
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
-from lvie.solvers import gauss_jordan, structured_solve
+from lvie.solvers import gauss_jordan
 from lvie.study import solve_collocation
 
 ONE = ScalarFunction.constant(1.0)
@@ -399,6 +399,40 @@ class TestDensePanels:
             solve_collocation(p, Fraction(1, 2**k), solver)  # RuntimeWarnings are errors under pytest
         assert str(info.value) == f"weight failed at row {row}, {at}: non-finite value inf at {at}, s={s:.6g}"
         assert info.value.row == row
+
+    @pytest.mark.parametrize("solver", ["dense", "structured"])
+    @pytest.mark.parametrize("a0, kernel", [(None, "155"), (1.7e308, "-20")])
+    @pytest.mark.parametrize("name", ["model1", "sqrt_ladder"])
+    def test_an_entry_that_overflows_as_a_sum_is_refused(self, name, a0, kernel, solver):
+        # Every weight is finite (about 1.2e308 for K = 155, -1.6e307 for K = -20), but the two
+        # weights of a pair, or a0 plus a diagonal weight, pass the largest double.  model1's
+        # load-aligned mesh takes direct blocks, sqrt_ladder's uniform one the lag table.
+        changes = {"lam": 1e308, "kernel": ScalarFunction.from_expression(kernel, 2)}
+        if a0 is not None:
+            changes["a0"] = ScalarFunction.constant(a0)
+        p = dataclasses.replace(PANEL_PROBLEMS[name], **changes)
+        system = assemble(p, build_grid(p, Fraction(1, 64)))
+        assert (system.lag_weights() is not None) == (name == "sqrt_ladder")
+        assert np.isfinite(system.weights(0, system.size, 0, system.size - 1)).all()
+        with pytest.raises(ValueError) as info:  # RuntimeWarnings are errors under pytest
+            solve_collocation(p, Fraction(1, 64), solver)
+        assert type(info.value) is ValueError and str(info.value) == "matrix entries must be finite"
+
+    def test_a_sum_may_overflow_before_a_weight(self):
+        # With K = exp(10 (t - s)) a pair sum overflows at row 33, a weight at row 37.  The
+        # structured path refuses row 33's block before it solves it; the dense path assembles
+        # every weight before it eliminates, and names row 37.
+        kernel = ScalarFunction.from_expression("exp(10*(t-s))", 2)
+        p = dataclasses.replace(builtin_problem("model1"), lam=1e308, kernel=kernel)
+        system = assemble(p, build_grid(p, Fraction(1, 64)))
+        with np.errstate(over="ignore"):
+            finite_rows = np.isfinite(system.near(1, 37)).all(axis=1)  # rows 1..36
+        assert 1 + np.flatnonzero(~finite_rows)[0] == 33
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            solve_collocation(p, Fraction(1, 64), "structured")
+        with pytest.raises(AssemblyError, match="^weight failed at row 37, ") as info:
+            solve_collocation(p, Fraction(1, 64), "dense")
+        assert info.value.row == 37
 
     def test_matrix_and_rhs_are_held_in_the_augmented_array(self):
         p = builtin_problem("model2")

@@ -26,10 +26,10 @@ import numpy as np
 from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lvie.assembly import AssemblyError, assemble
+from lvie.assembly import AssemblyError, assemble, structured_solve
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction
-from lvie.solvers import gauss_jordan, structured_solve
+from lvie.solvers import gauss_jordan
 
 # Difference kernels are sums of these in X = t - s; general kernels of these in t and s.
 _DIFFERENCE = ["1", "X", "X^2", "exp(-X)", "cos(2*X)", "sqrt(X)", "1/(1+X)", "X*exp(-2*X)"]

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lvie.assembly import BLOCK_ROWS, PANEL_POINTS, AssemblyError, assemble
+from lvie.assembly import BLOCK_ROWS, PANEL_POINTS, AssemblyError, assemble, structured_solve
 from lvie.expressions import evaluate, parse
 from lvie.grid import build_grid
 from lvie.problems import LoadTerm, Problem, ScalarFunction
-from lvie.solvers import SolvabilityError, gauss_jordan, structured_solve
+from lvie.solvers import SolvabilityError, gauss_jordan
 
 QUARTER_LOADS = (0.25, 0.5, 0.75)  # four equal segments: uniform at every step
 MODEL_LOADS = (0.3, 0.5)  # unequal segments: not uniform at h = 1/64

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvie.assembly import AssemblyError, assemble
+from lvie.assembly import AssemblyError, assemble, structured_solve
 from lvie.expressions import evaluate, parse
 from lvie.grid import build_grid
 from lvie.problems import (
@@ -18,7 +18,6 @@ from lvie.problems import (
     validate_problem,
 )
 from lvie.resolvent import classify, iterated_kernel
-from lvie.solvers import structured_solve
 
 # Closed forms of the model right-hand sides at the interval endpoints:
 # f1(0) = 1 + cos(3/10) - 2*cos(1/2),  f1(1) = 3*cos(1) - cos(1/2) - 0.75*sin(1).

@@ -1,13 +1,17 @@
+import ast
 import dataclasses
 import itertools
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lvie.assembly import BLOCK_ROWS, PANEL_POINTS, AssemblyError, assemble
+import lvie
+from lvie import solvers, study
+from lvie.assembly import BLOCK_ROWS, PANEL_POINTS, AssemblyError, assemble, structured_solve
 from lvie.config import parse_problem_config
 from lvie.expressions import EvalError
 from lvie.grid import Grid, build_grid
@@ -23,7 +27,6 @@ from lvie.solvers import (
     nullspace,
     rank_and_det,
     solve_augmented,
-    structured_solve,
 )
 from lvie.study import solve_collocation
 
@@ -831,3 +834,16 @@ class TestBlockedErrorLocation:
         with self.kernel_error(530, self.WIDE) as info:
             system.residual(np.ones(system.size))
         assert info.value.row == 530
+
+
+def test_solvers_is_a_leaf_of_dense_linear_algebra():
+    # solvers imports no lvie module; the block solve lives beside the collocation system it reads,
+    # and the study calls it through its own module global (the name a tracer wraps).
+    tree = ast.parse(Path(solvers.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.partition(".")[0] != "lvie", ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.partition(".")[0] != "lvie" for alias in node.names), ast.unparse(node)
+    assert lvie.structured_solve is lvie.assembly.structured_solve is study.structured_solve
+    assert not hasattr(solvers, "structured_solve")
