@@ -17,91 +17,87 @@ The package provides:
   solution, parametric family, or none) and solves semi-analytically,
 * a convergence-study harness emitting CSV/markdown/plot data, and a
   CLI (``lvie``) binding it all together.
+
+Every name in ``__all__`` is loaded on first use (PEP 562): ``import
+lvie`` runs no submodule, and ``lvie.validate_problem`` imports
+``lvie.problems`` and what it imports, not the collocation or resolvent
+layers.  A submodule name (``lvie.study``) imports that submodule.
+``lvie.resolvent`` is always the function ``resolvent.resolvent``, never
+its submodule: importing the submodule by name (``import lvie.resolvent``,
+``importlib.import_module("lvie.resolvent")``) binds the function on the
+package where the import system would bind the module.
 """
 
-from .assembly import AssemblyError, CollocationSystem, assemble, structured_solve
-from .config import ConfigError, load_problem_config, parse_problem_config
-from .expressions import EvalError, ParseError, evaluate, parse
-from .grid import Grid, build_grid
-from .problems import (
-    LoadTerm,
-    Problem,
-    ScalarFunction,
-    ValidationReport,
-    builtin_names,
-    builtin_problem,
-    validate_problem,
-)
-from .resolvent import (
-    ResolventApprox,
-    SolvabilityReport,
-    TruncationWarning,
-    classify,
-    iterated_kernel,
-    load_matrix,
-    reduced_coeffs,
-    resolvent,
-    semi_analytic_solve,
-    solvability_sweep,
-    sweep_csv,
-)
-from .solvers import RankReport, SingularMatrixError, SolvabilityError, gauss_jordan, rank_and_det
-from .study import (
-    PiecewiseLinearSolution,
-    StudyError,
-    StudyRow,
-    convergence_order,
-    emit,
-    run_study,
-    solve_collocation,
-    sup_error,
-)
+import importlib
+import sys
+import types
+
+# Each exported name, once, under the submodule that defines it.
+_EXPORTS = {
+    "assembly": ("AssemblyError", "CollocationSystem", "assemble", "structured_solve"),
+    "config": ("ConfigError", "load_problem_config", "parse_problem_config"),
+    "expressions": ("EvalError", "ParseError", "evaluate", "parse"),
+    "grid": ("Grid", "build_grid"),
+    "problems": (
+        "LoadTerm",
+        "Problem",
+        "ScalarFunction",
+        "ValidationReport",
+        "builtin_names",
+        "builtin_problem",
+        "validate_problem",
+    ),
+    "resolvent": (
+        "ResolventApprox",
+        "SolvabilityReport",
+        "TruncationWarning",
+        "classify",
+        "iterated_kernel",
+        "load_matrix",
+        "reduced_coeffs",
+        "resolvent",
+        "semi_analytic_solve",
+        "solvability_sweep",
+        "sweep_csv",
+    ),
+    "solvers": ("RankReport", "SingularMatrixError", "SolvabilityError", "gauss_jordan", "rank_and_det"),
+    "study": (
+        "PiecewiseLinearSolution",
+        "StudyError",
+        "StudyRow",
+        "convergence_order",
+        "emit",
+        "run_study",
+        "solve_collocation",
+        "sup_error",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssemblyError",
-    "CollocationSystem",
-    "ConfigError",
-    "EvalError",
-    "Grid",
-    "LoadTerm",
-    "ParseError",
-    "PiecewiseLinearSolution",
-    "Problem",
-    "RankReport",
-    "ResolventApprox",
-    "ScalarFunction",
-    "SingularMatrixError",
-    "SolvabilityError",
-    "SolvabilityReport",
-    "StudyError",
-    "StudyRow",
-    "TruncationWarning",
-    "ValidationReport",
-    "assemble",
-    "build_grid",
-    "builtin_names",
-    "builtin_problem",
-    "classify",
-    "convergence_order",
-    "emit",
-    "evaluate",
-    "gauss_jordan",
-    "iterated_kernel",
-    "load_matrix",
-    "load_problem_config",
-    "parse",
-    "parse_problem_config",
-    "rank_and_det",
-    "reduced_coeffs",
-    "resolvent",
-    "run_study",
-    "semi_analytic_solve",
-    "solvability_sweep",
-    "solve_collocation",
-    "structured_solve",
-    "sup_error",
-    "sweep_csv",
-    "validate_problem",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_EXPORTS})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        if name == "resolvent" and isinstance(value, types.ModuleType):
+            value = value.resolvent  # the import system binding the submodule
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -15,12 +15,10 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .config import load_problem_config
+# Each command imports the layers it runs.  builtin_problem stays a module global:
+# traced benchmark runs (bench/workloads.py) patch lvie.cli.builtin_problem.
 from .problems import builtin_names, builtin_problem, validate_problem
-from .resolvent import ResolventApprox, solvability_sweep, sweep_csv
-from .study import SOLVER_CHOICES, emit, run_study, solve_collocation, sup_error
+from .solvers import SOLVER_CHOICES
 
 __all__ = ["main"]
 
@@ -58,6 +56,8 @@ def _load_problem(ns):
     if getattr(ns, "builtin", None):
         problem = builtin_problem(ns.builtin)
     else:
+        from .config import load_problem_config
+
         try:
             problem = load_problem_config(ns.config)
         except OSError as err:
@@ -83,6 +83,8 @@ def _add_problem_source(sub):
 
 
 def _cmd_solve(ns) -> int:
+    from .study import solve_collocation, sup_error
+
     problem = _load_problem(ns)
     h = _positive_step(ns.h, "h")
     sol = solve_collocation(problem, h, solver=ns.solver)
@@ -97,6 +99,8 @@ def _cmd_solve(ns) -> int:
 
 
 def _cmd_study(ns) -> int:
+    from .study import emit, run_study
+
     problem = _load_problem(ns)
     h0 = _positive_step(ns.h0, "h0")
     rows = run_study(
@@ -111,6 +115,10 @@ def _cmd_study(ns) -> int:
 
 
 def _cmd_analyze(ns) -> int:
+    import numpy as np
+
+    from .resolvent import ResolventApprox, solvability_sweep, sweep_csv
+
     sweep = (ns.lambda_from, ns.lambda_to, ns.steps)
     if sweep != (None, None, None):  # a sweep option given: all three, and no --lambda
         if ns.lam is not None:

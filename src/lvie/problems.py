@@ -231,10 +231,11 @@ def validate_problem(p: Problem) -> ValidationReport:
     # row-major order, a block of rows per call.  The failure of the
     # earliest failing block names its first failing point, as in assembly.
     for r0 in range(0, ts.size, _KERNEL_BLOCK_ROWS):
-        rows, cols = np.nonzero(np.tri(min(_KERNEL_BLOCK_ROWS, ts.size - r0), ts.size, r0, bool))
-        rows += r0
+        r1 = min(r0 + _KERNEL_BLOCK_ROWS, ts.size)
+        t = np.repeat(ts[r0:r1], np.arange(r0 + 1, r1 + 1))  # row r: (ts[r], ts[:r+1])
+        s = np.concatenate([ts[: r + 1] for r in range(r0, r1)])
         try:
-            p.kernel(ts[rows], ts[cols])
+            p.kernel(t, s)
         except (ArithmeticError, ValueError, TypeError) as err:
             return ValidationReport(False, f"kernel not evaluable: {err}")
 

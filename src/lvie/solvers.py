@@ -47,6 +47,10 @@ UPDATE_ROWS = 64  # rows of ``at`` per elimination update: 64 x n doubles stay i
 # numpy's ufunc buffer, in elements, while eliminating.  At the default 8192 numpy copies
 # the update's broadcast product through two 64 KB buffers, 3-5x slower than unbuffered.
 BUFFER_SIZE = 64
+# solve_collocation's solvers: "dense" eliminates the matrix with solve_augmented,
+# "structured" is assembly.structured_solve.  Owned by this leaf module, so the CLI
+# parser that offers them loads no collocation layer.
+SOLVER_CHOICES = ("dense", "structured")
 
 
 class SingularMatrixError(ValueError):

@@ -26,7 +26,7 @@ from .assembly import assemble, check_dense_size, structured_solve
 from .grid import Grid, build_grid
 from .problems import Problem, ScalarFunction, check_inside
 # gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
-from .solvers import gauss_jordan, solve_augmented  # noqa: F401
+from .solvers import SOLVER_CHOICES, gauss_jordan, solve_augmented  # noqa: F401
 
 __all__ = [
     "PiecewiseLinearSolution",
@@ -38,9 +38,6 @@ __all__ = [
     "run_study",
     "emit",
 ]
-
-SOLVER_CHOICES = ("dense", "structured")
-
 
 class StudyError(RuntimeError):
     """A study level failed; the message names the level and step."""

@@ -220,6 +220,19 @@ def test_dense_study_stdout_matches_golden(capsys, name):
         assert golden == Path(SQRT_LADDER).with_name("cli_study_dense.stdout").read_bytes()
 
 
+def test_study_reads_builtins_through_the_module_global(capsys, monkeypatch):
+    # Traced benchmark runs patch lvie.cli.builtin_problem to count kernel calls.
+    import lvie.cli
+
+    asked = []
+    original = lvie.cli.builtin_problem
+    monkeypatch.setattr(lvie.cli, "builtin_problem", lambda name: asked.append(name) or original("model1"))
+    argv = ["study", "--builtin", "model2", "--h0", "1/8", "--levels", "7", "--solver", "dense", "--no-timing"]
+    assert main(argv) == 0
+    assert asked == ["model2"]
+    assert capsys.readouterr().out.encode() == (FIXTURES / "study_dense_model1.stdout").read_bytes()
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
 def test_analyze_non_finite_lambda(capsys, monkeypatch, lam):
     built = []
