@@ -69,7 +69,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import solvers  # the load consistency solve calls solvers.gauss_jordan, which bench/tracing.py wraps
 from .expressions import EvalError, finite
 from .grid import Grid
-from .problems import Problem, ScalarFunction
+from .problems import PANEL_POINTS, Problem, ScalarFunction
 from .solvers import BUFFER_SIZE, SINGULAR_TOL, SingularMatrixError, SolvabilityError, augmented
 
 __all__ = ["CollocationSystem", "AssemblyError", "assemble", "structured_solve"]
@@ -80,10 +80,7 @@ __all__ = ["CollocationSystem", "AssemblyError", "assemble", "structured_solve"]
 # O(N^3) Gauss-Jordan reference takes minutes and the array gigabytes.
 DENSE_MAX_NODES = 2053
 
-# Panels of the blocked paths: past 16384 points (128 KiB per temporary) a
-# kernel call costs about twice as much per point.
-BLOCK_ROWS = 64
-PANEL_POINTS = 16384
+BLOCK_ROWS = 64  # rows per panel of the blocked paths, of at most PANEL_POINTS kernel points
 # A lag rectangle with both sides longer than this is one FFT product, not panels.
 PANEL_MAX_SIDE = 256
 
@@ -254,22 +251,23 @@ class CollocationSystem:
         block.flags.writeable = False
         return block
 
-    def integral(self, out: np.ndarray, i0: int, y: np.ndarray, k0: int, k1: int) -> None:
-        """Add sum_{k0 <= k < k1} J_{k+1}^i y_k, y_k = x_k + x_{k+1}, to out[i - i0].
+    def integral(self, out: np.ndarray, i0: int, x: np.ndarray, k0: int, k1: int) -> None:
+        """Add sum_{k0 <= k < k1} J_{k+1}^i (x_k + x_{k+1}) to out[i - i0].
 
-        The rows are i0 <= i < i0 + len(out); ``out`` and ``y`` hold one
-        column per right-hand side.  The weights come from ``_panels``,
-        except on a lag system when both sides of the rectangle exceed
-        ``PANEL_MAX_SIDE``: then they form a Toeplitz matrix, applied by
-        FFT.  A kernel failure raises the :class:`AssemblyError` of the
-        earliest failing row.
+        The rows are i0 <= i < i0 + len(out); ``out`` and the nodal values
+        ``x`` hold one column per right-hand side, and the call forms the
+        pair sums once.  The weights come from ``_panels``, except on a lag
+        system when both sides of the rectangle exceed ``PANEL_MAX_SIDE``:
+        then they form a Toeplitz matrix, applied by FFT.  A kernel failure
+        raises the :class:`AssemblyError` of the earliest failing row.
         """
         i1 = i0 + out.shape[0]
+        y = x[k0:k1] + x[k0 + 1 : k1 + 1]
         if min(i1 - i0, k1 - k0) > PANEL_MAX_SIDE and self._lag is not None:
-            self._toeplitz_product(out, i0, y[k0:k1], k0)
+            self._toeplitz_product(out, i0, y, k0)
             return
         for r0, r1, c0, c1, weights in self._panels(i0, i1, k0, k1):
-            out[r0 - i0 : r1 - i0] += weights @ y[c0:c1]
+            out[r0 - i0 : r1 - i0] += weights @ y[c0 - k0 : c1 - k0]
 
     def _panels(self, i0: int, i1: int, k0: int, k1: int):
         """Yield ``(r0, r1, c0, c1, weights(r0, r1, c0, c1))`` over rows i0..i1-1 and columns k0..k1-1.
@@ -324,7 +322,7 @@ class CollocationSystem:
         if x.shape != (self.size,):
             raise ValueError(f"expected {self.size} nodal values, got shape {x.shape}")
         acc = np.zeros((self.size, 1))
-        self.integral(acc, 0, (x[:-1] + x[1:])[:, None], 0, self.size - 1)
+        self.integral(acc, 0, x[:, None], 0, self.size - 1)
         load_part = self.load_entries @ x[list(self.load_columns)]
         return float(np.abs(self.a0_values * x + load_part - acc[:, 0] - self.rhs).max())
 
@@ -357,18 +355,20 @@ def structured_solve(system: CollocationSystem) -> np.ndarray:
     """Solve a collocation system via its triangular-plus-load-columns shape.
 
     Rows after row 0 go in blocks of ``BLOCK_ROWS``, each one LU solve.
-    Once block b (rows r0..r1-1) is solved, the last M = BLOCK_ROWS * 2^v
-    pair sums in Y[:r1 - 1], 2^v the largest power of two dividing b + 1,
-    are pushed into the next M rows of B: squares that tile the strict
-    lower triangle of blocks (the dyadic splitting of Hairer, Lubich and
-    Schlichte, 1985), adding every pair of a row and an earlier column
-    outside the row's own block once.
+    Once block b (rows r0..r1-1) is solved, the nodal values X[:r1] push
+    the last M = BLOCK_ROWS * 2^v pairs of columns before r1 - 1, 2^v the
+    largest power of two dividing b + 1, into the next M rows of B:
+    squares that tile the strict lower triangle of blocks (the dyadic
+    splitting of Hairer, Lubich and Schlichte, 1985), adding every pair of
+    a row and an earlier column outside the row's own block once.
 
     The first row at fault raises: :class:`SolvabilityError` for a
-    triangular pivot below ``SINGULAR_TOL`` relative to max|a0|,
-    :class:`AssemblyError` for a kernel failure or non-finite kernel
-    value.  A failing square records its earliest failing row; the block
-    that reaches that row checks the pivots before it, then raises.
+    triangular pivot below ``SINGULAR_TOL`` relative to max|a0| or for a
+    solution that overflows (a non-finite row of a right-hand side's
+    substitution or of the solution), :class:`AssemblyError` for a kernel
+    failure or non-finite kernel value.  A failing square records its
+    earliest failing row; the block that reaches that row solves the rows
+    before it, then raises.
     Agrees with ``gauss_jordan`` on the materialized matrix to rounding.
     """
     n = system.size
@@ -377,20 +377,24 @@ def structured_solve(system: CollocationSystem) -> np.ndarray:
     a0 = system.a0_values
     tiny = SINGULAR_TOL * (float(np.abs(a0).max()) or 1.0)
 
-    def check_pivots(r0, d):
-        if np.abs(d).min(initial=np.inf) < tiny:
-            bad = np.flatnonzero(np.abs(d) < tiny)[0]
-            raise SolvabilityError(f"zero diagonal entry in the triangular part at row {r0 + bad}")
+    def check_solved(r0, rows):  # the refusal of a solution that overflows
+        if not np.isfinite(rows).all():
+            r = r0 + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+            raise SolvabilityError(f"solution overflows at row {r}, t={system.grid.nodes[r]:.6g}")
 
     def check_finite(near, diagonal, a0_rows):  # the refusal of a sum that overflows
         with np.errstate(over="ignore"):
             if not (np.isfinite(near).all() and np.isfinite(diagonal + a0_rows).all()):
                 raise ValueError("matrix entries must be finite")
 
+    def zero_pivot(r):
+        return SolvabilityError(f"zero diagonal entry in the triangular part at row {r}")
+
     X = np.empty_like(B)
-    Y = np.empty((n - 1, 1 + m1))  # pair sums X[q] + X[q+1]
-    check_pivots(0, a0[:1])
+    if abs(a0[0]) < tiny:
+        raise zero_pivot(0)
     X[0] = B[0] / a0[0]
+    check_solved(0, X[:1])
     shared = system._near  # every block of a lag system reads this one triangle, of one diagonal weight
     if shared is not None:
         check_finite(shared, shared[0, 1], a0[1:])
@@ -408,15 +412,22 @@ def structured_solve(system: CollocationSystem) -> np.ndarray:
         T = near[:, 1:].copy()
         d = T.reshape(-1)[:: k + 1]  # the diagonal, a view
         d += a0[r0:r1]
-        check_pivots(r0, d)
-        if fault is not None and fault.row == r1:
+        if np.abs(d).min(initial=np.inf) < tiny:  # solve the rows before the first zero pivot
+            k = int(np.flatnonzero(np.abs(d) < tiny)[0])
+        cut = fault is not None and fault.row == r1  # the block stops at a kernel failure,
+        if cut:  # whose square may have left B[r0:r1] short: push their far field again
+            B[r0:r1] = np.column_stack([system.rhs[r0:r1], -system.load_entries[r0:r1]])
+            system.integral(B[r0:r1], r0, X, 0, r0 - 1)
+        X[r0 : r0 + k] = np.linalg.solve(T[:k, :k], B[r0 : r0 + k] - near[:k, :1] * X[r0 - 1])
+        check_solved(r0, X[r0 : r0 + k])
+        if k < r1 - r0:
+            raise zero_pivot(r0 + k)
+        if cut:
             raise fault
-        X[r0:r1] = np.linalg.solve(T, B[r0:r1] - near[:, :1] * X[r0 - 1])
-        Y[r0 - 1 : r1 - 1] = X[r0 - 1 : r1 - 1] + X[r0:r1]
         if r1 < n:
             m = BLOCK_ROWS * ((b + 1) & -(b + 1))
             try:
-                system.integral(B[r1 : r1 + m], r1, Y, r1 - 1 - m, r1 - 1)
+                system.integral(B[r1 : r1 + m], r1, X, r1 - 1 - m, r1 - 1)
             except AssemblyError as err:
                 if fault is None or err.row < fault.row:
                     fault = err
@@ -428,4 +439,7 @@ def structured_solve(system: CollocationSystem) -> np.ndarray:
         c = solvers.gauss_jordan(np.eye(m1) - X[vs, 1:], X[vs, 0])
     except SingularMatrixError as err:
         raise SolvabilityError(f"load consistency system is singular: {err}") from err
-    return X[:, 0] + X[:, 1:] @ c
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by row below
+        x = X[:, 0] + X[:, 1:] @ c
+    check_solved(0, x[:, None])
+    return x

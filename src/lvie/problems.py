@@ -15,6 +15,8 @@ arrays alike, and raises a domain error or a non-finite value, formula or
 callable, as an :class:`~lvie.expressions.EvalError` naming its first
 failing point (``expressions.located``).  ``Problem.coefficients`` is the
 one order of a0, f, a_1 ... a_m for assembly, the resolvent and validation.
+Each passes at most ``PANEL_POINTS`` points of the triangle s <= t to one kernel
+call: past that (128 KiB per temporary) a call costs about twice as much per point.
 
 Problems are immutable after construction and safe to share between
 concurrent solves.
@@ -41,7 +43,7 @@ __all__ = [
     "builtin_names",
 ]
 
-_KERNEL_BLOCK_ROWS = 16  # sample rows per kernel call in validate_problem
+PANEL_POINTS = 16384  # most points per kernel call on the Volterra triangle
 
 
 class ScalarFunction:
@@ -228,10 +230,11 @@ def validate_problem(p: Problem) -> ValidationReport:
             return ValidationReport(False, f"{label} not evaluable: {err}")
 
     # Kernel is only defined on t0 <= s <= t <= T; sample that triangle in
-    # row-major order, a block of rows per call.  The failure of the
-    # earliest failing block names its first failing point, as in assembly.
-    for r0 in range(0, ts.size, _KERNEL_BLOCK_ROWS):
-        r1 = min(r0 + _KERNEL_BLOCK_ROWS, ts.size)
+    # row-major order, at most PANEL_POINTS points per call.  The failure of
+    # the earliest failing block names its first failing point, as in assembly.
+    rows = max(1, PANEL_POINTS // ts.size)
+    for r0 in range(0, ts.size, rows):
+        r1 = min(r0 + rows, ts.size)
         t = np.repeat(ts[r0:r1], np.arange(r0 + 1, r1 + 1))  # row r: (ts[r], ts[:r+1])
         s = np.concatenate([ts[: r + 1] for r in range(r0, r1)])
         try:

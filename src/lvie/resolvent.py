@@ -70,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .expressions import EvalError, finite
-from .problems import Problem
+from .problems import PANEL_POINTS, Problem
 # gauss_jordan is unused here but stays: bench/tracing.py wraps it by name in this module.
 from .solvers import RANK_TOL, SolvabilityError, gauss_jordan, nullspace, rank_and_det  # noqa: F401
 
@@ -84,7 +84,7 @@ TERM_TOLERANCE = 1e-12
 MAX_TERMS = 40
 DEFAULT_QUAD_DENSITY = 512  # tensor-grid nodes per unit interval length
 COMPOSE_PANEL_ROWS = 64  # rows per matrix product in _compose
-TABLE_MAX_NODES = 4097  # largest grid a kernel table is built on: 134 MB, plus one panel while it is built
+TABLE_MAX_NODES = 4097  # largest grid a kernel table is built on: 134 MB, plus one band while it is built
 SPLIT_TOL = 1e-12  # relative agreement a kernel split must show with the callable
 _PACKAGE = __name__.partition(".")[0]
 
@@ -122,11 +122,11 @@ def _first_table(problem: Problem, z: np.ndarray, density: int, a0: np.ndarray) 
 
     A grid of more than ``TABLE_MAX_NODES`` nodes (``density`` per unit
     length) is refused before anything is allocated.  The kernel is
-    evaluated in row panels of ``COMPOSE_PANEL_ROWS``, so the build holds
-    the table and one panel; a kernel that fails raises "K failed: ..." at
-    the first failing point of the first failing panel, which is the first
-    failing point of the triangle, and a non-finite K/a0 the ``EvalError``
-    of its first point.
+    evaluated on the triangle in bands of rows, row-major, at most
+    ``PANEL_POINTS`` points per call, so the build holds the table and one
+    band; a kernel that fails raises "K failed: ..." at the first failing
+    point of the first failing band, which is the first failing point of
+    the triangle, and a non-finite K/a0 the ``EvalError`` of its first point.
     """
     npts = z.shape[0]
     if npts > TABLE_MAX_NODES:
@@ -135,8 +135,9 @@ def _first_table(problem: Problem, z: np.ndarray, density: int, a0: np.ndarray) 
             f"{8 * npts * npts / 1e6:.0f} MB; the limit is {TABLE_MAX_NODES} nodes"
         )
     table = np.zeros((npts, npts))
-    for r0 in range(0, npts, COMPOSE_PANEL_ROWS):
-        rows, cols = np.tril_indices(min(COMPOSE_PANEL_ROWS, npts - r0), r0, npts)
+    band = max(1, PANEL_POINTS // npts)
+    for r0 in range(0, npts, band):
+        rows, cols = np.tril_indices(min(band, npts - r0), r0, npts)
         rows += r0
         t, s = z[rows], z[cols]
         table[rows, cols] = _over_a0(_labeled("K", problem.kernel, t, s), a0[rows], "K/a0", t, s)
@@ -652,9 +653,13 @@ def solvability_sweep(
                 lam=lam, det=rep.det, rank=m1, classification="unique", load_values=rep.solution,
             ))
             continue
-        basis = nullspace(A[i].T, RANK_TOL)
-        d_norm = float(np.linalg.norm(d[i]))
-        defect = float(max(abs(basis @ d[i]) / d_norm)) if d_norm else 0.0
+        basis, di = nullspace(A[i].T, RANK_TOL), d[i]
+        with np.errstate(over="ignore"):
+            d_norm = float(np.linalg.norm(di))
+        if not math.isfinite(d_norm):  # |d|^2 overflows: measure d / max|d|
+            di = di / np.abs(di).max()
+            d_norm = float(np.linalg.norm(di))
+        defect = float(max(abs(basis @ di) / d_norm)) if d_norm else 0.0
         family = defect <= RANK_TOL
         reports.append(SolvabilityReport(
             lam=lam, det=rep.det, rank=rep.rank,

@@ -31,9 +31,10 @@ for model1, model2 and ``bench/fixtures/sqrt_ladder.cfg``:
 plus the ``--no-timing`` stdout of ``lvie study`` and the stdout of
 ``lvie analyze`` on every problem.  Entries are compared byte for byte,
 so -0.0 against 0.0 or another NaN payload is a difference too.
-``python tests/same_bits.py --manifest OUT`` writes the manifest of the
-``lvie`` on ``sys.path`` to ``OUT`` (an ``.npz`` file).  pytest does not
-collect this file.
+``python tests/same_bits.py --manifest OUT [TREE]`` writes the manifest of
+the ``lvie`` on ``sys.path`` to ``OUT`` (an ``.npz`` file), once it has
+checked that this ``lvie`` is the one in ``TREE``'s ``src`` (by default, the
+checkout this script is in).  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _tree_manifest(tree: Path, out: Path) -> dict:
         return {key: data[key] for key in data.files}
 
 
-def _write_manifest(out: str, tree: str) -> None:
+def _write_manifest(out: str, tree: str = str(ROOT)) -> None:
     import lvie
 
     src = Path(tree).resolve() / "src"

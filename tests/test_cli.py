@@ -86,6 +86,16 @@ def test_solve_invalid_problem(tmp_path, capsys):
     assert "a0 vanishes" in capsys.readouterr().err
 
 
+def test_solve_names_the_row_where_the_solution_overflows(tmp_path, capsys):
+    cfg = tmp_path / "growing.cfg"
+    cfg.write_text(CONFIG.replace("lambda = 0.0", "lambda = 1000"))  # x grows like exp(1000 t)
+    code = main(["solve", "--config", str(cfg), "--h", "1/1024"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solution overflows at row 641, t=0.625366\n"
+
+
 def test_study_misplaced_load_names_the_points(tmp_path, capsys):
     cfg = tmp_path / "misplaced.cfg"
     cfg.write_text(CONFIG + 'load = { point = 0.3, coeff = "1" }\nload = { point = 1.5, coeff = "t" }\n')

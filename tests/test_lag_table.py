@@ -212,19 +212,20 @@ class TestPushSchedule:
         calls = []
         integral = system.integral
 
-        def recording(out, i0, y, k0, k1):
+        def recording(out, i0, x, k0, k1):
             calls.append((i0, out.shape[0], k0, k1))
-            integral(out, i0, y, k0, k1)
+            integral(out, i0, x, k0, k1)
 
         system.integral = recording
         structured_solve(system)
 
-        # Replay the solve's far-field products on a random y.
+        # Replay the solve's far-field products on random nodal values x.
         rng = np.random.default_rng(n_last)
-        y = rng.uniform(-1.0, 1.0, size=(n_last, 2))
+        x = rng.uniform(-1.0, 1.0, size=(n_last + 1, 2))
+        y = x[:-1] + x[1:]
         far = np.zeros((n_last + 1, 2))
         for i0, rows, k0, k1 in calls:
-            integral(far[i0 : i0 + rows], i0, y, k0, k1)
+            integral(far[i0 : i0 + rows], i0, x, k0, k1)
 
         # Row i of block r0..r0+63 needs every column k < r0 - 1, each once.
         w = system.lag_weights()

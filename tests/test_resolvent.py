@@ -11,7 +11,7 @@ import pytest
 
 from lvie.config import parse_problem_config
 from lvie.expressions import EvalError
-from lvie.problems import LoadTerm, Problem, ScalarFunction, builtin_problem
+from lvie.problems import PANEL_POINTS, LoadTerm, Problem, ScalarFunction, builtin_problem, validate_problem
 from lvie.resolvent import (
     MAX_TERMS,
     RANK_TOL,
@@ -556,6 +556,51 @@ def test_a0_evaluated_once_per_point_set(p, table):
     assert sizes == [513, len(p.loads)]
 
 
+class RecordingKernel:
+    """Records the points of every call, then evaluates ``fn``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, t, s):
+        t, s = np.broadcast_arrays(t, s)
+        self.calls.append((t.ravel().copy(), s.ravel().copy()))
+        return self.fn(t, s)
+
+    def check_triangle(self, z):
+        """Every call takes at most PANEL_POINTS points; in call order they are (z_i, z_j), j <= i, row-major."""
+        assert max(t.size for t, _ in self.calls) <= PANEL_POINTS
+        rows, cols = np.tril_indices(z.size)
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in self.calls]), z[rows])
+        np.testing.assert_array_equal(np.concatenate([s for _, s in self.calls]), z[cols])
+
+
+class TestKernelCallsOnTheTriangle:
+    # sqrt(t-s) raises above the diagonal and has no split: the table reads every pair.
+    SQRT_LADDER = parse_problem_config((TESTS.parent / "bench" / "fixtures" / "sqrt_ladder.cfg").read_text())
+
+    def recorded(self):
+        kernel = RecordingKernel(self.SQRT_LADDER.kernel)
+        return kernel, dataclasses.replace(self.SQRT_LADDER, kernel=ScalarFunction(kernel, 2, "sqrt(t-s)"))
+
+    def test_resolvent_table(self):
+        kernel, p = self.recorded()
+        cfg = ResolventApprox(p)
+        assert cfg.z.size == 513 and cfg._factors is None
+        kernel.check_triangle(cfg.z)
+
+    def test_iterated_kernel(self):
+        kernel, p = self.recorded()
+        assert iterated_kernel(p, 3, 1.0, 0.0) == iterated_kernel(self.SQRT_LADDER, 3, 1.0, 0.0)
+        kernel.check_triangle(np.linspace(0.0, 1.0, 513))
+
+    def test_validate_problem(self):
+        kernel, p = self.recorded()
+        assert validate_problem(p)
+        kernel.check_triangle(np.linspace(0.0, 1.0, 1000))
+
+
 class TestTableLimit:
     """The table path refuses a grid past ``TABLE_MAX_NODES`` before allocating it."""
 
@@ -1034,6 +1079,25 @@ class TestSweep:
         assert lines[0] == "lambda,detA,rank,classification,orthogonality_defect"
         assert len(lines) == 12
         assert ",unique," in lines[1]
+
+    def test_load_vector_whose_square_norm_overflows(self):
+        # K = exp(700 (t - s)): the load system has rank 1 and d = (1.3e27, 3.9e209),
+        # whose squared norm overflows; the defect is measured on d / max|d|.
+        t = ScalarFunction.from_expression("t", 1)
+        p = make_problem(
+            lam=0.25, loads=[LoadTerm(0.1, t), LoadTerm(0.7, ONE)],
+            kernel=ScalarFunction.from_expression("exp(700*(t-s))", 2),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (report,) = solvability_sweep(p, [None])
+            A, d = load_matrix(p)
+        assert {w.category for w in caught} == {TruncationWarning}
+        assert (report.rank, report.label) == (1, "family(1)")
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(d * d))
+        u = d / np.abs(d).max()
+        assert report.orthogonality_defect == max(abs(nullspace(A.T, RANK_TOL) @ u)) / np.linalg.norm(u)
 
     def test_tables_are_reused_across_lambdas(self):
         p = builtin_problem("model1")

@@ -1,7 +1,9 @@
 """The comparison of ``tests/same_bits.py``: what counts as a difference, and how it is reported."""
 
 import numpy as np
+import pytest
 
+import same_bits
 from same_bits import compare
 
 
@@ -38,3 +40,20 @@ def test_text_reports_numbers_or_the_first_differing_line():
 
 def test_missing_entries_are_named():
     assert compare(_entries(old=1.0), _entries(new=1.0)) == ["new: only in this tree", "old: only in base"]
+
+
+@pytest.mark.parametrize("tree", [[], [str(same_bits.ROOT)]], ids=["default-tree", "this-tree"])
+def test_manifest_writes_the_lvie_of_the_tree(tree, tmp_path, monkeypatch):
+    monkeypatch.setattr(same_bits, "manifest", lambda: _entries(x=[1.0, 2.0]))
+    out = tmp_path / "manifest.npz"
+    assert same_bits.main(["--manifest", str(out), *tree]) == 0
+    with np.load(out) as data:
+        assert data["x"].tolist() == [1.0, 2.0]
+
+
+def test_manifest_refuses_the_lvie_of_another_tree(tmp_path, monkeypatch):
+    monkeypatch.setattr(same_bits, "manifest", lambda: _entries(x=1.0))
+    out = tmp_path / "manifest.npz"
+    with pytest.raises(SystemExit, match="^same_bits: imported .*, not the lvie of "):
+        same_bits.main(["--manifest", str(out), str(tmp_path)])
+    assert not out.exists()

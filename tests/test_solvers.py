@@ -836,6 +836,78 @@ class TestBlockedErrorLocation:
         assert info.value.row == 530
 
 
+class TestOverflowingSolution:
+    # x = exp(1000 t) (a0 = 1, K = 1, f = cos t, lam = 1000): on h = 1/1024
+    # the forward substitution first leaves the floats at row 641, the
+    # first row of the block 641..704.  A refusal at the block's last row
+    # comes after it: solved without that row, rows 641..703 still overflow.
+    STEP = Fraction(1, 1024)
+    ROW = 641
+    LAST = ROW + BLOCK_ROWS - 1
+
+    def problem(self, kernel=None, a0=None, loads=(), lam=1000.0, rhs="cos(t)"):
+        return Problem(
+            t0=0.0, T=1.0, lam=lam, loads=loads,
+            a0=a0 or ScalarFunction.constant(1.0),
+            kernel=kernel or ScalarFunction.from_expression("1", 2),
+            rhs=ScalarFunction.from_expression(rhs, 1),
+        )
+
+    def overflow_error(self, grid, row):
+        expected = f"solution overflows at row {row}, t={grid.nodes[row]:.6g}"
+        return pytest.raises(SolvabilityError, match=f"^{re.escape(expected)}$")
+
+    @pytest.mark.parametrize("path", ["lag", "direct"])
+    def test_names_the_first_row_that_overflows(self, path):
+        kernel = ScalarFunction(lambda t, s: np.ones(np.broadcast(t, s).shape), 2) if path == "direct" else None
+        p = self.problem(kernel)
+        system = assemble(p, build_grid(p, self.STEP))
+        assert (system.lag_weights() is not None) == (path == "lag")
+        with self.overflow_error(system.grid, self.ROW):
+            structured_solve(system)
+
+    @pytest.mark.parametrize("lam", [1000.0, 1.0])
+    def test_comes_before_a_later_zero_pivot_in_its_block(self, lam):
+        system = assemble(self.problem(lam=lam), build_grid(self.problem(), self.STEP))
+        g, diagonal_weight = system.grid, system.row_weights(self.LAST)[-1]
+        # a0 = J_i^i at one node: the pivot a0 - J_i^i of that row is exactly 0.
+        a0 = ScalarFunction(lambda t: np.where(t == g.nodes[self.LAST], diagonal_weight, 1.0), 1)
+        error = self.overflow_error(g, self.ROW) if lam == 1000.0 else pytest.raises(
+            SolvabilityError, match=rf"diagonal entry .* at row {self.LAST}$")
+        with error:
+            structured_solve(assemble(self.problem(a0=a0, lam=lam), g))
+
+    @pytest.mark.parametrize("big", [1e308, 1.0])
+    def test_comes_before_a_later_kernel_failure_in_its_block(self, big):
+        # a0 = f = 0.01, lam = 1, and K = big on rows 641.. and columns
+        # 512..639 only: the square pushed after block 9 into rows 641..768.
+        # Its row panel 641..704 fails at row 704; pushed again without that
+        # row, it still makes x_641 = 1.25e309 when big = 1e308.
+        g = build_grid(self.problem(), self.STEP)
+        nodes = g.nodes
+
+        def kernel(t, s):
+            if np.any(t >= nodes[self.LAST]):
+                raise EvalError("kernel undefined here")
+            return np.where((t >= nodes[self.ROW]) & (s >= nodes[512]) & (s < nodes[640]), big, 0.0)
+
+        p = self.problem(ScalarFunction(kernel, 2), a0=ScalarFunction.constant(0.01), lam=1.0, rhs="0.01")
+        error = self.overflow_error(g, self.ROW) if big > 1.0 else pytest.raises(
+            AssemblyError, match=rf"^kernel failed at row {self.LAST},")
+        with error:
+            structured_solve(assemble(p, g))
+
+    def test_load_combination_that_overflows_is_refused_by_row(self):
+        # lam = 0: X[:, 0] = 1e300 and X[:, 1] = -a1 are finite, the load
+        # value is c = 1e300, and x = 1e300 - a1(t) c overflows once a1 passes 1.8e8.
+        a1 = ScalarFunction(lambda t: 1e10 * np.maximum(t - 0.5, 0.0), 1)
+        p = self.problem(loads=(LoadTerm(0.5, a1),), lam=0.0, rhs="1e300")
+        system = assemble(p, build_grid(p, Fraction(1, 64)))
+        row = int(np.argmax(1e10 * (system.grid.nodes - 0.5) > 1.8e8))
+        with self.overflow_error(system.grid, row):
+            structured_solve(system)
+
+
 def test_solvers_is_a_leaf_of_dense_linear_algebra():
     # solvers imports no lvie module; the block solve lives beside the collocation system it reads,
     # and the study calls it through its own module global (the name a tracer wraps).
