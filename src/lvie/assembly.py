@@ -38,14 +38,18 @@ far field ahead in dyadic squares, which ``integral`` adds in panels
 FFTs (O(m N log^2 N) time, N kernel points).
 
 A weight 0.5 lam dtau K that overflows is refused like a failing kernel,
-by row.  An entry that overflows as a sum (the two weights of a pair, or a
-diagonal weight plus a0) raises the elimination's row-less
+by row, and ``CollocationSystem._panels`` alone puts these faults in row
+order: it hands back every row above a failure before it raises.  An
+entry that overflows as a sum (the two weights of a pair, or a diagonal
+weight plus a0) raises the elimination's row-less
 ``ValueError("matrix entries must be finite")``: from ``solve_augmented``
 once every weight is assembled, from ``structured_solve`` before it solves
 the block (a lag system's one triangle: before the first).  So on model1
 with K = exp(10 (t - s)), lam = 1e308 and h = 1/64, where a pair sum
 overflows at row 33 and a weight at row 37, the structured path raises the
-``ValueError`` and the dense path the ``AssemblyError`` of row 37.
+``ValueError`` and the dense path the ``AssemblyError`` of row 37.  Any
+other value the structured solve makes that leaves the floats is refused
+by its row, without a numpy warning.
 
 Lag table: for a kernel of t - s only (``ScalarFunction.is_difference``)
 on a uniform mesh of step h (``Grid.uniform_step``), J_p^i depends on
@@ -70,7 +74,7 @@ from . import solvers  # the load consistency solve calls solvers.gauss_jordan, 
 from .expressions import EvalError, finite
 from .grid import Grid
 from .problems import PANEL_POINTS, Problem, ScalarFunction
-from .solvers import BUFFER_SIZE, SINGULAR_TOL, SingularMatrixError, SolvabilityError, augmented
+from .solvers import SINGULAR_TOL, SingularMatrixError, SolvabilityError, augmented
 
 __all__ = ["CollocationSystem", "AssemblyError", "assemble", "structured_solve"]
 
@@ -179,22 +183,15 @@ class CollocationSystem:
     def weights(self, i0: int, i1: int, k0: int, k1: int) -> np.ndarray:
         """Weights J_{k+1}^i (rows i0 <= i < i1, columns k0 <= k < k1) of x_k + x_{k+1}.
 
-        The kernel is evaluated on the Volterra triangle k < i only, with
-        numpy's ufunc buffer at ``solvers.BUFFER_SIZE``; the rest is zero.
-        A kernel failure or a weight that overflows raises
-        :class:`AssemblyError` naming the first failing row and its abscissa.
+        The kernel is evaluated once, on the Volterra triangle k < i only;
+        the rest is zero.  A kernel failure or a weight that overflows
+        raises the :class:`AssemblyError` of its own row and abscissa;
+        ``_panels`` puts failures in row order.
         """
         if self._lags is not None:
             return self._lags[i0:i1, k0:k1].copy()
         tau = self.grid.nodes
-        try:
-            with np.errstate():  # leaving it restores the buffer size
-                np.setbufsize(BUFFER_SIZE)
-                below, kvals = _eval_nodes(tau, "kernel", self._on_pairs, self.problem.kernel, i0, i1, k0, k1)
-        except AssemblyError as err:
-            if err.row > i0:  # a weight that overflows in an earlier row comes first
-                self.weights(i0, err.row, k0, k1)
-            raise
+        below, kvals = _eval_nodes(tau, "kernel", self._on_pairs, self.problem.kernel, i0, i1, k0, k1)
         scale = 0.5 * self.problem.lam * self._dtau[k0:k1]
         if below is not None:
             scale = np.broadcast_to(scale, below.shape)[below]
@@ -243,11 +240,11 @@ class CollocationSystem:
         k = i1 - i0
         if self._near is not None and k <= self._near.shape[0]:
             return self._near[:k, : k + 1]
-        J = self.weights(i0, i1, i0 - 1, i1 - 1)
         block = np.zeros((k, k + 1))
-        with np.errstate(over="ignore"):  # structured_solve refuses a sum that overflows
-            block[:, :k] -= J
-            block[:, 1:] -= J
+        for r0, r1, c0, c1, J in self._panels(i0, i1, i0 - 1, i1 - 1):
+            with np.errstate(over="ignore"):  # structured_solve refuses a sum that overflows
+                block[r0 - i0 : r1 - i0, c0 - i0 + 1 : c1 - i0 + 1] -= J  # column k - i0 + 1: x_k
+                block[r0 - i0 : r1 - i0, c0 - i0 + 2 : c1 - i0 + 2] -= J  # and x_{k+1}
         block.flags.writeable = False
         return block
 
@@ -273,9 +270,11 @@ class CollocationSystem:
         """Yield ``(r0, r1, c0, c1, weights(r0, r1, c0, c1))`` over rows i0..i1-1 and columns k0..k1-1.
 
         Panels of ``BLOCK_ROWS`` rows by ``PANEL_POINTS // BLOCK_ROWS``
-        columns, none right of the panel's last row.  A failing panel is
-        skipped until every column panel of its rows has been tried; then
-        the :class:`AssemblyError` of the earliest failing row is raised.
+        columns, none right of the panel's last row.  It alone orders
+        faults: a panel failing at row e is evaluated again on its rows
+        before e until it succeeds; once every column panel of the rows is
+        tried, the :class:`AssemblyError` of the earliest failing row is
+        raised, and every row above it has received every panel.
         """
         width = PANEL_POINTS // BLOCK_ROWS
         for r0 in range(i0, i1, BLOCK_ROWS):
@@ -283,10 +282,14 @@ class CollocationSystem:
             errors = []
             for c0 in range(k0, min(k1, r1 - 1), width):
                 c1 = min(c0 + width, k1, r1 - 1)
-                try:
-                    yield r0, r1, c0, c1, self.weights(r0, r1, c0, c1)
-                except AssemblyError as err:
-                    errors.append(err)
+                stop = r1
+                while stop > max(r0, c0 + 1):  # rows r0..stop-1 meet columns c0.. on the triangle
+                    try:
+                        yield r0, stop, c0, c1, self.weights(r0, stop, c0, c1)
+                        break
+                    except AssemblyError as err:
+                        errors.append(err)
+                        stop = err.row
             if errors:
                 raise min(errors, key=lambda err: err.row)
 
@@ -363,12 +366,15 @@ def structured_solve(system: CollocationSystem) -> np.ndarray:
     a row and an earlier column outside the row's own block once.
 
     The first row at fault raises: :class:`SolvabilityError` for a
-    triangular pivot below ``SINGULAR_TOL`` relative to max|a0| or for a
-    solution that overflows (a non-finite row of a right-hand side's
-    substitution or of the solution), :class:`AssemblyError` for a kernel
-    failure or non-finite kernel value.  A failing square records its
-    earliest failing row; the block that reaches that row solves the rows
-    before it, then raises.
+    triangular pivot below ``SINGULAR_TOL`` relative to max|a0|, a block
+    LAPACK finds singular or a solution that overflows (a non-finite row
+    of a right-hand side's substitution or of the solution),
+    :class:`AssemblyError` for a kernel failure or non-finite kernel
+    value.  A failing square has reached every row above its failure
+    (``_panels``), so the block that reaches the earliest failing row
+    solves and checks the rows before it, then raises.  Row 0 and the
+    blocks run under one ``np.errstate(all="ignore")``, as every value
+    made there is refused by its row; the load consistency solve does not.
     Agrees with ``gauss_jordan`` on the materialized matrix to rounding.
     """
     n = system.size
@@ -383,9 +389,8 @@ def structured_solve(system: CollocationSystem) -> np.ndarray:
             raise SolvabilityError(f"solution overflows at row {r}, t={system.grid.nodes[r]:.6g}")
 
     def check_finite(near, diagonal, a0_rows):  # the refusal of a sum that overflows
-        with np.errstate(over="ignore"):
-            if not (np.isfinite(near).all() and np.isfinite(diagonal + a0_rows).all()):
-                raise ValueError("matrix entries must be finite")
+        if not (np.isfinite(near).all() and np.isfinite(diagonal + a0_rows).all()):
+            raise ValueError("matrix entries must be finite")
 
     def zero_pivot(r):
         return SolvabilityError(f"zero diagonal entry in the triangular part at row {r}")
@@ -393,44 +398,44 @@ def structured_solve(system: CollocationSystem) -> np.ndarray:
     X = np.empty_like(B)
     if abs(a0[0]) < tiny:
         raise zero_pivot(0)
-    X[0] = B[0] / a0[0]
-    check_solved(0, X[:1])
     shared = system._near  # every block of a lag system reads this one triangle, of one diagonal weight
-    if shared is not None:
-        check_finite(shared, shared[0, 1], a0[1:])
     fault = None  # the earliest kernel failure met so far
-    for b, r0 in enumerate(range(1, n, BLOCK_ROWS)):
-        r1 = min(r0 + BLOCK_ROWS, n if fault is None else fault.row)
-        try:
-            near = system.near(r0, r1)
-        except AssemblyError as err:
-            fault, r1 = err, err.row
-            near = system.near(r0, r1)
-        if shared is None:
-            check_finite(near, np.diagonal(near, 1), a0[r0:r1])
-        k = r1 - r0
-        T = near[:, 1:].copy()
-        d = T.reshape(-1)[:: k + 1]  # the diagonal, a view
-        d += a0[r0:r1]
-        if np.abs(d).min(initial=np.inf) < tiny:  # solve the rows before the first zero pivot
-            k = int(np.flatnonzero(np.abs(d) < tiny)[0])
-        cut = fault is not None and fault.row == r1  # the block stops at a kernel failure,
-        if cut:  # whose square may have left B[r0:r1] short: push their far field again
-            B[r0:r1] = np.column_stack([system.rhs[r0:r1], -system.load_entries[r0:r1]])
-            system.integral(B[r0:r1], r0, X, 0, r0 - 1)
-        X[r0 : r0 + k] = np.linalg.solve(T[:k, :k], B[r0 : r0 + k] - near[:k, :1] * X[r0 - 1])
-        check_solved(r0, X[r0 : r0 + k])
-        if k < r1 - r0:
-            raise zero_pivot(r0 + k)
-        if cut:
-            raise fault
-        if r1 < n:
-            m = BLOCK_ROWS * ((b + 1) & -(b + 1))
+    with np.errstate(all="ignore"):  # refused by row below
+        X[0] = B[0] / a0[0]
+        check_solved(0, X[:1])
+        if shared is not None:
+            check_finite(shared, shared[0, 1], a0[1:])
+        for b, r0 in enumerate(range(1, n, BLOCK_ROWS)):
+            r1 = min(r0 + BLOCK_ROWS, n if fault is None else fault.row)
             try:
-                system.integral(B[r1 : r1 + m], r1, X, r1 - 1 - m, r1 - 1)
+                near = system.near(r0, r1)
             except AssemblyError as err:
-                if fault is None or err.row < fault.row:
-                    fault = err
+                fault, r1 = err, err.row
+                near = system.near(r0, r1)
+            if shared is None:
+                check_finite(near, np.diagonal(near, 1), a0[r0:r1])
+            k = r1 - r0
+            T = near[:, 1:].copy()
+            d = T.reshape(-1)[:: k + 1]  # the diagonal, a view
+            d += a0[r0:r1]
+            if np.abs(d).min(initial=np.inf) < tiny:  # solve the rows before the first zero pivot
+                k = int(np.flatnonzero(np.abs(d) < tiny)[0])
+            try:
+                X[r0 : r0 + k] = np.linalg.solve(T[:k, :k], B[r0 : r0 + k] - near[:k, :1] * X[r0 - 1])
+            except np.linalg.LinAlgError as err:
+                raise SolvabilityError(f"block of rows {r0}..{r0 + k - 1} is singular to working precision") from err
+            check_solved(r0, X[r0 : r0 + k])
+            if k < r1 - r0:
+                raise zero_pivot(r0 + k)
+            if fault is not None and fault.row == r1:  # the block stops at a kernel failure
+                raise fault
+            if r1 < n:
+                m = BLOCK_ROWS * ((b + 1) & -(b + 1))
+                try:
+                    system.integral(B[r1 : r1 + m], r1, X, r1 - 1 - m, r1 - 1)
+                except AssemblyError as err:
+                    if fault is None or err.row < fault.row:
+                        fault = err
     if m1 == 0:
         return X[:, 0]
 

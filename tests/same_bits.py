@@ -21,12 +21,17 @@ for model1, model2 and ``bench/fixtures/sqrt_ladder.cfg``:
 * a seeded 41-lambda ``solvability_sweep`` (det, rank, label, defect and
   load values), ``semi_analytic_solve`` at 101 points, and
   ``iterated_kernel`` (n = 1, 2, 3) and ``resolvent`` at a few points;
-* at h = 1/64 ... 1/512, in both modes, the ``AssemblyError.row`` of four
-  failing problems: model1 with the kernel ``sqrt(0.9 - t) * (t - 2*s^2)``,
+* at h = 1/64 ... 1/512, in both modes (dense assembly and the structured
+  solve), the outcome of six failing problems, as ``type: message`` or
+  ``none`` when the call returns, and the ``AssemblyError.row`` where there
+  is one: model1 with the kernel ``sqrt(0.9 - t) * (t - 2*s^2)``,
   ``sqrt_ladder`` (a uniform mesh) with the difference kernel
-  ``sqrt(0.6-(t-s))``, model1 with a callable a1 that is nan past 0.7, and
+  ``sqrt(0.6-(t-s))``, model1 with a callable a1 that is nan past 0.7,
   model1 at lambda = 1e308 with a callable kernel that is 1e10 past
-  t = 0.5, whose weights overflow there;
+  t = 0.5, whose weights overflow there, model1 at lambda = 1e308 with
+  K = 155, whose pair sums of weights overflow, and lambda = 0, a0 = 1,
+  f = 1e308 with the one load (0.5, 1 - 2t), whose pair sums of nodal
+  values overflow;
 
 plus the ``--no-timing`` stdout of ``lvie study`` and the stdout of
 ``lvie analyze`` on every problem.  Entries are compared byte for byte,
@@ -140,6 +145,10 @@ def _failing_problems(problems: dict) -> dict:
         "model1_nan_a1": dataclasses.replace(model1, loads=(LoadTerm(0.3, nan_a1), *model1.loads[1:])),
         "model1_weight_overflow": dataclasses.replace(
             model1, lam=1e308, kernel=ScalarFunction(lambda t, s: np.where(t > 0.5, 1e10, 1.0), 2)),
+        "model1_sum_overflow": dataclasses.replace(model1, lam=1e308, kernel=ScalarFunction.constant(155.0, 2)),
+        "pair_sum_overflow": dataclasses.replace(
+            model1, lam=0.0, a0=ScalarFunction.constant(1.0), rhs=ScalarFunction.constant(1e308),
+            loads=(LoadTerm(0.5, ScalarFunction.from_expression("1 - 2*t", 1)),)),
     }
 
 
@@ -150,12 +159,15 @@ def _failure_rows(entries: dict, name: str, problem) -> None:
         grid = build_grid(problem, h)
         for mode, call in [("dense", lambda: assemble(problem, grid, mode="dense")),
                            ("structured", lambda: structured_solve(assemble(problem, grid)))]:
+            key = f"failing/{name}/h={h}/{mode}"
             try:
                 call()
-            except AssemblyError as err:
-                entries[f"failing/{name}/h={h}/{mode}/row"] = err.row
+            except Exception as err:  # every refusal is pinned, typed or not
+                entries[f"{key}/outcome"] = f"{type(err).__name__}: {err}"
+                if isinstance(err, AssemblyError):
+                    entries[f"{key}/row"] = err.row
             else:
-                sys.exit(f"same_bits: {name} at h={h} did not fail in {mode} mode")
+                entries[f"{key}/outcome"] = "none"
 
 
 def _stdout(argv: list) -> str:
